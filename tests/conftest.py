@@ -3,8 +3,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# deterministic; kernels at fp64 can exceed hypothesis' per-example deadline.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=100)
+settings.load_profile("tier1")
 
 from minitrain.data import Dataset, write_cifar_binary
 

@@ -45,6 +45,25 @@ def maxpool2d_loops(x, k, stride):
     return out
 
 
+def maxpool2d_grad_loops(x, g, k, stride):
+    """Route each window's upstream gradient to its first row-major argmax."""
+    n, c, h, w = x.shape
+    ho, wo = g.shape[2], g.shape[3]
+    gx = np.zeros((n, c, h, w), dtype=np.float64)
+    for ni in range(n):
+        for ci in range(c):
+            for oy in range(ho):
+                for ox in range(wo):
+                    best = None
+                    for ky in range(k):
+                        for kx in range(k):
+                            y, xx = oy * stride + ky, ox * stride + kx
+                            if best is None or x[ni, ci, y, xx] > x[ni, ci, best[0], best[1]]:
+                                best = (y, xx)
+                    gx[ni, ci, best[0], best[1]] += g[ni, ci, oy, ox]
+    return gx
+
+
 def global_maxpool_loops(x):
     n, c, h, w = x.shape
     out = np.zeros((n, c), dtype=np.float64)

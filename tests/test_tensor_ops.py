@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from minitrain import tensor as T
 from minitrain.tensor import (
@@ -413,3 +416,100 @@ def test_grad_check_conv_bn_celu_chain():
 
     rep = grad_check(chain, t64(x), step=1e-5, tol=1e-4)
     assert rep.passed, rep
+
+
+# ---------------------------------------------------------------------------
+# randomized shapes against the loop oracles (fp64)
+
+_odd = st.sampled_from([1, 3, 5, 7])
+
+
+@st.composite
+def conv_cases(draw):
+    n = draw(st.integers(1, 2))
+    cin, cout = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    h, w = draw(_odd), draw(_odd)
+    kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    assume(kh <= h + 2 * pad and kw <= w + 2 * pad)
+    with_bias = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, cin, h, w))
+    wt = rng.normal(size=(cout, cin, kh, kw))
+    b = rng.normal(size=cout) if with_bias else None
+    return x, wt, b, stride, pad
+
+
+@given(conv_cases())
+def test_conv_property_forward_matches_oracle(case):
+    x, w, b, stride, pad = case
+    out = conv2d(t64(x), t64(w), None if b is None else t64(b), stride=stride, pad=pad)
+    np.testing.assert_allclose(out.data, oracles.conv2d_loops(x, w, b, stride, pad), rtol=1e-10, atol=1e-12)
+
+
+@given(conv_cases())
+def test_conv_property_backward_grad_check(case):
+    x, w, b, stride, pad = case
+    ref = oracles.conv2d_loops(x, w, b, stride, pad)
+    # random linear functional, so every output coordinate carries gradient
+    c = t64(np.random.default_rng(int(ref.size)).normal(size=ref.shape))
+    bt = None if b is None else t64(b)
+
+    def loss(xt, wt, btt):
+        return tsum(T.mul(conv2d(xt, wt, btt, stride=stride, pad=pad), c))
+
+    rep = grad_check(lambda t: loss(t, t64(w), bt), t64(x), max_coords=40)
+    assert rep.passed, f"dx: {rep}"
+    rep = grad_check(lambda t: loss(t64(x), t, bt), t64(w), max_coords=40)
+    assert rep.passed, f"dw: {rep}"
+    if b is not None:
+        rep = grad_check(lambda t: loss(t64(x), t64(w), t), t64(b))
+        assert rep.passed, f"db: {rep}"
+
+
+@st.composite
+def pool_cases(draw):
+    k, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h, w = draw(st.integers(k, 7)), draw(st.integers(k, 7))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)), h, w)
+    # a handful of integer levels, so windows often hold tied maxima
+    x = draw(hnp.arrays(F64, shape, elements=st.sampled_from([-1.0, 0.0, 1.0, 2.0])))
+    return x, k, stride
+
+
+@given(pool_cases())
+def test_maxpool_property_matches_oracles(case):
+    x, k, stride = case
+    xt = t64(x, rg=True)
+    with tape():
+        out = maxpool2d(xt, k, stride)
+        # integer upstream gradients keep overlapping sums exact
+        g = np.arange(out.size, dtype=F64).reshape(out.shape) % 7 + 1
+        backward(tsum(T.mul(out, t64(g))))
+    np.testing.assert_array_equal(out.data, oracles.maxpool2d_loops(x, k, stride))
+    np.testing.assert_array_equal(xt.grad, oracles.maxpool2d_grad_loops(x, g, k, stride))
+
+
+@pytest.mark.parametrize("stride,pad,bias", [(1, 1, False), (2, 1, True)])
+def test_conv_chunked_matches_single_chunk(monkeypatch, stride, pad, bias):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(7, 3, 5, 5))
+    w = rng.normal(size=(4, 3, 3, 3))
+    b = rng.normal(size=4) if bias else None
+    ho = (5 + 2 * pad - 3) // stride + 1
+
+    def run():
+        xt, wt = t64(x, rg=True), t64(w, rg=True)
+        c = t64(np.random.default_rng(22).normal(size=(7, 4, ho, ho)))
+        with tape():
+            out = conv2d(xt, wt, None if b is None else t64(b), stride=stride, pad=pad)
+            backward(tsum(T.mul(out, c)))
+        return out.data, wt.grad, xt.grad
+
+    whole = run()
+    per_image = 3 * 9 * ho * ho * 8
+    monkeypatch.setattr(T, "_COL_BUDGET_BYTES", 3 * per_image)
+    assert T._conv_chunk(3, 9, ho * ho, 8) == 3  # chunks of 3, 3 and 1 image
+    chunked = run()
+    for name, a, ref in zip(("out", "dW", "dX"), chunked, whole):
+        np.testing.assert_allclose(a, ref, rtol=0, atol=1e-12, err_msg=name)
