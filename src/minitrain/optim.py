@@ -52,7 +52,6 @@ class OptConfig:
 @dataclass
 class OptState:
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
-    sam_backup: dict[str, np.ndarray] = field(default_factory=dict)
     step_index: int = 0
 
     @classmethod
@@ -130,21 +129,21 @@ def sam_step(
         return loss0, loss0
 
     scale = cfg.rho / gnorm
-    state.sam_backup = {e.name: e.tensor.data.copy() for e in params}
+    backup = {e.name: e.tensor.data.copy() for e in params}
     for e in params:
         e.tensor.data += scale * e.tensor.grad
 
     loss1 = closure()
     if not np.isfinite(loss1):
         for e in params:
-            e.tensor.data[...] = state.sam_backup[e.name]
+            e.tensor.data[...] = backup[e.name]
         raise OptimizerAbort(f"sam_step: non-finite loss {loss1} at perturbed point")
     if cfg.gc_enabled:
         centralize_gradients(params)
 
     # Bit-exact restore before the descent update.
     for e in params:
-        e.tensor.data[...] = state.sam_backup[e.name]
+        e.tensor.data[...] = backup[e.name]
     sgd_step(params, state, lr, cfg)
     return loss0, loss1
 

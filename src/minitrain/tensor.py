@@ -279,34 +279,37 @@ def tmean(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-# Cap on the im2col scratch buffer; conv chunks the batch to stay under it.
+# Cap on the im2col buffer of one chunk. Conv lowers a chunk of the batch to
+# one column matrix of shape (C·kh·kw, chunk·Ho·Wo), channel-major, and splits
+# the batch into as many chunks as keep that matrix under the cap.
 _COL_BUDGET_BYTES = 1 << 26
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """[N,C,H,W] -> columns [C·kh·kw, N·Ho·Wo]; row (c, i, j) holds tap (i, j) of channel c."""
     n, c, h, w = x.shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    return cols.reshape(n, c * kh * kw, ho * wo)
+            cols[:, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    return cols.reshape(c * kh * kw, n * ho * wo)
 
 
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """Adjoint of ``_im2col``: sum columns back into an [N,C,H,W] view."""
     n, c, h, w = x_shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, kh, kw, ho, wo)
+    xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    cols6 = cols.reshape(c, kh, kw, n, ho, wo)
     for i in range(kh):
         for j in range(kw):
-            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols6[:, :, i, j]
-    if pad:
-        return np.ascontiguousarray(xp[:, :, pad : pad + h, pad : pad + w])
-    return xp
+            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols6[:, i, j]
+    return xp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
 
 
 def _conv_chunk(c: int, k2: int, l: int, itemsize: int) -> int:
@@ -315,7 +318,14 @@ def _conv_chunk(c: int, k2: int, l: int, itemsize: int) -> int:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pad: int = 0) -> Tensor:
-    """2D cross-correlation with zero padding, NCHW layout."""
+    """2D cross-correlation with zero padding, NCHW layout.
+
+    Each chunk of the batch is lowered to columns [Cin·kh·kw, chunk·Ho·Wo], so
+    every product is one GEMM per chunk: the forward ``w2d @ cols``, the
+    weight gradient ``g_t @ cols.T`` and the input gradient ``w2d.T @ g_t``,
+    where ``g_t`` is the chunk's output gradient as [Cout, chunk·Ho·Wo].
+    Backward rebuilds the columns rather than keeping them alive on the tape.
+    """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4D x and w, got {x.shape} and {w.shape}")
     n, cin, h, wd = x.shape
@@ -328,14 +338,14 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
         raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds padded input {h + 2 * pad}x{wd + 2 * pad}")
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wd + 2 * pad - kw) // stride + 1
-    l = ho * wo
     w2d = w.data.reshape(cout, cw * kh * kw)
-    chunk = _conv_chunk(cin, kh * kw, l, x.data.dtype.itemsize)
+    chunk = _conv_chunk(cin, kh * kw, ho * wo, x.data.dtype.itemsize)
 
     out = np.empty((n, cout, ho, wo), dtype=x.dtype)
     for n0 in range(0, n, chunk):
         cols = _im2col(x.data[n0 : n0 + chunk], kh, kw, stride, pad)
-        out[n0 : n0 + chunk] = (w2d @ cols).reshape(-1, cout, ho, wo)
+        out[n0 : n0 + chunk] = (w2d @ cols).reshape(cout, -1, ho, wo).transpose(1, 0, 2, 3)
+        del cols  # free before the next chunk allocates its columns
     if b is not None:
         if b.shape != (cout,):
             raise ShapeError(f"conv2d: bias shape {b.shape} != ({cout},)")
@@ -343,7 +353,6 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
     res = Tensor._wrap(out)
 
     def bwd(g):
-        go = g.reshape(n, cout, l)
         if b is not None and b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)))
         need_x, need_w = x.requires_grad, w.requires_grad
@@ -353,13 +362,11 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
         gx = np.empty_like(x.data) if need_x else None
         for n0 in range(0, n, chunk):
             n1 = min(n0 + chunk, n)
-            gc = go[n0:n1]
+            g_t = g[n0:n1].transpose(1, 0, 2, 3).reshape(cout, -1)
             if need_w:
-                cols = _im2col(x.data[n0:n1], kh, kw, stride, pad)
-                gw += np.matmul(gc, cols.transpose(0, 2, 1)).sum(axis=0)
+                gw += g_t @ _im2col(x.data[n0:n1], kh, kw, stride, pad).T
             if need_x:
-                gcols = np.matmul(w2d.T, gc)
-                gx[n0:n1] = _col2im(gcols, (n1 - n0, cin, h, wd), kh, kw, stride, pad)
+                gx[n0:n1] = _col2im(w2d.T @ g_t, (n1 - n0, cin, h, wd), kh, kw, stride, pad)
         if need_w:
             w._accumulate(gw.reshape(w.shape))
         if need_x:
@@ -373,6 +380,13 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
 # pooling
 
 
+def _pool_views(a: np.ndarray, k: int, stride: int, ho: int, wo: int):
+    """The k*k strided [N,C,Ho,Wo] views of ``a``, one per window tap, row-major."""
+    for i in range(k):
+        for j in range(k):
+            yield a[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+
+
 def maxpool2d(x: Tensor, k: int, stride: Optional[int] = None) -> Tensor:
     """k x k max pooling; gradient flows to each window's first (row-major) argmax."""
     if x.ndim != 4:
@@ -383,17 +397,22 @@ def maxpool2d(x: Tensor, k: int, stride: Optional[int] = None) -> Tensor:
     stride = stride or k
     ho = (h - k) // stride + 1
     wo = (w - k) // stride + 1
-    cols = _im2col(x.data, k, k, stride, 0).reshape(n, c, k * k, ho * wo)
-    arg = cols.argmax(axis=2)
-    out = np.take_along_axis(cols, arg[:, :, None, :], axis=2)[:, :, 0].reshape(n, c, ho, wo)
-    res = Tensor._wrap(np.ascontiguousarray(out))
+    taps = _pool_views(x.data, k, stride, ho, wo)
+    out = next(taps).copy()
+    for v in taps:
+        np.maximum(out, v, out=out)
+    res = Tensor._wrap(out)
 
     def bwd(g):
         if not x.requires_grad:
             return
-        gcols = np.zeros((n, c, k * k, ho * wo), dtype=x.dtype)
-        np.put_along_axis(gcols, arg[:, :, None, :], g.reshape(n, c, 1, ho * wo), axis=2)
-        x._accumulate(_col2im(gcols.reshape(n, c * k * k, ho * wo), x.shape, k, k, stride, 0))
+        gx = np.zeros_like(x.data)
+        taken = np.zeros(out.shape, dtype=bool)
+        for v, gv in zip(_pool_views(x.data, k, stride, ho, wo), _pool_views(gx, k, stride, ho, wo)):
+            hit = (v == out) & ~taken
+            gv += g * hit
+            taken |= hit
+        x._accumulate(gx)
 
     _record(res, (x,), bwd)
     return res
@@ -490,7 +509,7 @@ def batchnorm2d(
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d expects 4D input, got {x.shape}")
-    n, c, h, w = x.shape
+    c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm2d: gamma/beta must have shape ({c},)")
     if mode not in ("train", "eval"):
@@ -519,11 +538,9 @@ def batchnorm2d(
             return
         gs = g * gamma.data.reshape(1, c, 1, 1)
         if mode == "train":
-            m = n * h * w
             mean_gs = gs.mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
             mean_gs_xhat = (gs * xhat).mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
             gx = inv_std.reshape(1, c, 1, 1) * (gs - mean_gs - xhat * mean_gs_xhat)
-            del m
         else:
             gx = gs * inv_std.reshape(1, c, 1, 1)
         x._accumulate(gx)
