@@ -450,9 +450,9 @@ def test_conv_property_forward_matches_oracle(case):
 @given(conv_cases())
 def test_conv_property_backward_grad_check(case):
     x, w, b, stride, pad = case
-    ref = oracles.conv2d_loops(x, w, b, stride, pad)
+    out_shape = conv2d(t64(x), t64(w), stride=stride, pad=pad).shape
     # random linear functional, so every output coordinate carries gradient
-    c = t64(np.random.default_rng(int(ref.size)).normal(size=ref.shape))
+    c = t64(np.random.default_rng(0).normal(size=out_shape))
     bt = None if b is None else t64(b)
 
     def loss(xt, wt, btt):
