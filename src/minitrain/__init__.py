@@ -11,7 +11,6 @@ from .tensor import (  # noqa: F401
     Tensor,
     backward,
     grad_check,
-    set_default_dtype,
     tape,
 )
 from .models import ModelSpec, ParamSet, build_resnet9, load_checkpoint, save_checkpoint  # noqa: F401

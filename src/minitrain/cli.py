@@ -21,7 +21,7 @@ from .tensor import ConfigError
 
 log = logging.getLogger("minitrain")
 
-_BOOL_FIELDS = {"gc", "ip", "mltp", "deterministic", "augment"}
+_BOOL_FIELDS = {"gc", "ip", "mltp", "augment"}
 
 
 def _coerce(name: str, raw: str):
@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, choices=[32, 64])
     p.add_argument("--metrics-out")
     p.add_argument("--checkpoint-out")
-    p.add_argument("--deterministic", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--augment", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--widths", help="comma-separated channel plan, e.g. 32,64,128,256")
     p.add_argument("--beta", type=float, help="meta-learning outer interpolation rate")

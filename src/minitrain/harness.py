@@ -1,5 +1,6 @@
-"""Experiment driver: resolved run configuration, the budgeted epoch loop,
-evaluation, metrics/manifest emission, and the recipe comparison matrix."""
+"""Experiment driver: resolved run configuration, the one budgeted block loop
+(epochs, or MLTP meta-rounds), evaluation, metrics/manifest emission, and the
+recipe comparison matrix."""
 
 from __future__ import annotations
 
@@ -22,10 +23,10 @@ from .data import (
     normalize,
     sample_subset,
 )
-from .mltp import MltpConfig, mltp_train, split_tasks
+from .mltp import MltpConfig, mltp_train, split_tasks, steps_per_round
 from .models import ModelSpec, build_resnet9, save_checkpoint
 from .optim import OptConfig, OptState, schedule_lr
-from .tensor import ConfigError, set_default_dtype
+from .tensor import ConfigError
 from .train import BudgetClock, calibrate_batchnorm, evaluate, run_epoch
 
 IP_LS_ALPHA = 0.1
@@ -54,7 +55,6 @@ class RunConfig:
     precision: int = 32
     metrics_out: str = "metrics.csv"
     checkpoint_out: Optional[str] = None
-    deterministic: bool = True
     augment: bool = True
     widths: tuple = (64, 128, 256, 512)
     beta: float = 0.5  # meta-learning outer rate
@@ -67,6 +67,8 @@ class RunConfig:
             raise ConfigError(f"optimizer must be sgd or sam, got {self.optimizer!r}")
         if self.precision not in (32, 64):
             raise ConfigError(f"precision must be 32 or 64, got {self.precision}")
+        if self.meta_iterations is not None and self.meta_iterations < 1:
+            raise ConfigError(f"meta_iterations must be >= 1, got {self.meta_iterations}")
         self.widths = tuple(self.widths)
 
     @property
@@ -182,12 +184,14 @@ class RunResult:
 def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[dict] = None) -> RunResult:
     """Execute one recipe end to end under the wall-clock budget.
 
-    The clock starts before data loading; an epoch only starts if the longest
-    epoch observed so far still fits in the remaining budget, so total time
-    never exceeds budget + one epoch duration.
+    Training runs in blocks: an epoch, or for MLTP one meta-round followed by
+    batchnorm calibration. Every block ends with the test pass and one
+    metrics record. The clock starts before data loading; a block only starts
+    if the longest block so far, timed on ``clock`` through its evaluation,
+    still fits in the remaining budget, so total time never exceeds budget +
+    one block.
     """
     budget = BudgetClock(cfg.budget_seconds, clock=clock)
-    set_default_dtype(cfg.precision)
     dtype = np.float32 if cfg.precision == 32 else np.float64
     check_writable(cfg.metrics_out)
     seeds = _derived_seeds(cfg.seed)
@@ -240,7 +244,6 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
         "norm_stats": stats.to_dict(),
         "whitening": {"fit_digest": whitening.fit_digest, "eps": whitening.eps} if whitening else None,
         "param_count": params.num_elements(),
-        "deterministic": cfg.deterministic,
     }
     if extra_manifest:
         manifest.update(extra_manifest)
@@ -251,51 +254,42 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
     if cfg.mltp:
         split = split_tasks(subset, seeds["subset"])
         tasks = [(normalize(t.images, stats, dtype=dtype), t.labels) for t in split.tasks]
-        mcfg = MltpConfig(
-            inner_opt=opt_cfg,
-            beta=cfg.beta,
-            meta_iterations=cfg.meta_iterations or cfg.max_epochs,
-            batch_size=cfg.batch_size,
-            ls_alpha=cfg.ls_alpha(),
-        )
-
-        def on_round(rec):
-            calibrate_batchnorm(model, train_x, batch_size=cfg.batch_size)
-            acc = evaluate(model, test_x, test_ds.labels, cfg.batch_size)
-            records.append(MetricsRecord(
-                epoch=rec["round"] + 1,
-                wall_seconds=budget.elapsed(),
-                train_loss=float(np.mean(rec["task_losses"])),
-                test_accuracy=acc,
-                lr=cfg.lr_peak,
-                recipe=cfg.recipe,
-            ))
-
-        mltp_train(model, params, tasks, mcfg, budget=budget,
-                   calibration_images=train_x, on_round=on_round)
+        mcfg = MltpConfig(inner_opt=opt_cfg, beta=cfg.beta, batch_size=cfg.batch_size,
+                          ls_alpha=cfg.ls_alpha())
+        round_steps = steps_per_round(tasks, mcfg)
+        blocks = cfg.meta_iterations or cfg.max_epochs
     else:
         state = OptState.create(params)
-        max_epoch_time = 0.0
-        for epoch in range(1, cfg.max_epochs + 1):
-            if not budget.should_start(max_epoch_time):
-                break
-            t0 = clock()
+        blocks = cfg.max_epochs
+
+    longest_block = 0.0
+    for b in range(1, blocks + 1):
+        if not budget.should_start(longest_block):
+            break
+        t0 = budget.elapsed()
+        if cfg.mltp:
+            loss = float(np.mean(mltp_train(model, params, tasks, mcfg, b - 1)))
+            calibrate_batchnorm(model, train_x, cfg.batch_size)
+            steps = b * round_steps
+        else:
             loss = run_epoch(
                 model, params, state, opt_cfg,
                 train_x, subset.labels, cfg.batch_size, cfg.ls_alpha(),
-                shuffle_seed=cfg.seed, epoch=epoch,
+                shuffle_seed=cfg.seed, epoch=b,
                 augment_rng=augment_rng,
             )
-            acc = evaluate(model, test_x, test_ds.labels, cfg.batch_size)
-            max_epoch_time = max(max_epoch_time, clock() - t0)
-            records.append(MetricsRecord(
-                epoch=epoch,
-                wall_seconds=budget.elapsed(),
-                train_loss=loss,
-                test_accuracy=acc,
-                lr=schedule_lr(opt_cfg, state.step_index),
-                recipe=cfg.recipe,
-            ))
+            steps = state.step_index
+        acc = evaluate(model, test_x, test_ds.labels, cfg.batch_size)
+        wall = budget.elapsed()
+        longest_block = max(longest_block, wall - t0)
+        records.append(MetricsRecord(
+            epoch=b,
+            wall_seconds=wall,
+            train_loss=loss,
+            test_accuracy=acc,
+            lr=schedule_lr(opt_cfg, steps),
+            recipe=cfg.recipe,
+        ))
 
     if not records:
         # Nothing fit in the budget; still report where the model stands.

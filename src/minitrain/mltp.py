@@ -1,12 +1,15 @@
-"""Two-task meta-learning training: split the subset into class-balanced
-halves, adapt a deep-copied snapshot on each task, and pull the shared weights
+"""Two-task meta-learning: split the subset into class-balanced halves, adapt
+a snapshot of the shared weights on each task, and pull the shared weights
 toward the mean of the adapted weights (first-order interpolation).
+
+``mltp_train`` runs one meta-round; the budgeted loop over rounds, the
+batchnorm calibration after each round and the evaluation live in
+``harness.run_training``.
 """
 
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,7 +19,8 @@ from .data import Dataset, batch_iterator
 from .models import Model, ParamSet
 from .optim import OptConfig, OptState, schedule_lr, train_step
 from .tensor import ConfigError, ShapeError
-from .train import BudgetClock, calibrate_batchnorm, make_closure
+# Unused here, but perfbench/spans.py wraps calibrate_batchnorm under this module's name.
+from .train import calibrate_batchnorm, make_closure  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -34,15 +38,12 @@ class MltpConfig:
     inner_steps: Optional[int] = None  # None -> one epoch over the task
     inner_lr: Optional[float] = None  # None -> follow inner_opt's schedule
     beta: float = 0.5  # outer interpolation rate
-    meta_iterations: int = 1
     batch_size: int = 256
     ls_alpha: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise ConfigError(f"beta must be in (0,1], got {self.beta}")
-        if self.meta_iterations < 1:
-            raise ConfigError(f"meta_iterations must be >= 1, got {self.meta_iterations}")
         if self.inner_steps is not None and self.inner_steps < 1:
             raise ConfigError(f"inner_steps must be >= 1, got {self.inner_steps}")
 
@@ -135,54 +136,31 @@ def meta_update(params: ParamSet, adapted: list[dict[str, np.ndarray]], beta: fl
     return float(np.sqrt(sq))
 
 
+def steps_per_round(tasks: list[tuple[np.ndarray, np.ndarray]], cfg: MltpConfig) -> int:
+    """Inner-optimizer steps one meta-round advances the shared schedule by."""
+    if cfg.inner_steps is not None:
+        return cfg.inner_steps
+    return max(1, int(np.ceil(max(len(t[1]) for t in tasks) / cfg.batch_size)))
+
+
 def mltp_train(
     model: Model,
     params: ParamSet,
     tasks: list[tuple[np.ndarray, np.ndarray]],
     cfg: MltpConfig,
-    budget: Optional[BudgetClock] = None,
-    calibration_images: Optional[np.ndarray] = None,
-    on_round=None,
-) -> list[dict]:
-    """Run meta-iterations of {adapt each task; interpolate}; returns history.
+    rnd: int,
+) -> list[float]:
+    """Run meta-round ``rnd``: adapt on each task, then interpolate.
 
-    Budget handling: a round that finishes past the budget is rolled back to
-    the previous round boundary, and no round starts if its predicted duration
-    (max observed so far) exceeds the remaining budget. After training, the
-    batchnorm running stats are recalibrated over ``calibration_images``.
+    Inner steps continue the schedule at ``rnd * steps_per_round``. Returns
+    the mean inner loss of each task.
     """
-    history: list[dict] = []
-    steps_per_round = cfg.inner_steps
-    if steps_per_round is None:
-        steps_per_round = max(1, int(np.ceil(max(len(t[1]) for t in tasks) / cfg.batch_size)))
-    max_round_time = 0.0
-    step_offset = 0
-    for rnd in range(cfg.meta_iterations):
-        if budget is not None and not budget.should_start(max_round_time):
-            break
-        rollback = params.snapshot()
-        bn_rollback = [st.copy() for st in model.bn_states()]
-        t0 = time.monotonic()
-        adapted, task_losses = [], []
-        for t, (imgs, labs) in enumerate(tasks):
-            a, losses = inner_loop(model, params, imgs, labs, cfg,
-                                   step_offset=step_offset, epoch=rnd,
-                                   shuffle_seed=1000 + t)
-            adapted.append(a)
-            task_losses.append(float(np.mean(losses)))
-        delta_norm = meta_update(params, adapted, cfg.beta)
-        max_round_time = max(max_round_time, time.monotonic() - t0)
-        if budget is not None and budget.exceeded():
-            params.load(rollback)
-            for st, saved in zip(model.bn_states(), bn_rollback):
-                st.running_mean[...] = saved.running_mean
-                st.running_var[...] = saved.running_var
-            break
-        step_offset += steps_per_round
-        record = {"round": rnd, "task_losses": task_losses, "delta_norm": delta_norm}
-        history.append(record)
-        if on_round is not None:
-            on_round(record)
-    if calibration_images is not None and len(calibration_images):
-        calibrate_batchnorm(model, calibration_images, batch_size=cfg.batch_size)
-    return history
+    step_offset = rnd * steps_per_round(tasks, cfg)
+    adapted, task_losses = [], []
+    for t, (imgs, labs) in enumerate(tasks):
+        a, losses = inner_loop(model, params, imgs, labs, cfg, step_offset=step_offset,
+                               epoch=rnd, shuffle_seed=1000 + t)
+        adapted.append(a)
+        task_losses.append(float(np.mean(losses)))
+    meta_update(params, adapted, cfg.beta)
+    return task_losses

@@ -25,7 +25,6 @@ from .tensor import (
     batchnorm2d,
     celu,
     conv2d,
-    default_dtype,
     global_maxpool,
     linear,
     maxpool2d,
@@ -197,7 +196,7 @@ class Model:
                  whitening_filters: Optional[np.ndarray] = None, dtype=None):
         self.spec = spec
         self.params = params
-        dtype = dtype or default_dtype()
+        dtype = dtype or np.float32
         rng = np.random.default_rng(seed)
         w1, w2, w3, w4 = spec.widths
 
@@ -254,10 +253,6 @@ def build_resnet9(spec: ModelSpec, seed: int,
     params = ParamSet()
     model = Model(spec, params, seed, whitening_filters=whitening_filters, dtype=dtype)
     return model, params
-
-
-def residual_block(x: Tensor, block: _ResidualBlock, mode: str = "train") -> Tensor:
-    return block(x, mode)
 
 
 # ---------------------------------------------------------------------------

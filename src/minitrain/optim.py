@@ -77,13 +77,19 @@ def centralize_gradients(params: ParamSet) -> None:
 
 
 def sgd_step(params: ParamSet, state: OptState, lr: float, cfg: OptConfig) -> None:
-    """One momentum-SGD update from the gradients currently in place."""
+    """One momentum-SGD update from the gradients currently in place.
+
+    Every gradient is checked, present and finite, before any parameter or
+    velocity moves, so an abort leaves parameters, velocities and
+    ``step_index`` as they were.
+    """
+    for e in params:
+        if e.tensor.grad is None:
+            raise OptimizerAbort(f"sgd_step: parameter {e.name} has no gradient")
+        if not np.isfinite(e.tensor.grad).all():
+            raise OptimizerAbort(f"sgd_step: non-finite gradient in parameter {e.name}")
     for e in params:
         g = e.tensor.grad
-        if g is None:
-            raise OptimizerAbort(f"sgd_step: parameter {e.name} has no gradient")
-        if not np.isfinite(g).all():
-            raise OptimizerAbort(f"sgd_step: non-finite gradient in parameter {e.name}")
         if cfg.decay and not e.decay_exempt:
             g = g + (2.0 * cfg.decay) * e.tensor.data
         v = state.velocity[e.name]

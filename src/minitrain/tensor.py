@@ -6,13 +6,15 @@ order, the operator set needed by ResNet-9 (convolution, pooling, batchnorm,
 activations, linear, smoothed cross-entropy), and a central-finite-difference
 gradient checker used as the independent oracle for the whole engine.
 
-The tape is single-threaded: one active tape per training thread. Kernels are
-plain numpy and deterministic for a fixed input.
+The active tape is a context variable, so each thread records on its own:
+one active tape per training thread. Tensors built without an explicit dtype
+are float32. Kernels are plain numpy and deterministic for a fixed input.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,35 +33,6 @@ class TapeError(RuntimeError):
     """Tape misuse: backward on a consumed tape, or no tape at all."""
 
 
-_DTYPE_BY_PRECISION = {
-    32: np.float32,
-    64: np.float64,
-    "32": np.float32,
-    "64": np.float64,
-    "float32": np.float32,
-    "float64": np.float64,
-}
-
-_default_dtype = np.float32
-
-
-def set_default_dtype(precision) -> None:
-    """Select the element type (32 or 64 bit) for newly created tensors.
-
-    Training runs in 32-bit for speed; the gradient-check suite switches to
-    64-bit, without which finite-difference tolerances are unreachable.
-    """
-    global _default_dtype
-    try:
-        _default_dtype = _DTYPE_BY_PRECISION[precision]
-    except KeyError:
-        raise ConfigError(f"unsupported precision {precision!r}; use 32 or 64") from None
-
-
-def default_dtype():
-    return _default_dtype
-
-
 class Tensor:
     """Dense n-dimensional array with an optional gradient slot.
 
@@ -71,7 +44,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "tape")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.ascontiguousarray(data, dtype=dtype or _default_dtype)
+        self.data = np.ascontiguousarray(data, dtype=dtype or np.float32)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.tape: Optional["Tape"] = None
@@ -168,24 +141,18 @@ class Tape:
         self._nodes.clear()
 
 
-_active_tape: Optional[Tape] = None
+_active_tape: contextvars.ContextVar[Optional[Tape]] = contextvars.ContextVar("active_tape", default=None)
 
 
 @contextlib.contextmanager
 def tape():
-    """Context manager installing a fresh active tape on this thread."""
-    global _active_tape
-    prev = _active_tape
+    """Context manager installing a fresh active tape in this thread's context."""
     t = Tape()
-    _active_tape = t
+    token = _active_tape.set(t)
     try:
         yield t
     finally:
-        _active_tape = prev
-
-
-def active_tape() -> Optional[Tape]:
-    return _active_tape
+        _active_tape.reset(token)
 
 
 def backward(loss: Tensor) -> None:
@@ -196,7 +163,7 @@ def backward(loss: Tensor) -> None:
 
 
 def _record(out: Tensor, inputs: tuple, backward_fn: Callable[[np.ndarray], None]) -> None:
-    t = _active_tape
+    t = _active_tape.get()
     if t is None:
         return
     if not any(i is not None and i.requires_grad for i in inputs):
@@ -481,7 +448,7 @@ class BatchNormState:
 
     @classmethod
     def create(cls, channels: int, dtype=None) -> "BatchNormState":
-        dt = dtype or _default_dtype
+        dt = dtype or np.float32
         return cls(np.zeros(channels, dtype=dt), np.ones(channels, dtype=dt))
 
     def reset(self) -> None:

@@ -1,5 +1,5 @@
 """Shared training-loop machinery: batch closures, epoch runner, evaluation,
-the wall-clock budget guard, and post-training batchnorm recalibration."""
+the wall-clock budget guard, and batchnorm recalibration."""
 
 from __future__ import annotations
 
@@ -34,9 +34,6 @@ class BudgetClock:
 
     def remaining(self) -> float:
         return self.budget - self.elapsed()
-
-    def exceeded(self) -> bool:
-        return self.remaining() <= 0.0
 
     def should_start(self, estimate: float) -> bool:
         return self.remaining() > estimate

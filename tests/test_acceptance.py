@@ -237,10 +237,11 @@ def test_criterion_5_loop_oracles_and_meta_trajectory():
     w0 = np.random.default_rng(9).normal(size=(k, d))
     stub = LinearStub(w0.copy())
     mcfg = MltpConfig(inner_opt=sgd_only(lr=0.08), inner_steps=4, inner_lr=0.08,
-                      beta=0.5, meta_iterations=2, batch_size=8)
+                      beta=0.5, batch_size=8)
     traj = [w0.copy()]
-    mltp_train(stub, stub.params, tasks, mcfg,
-               on_round=lambda rec: traj.append(stub.params.snapshot()["w"]))
+    for rnd in range(2):
+        mltp_train(stub, stub.params, tasks, mcfg, rnd)
+        traj.append(stub.params.snapshot()["w"])
     ref = oracles.reptile_reference(w0, tasks, 0.08, 0.5, 2, 4, 8, 0.0, k)
     meta_ok = len(traj) == len(ref) and all(
         np.allclose(a, b, rtol=1e-6) for a, b in zip(traj, ref))
@@ -291,8 +292,7 @@ def test_criterion_7_determinism(synth_data_dir, tmp_path):
     for tag in ("a", "b"):
         cfg = RunConfig(data_dir=str(synth_data_dir), metrics_out=str(tmp_path / f"{tag}.csv"),
                         widths=(8, 16, 16, 16), per_class=4, batch_size=20,
-                        budget_seconds=600.0, max_epochs=10, seed=3,
-                        deterministic=True, augment=True)
+                        budget_seconds=600.0, max_epochs=10, seed=3, augment=True)
         run_training(cfg)
         losses.append([r.train_loss for r in read_metrics(tmp_path / f"{tag}.csv")])
     check(7, "fixed seed reproduces the 10-epoch train_loss column exactly",

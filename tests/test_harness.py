@@ -19,6 +19,7 @@ from minitrain.harness import (
     write_metrics,
 )
 from minitrain.models import ModelSpec, build_resnet9
+from minitrain.optim import OptConfig, schedule_lr
 from minitrain.tensor import ConfigError, Tensor
 from minitrain.train import BudgetClock, evaluate
 
@@ -98,6 +99,8 @@ def test_invalid_config_rejected():
         RunConfig(data_dir="x", optimizer="adam")
     with pytest.raises(ConfigError):
         RunConfig(data_dir="x", precision=16)
+    with pytest.raises(ConfigError):
+        RunConfig(data_dir="x", meta_iterations=0)
 
 
 def test_parser_lists_all_recipes_in_matrix_const():
@@ -226,7 +229,8 @@ def test_run_training_mltp_rounds(synth_data_dir, tmp_path):
     assert all(np.isfinite(r.train_loss) for r in result.records)
 
 
-def test_budget_zero_epochs_emits_eval_record(synth_data_dir, tmp_path):
+@pytest.mark.parametrize("mltp", [False, True], ids=["epochs", "mltp"])
+def test_budget_zero_epochs_emits_eval_record(synth_data_dir, tmp_path, mltp):
     # clock jumps far past the budget immediately after start
     times = iter([0.0])
 
@@ -234,7 +238,7 @@ def test_budget_zero_epochs_emits_eval_record(synth_data_dir, tmp_path):
         return next(times, 1e9)
 
     out = tmp_path / "tiny.csv"
-    cfg = tiny_cfg(synth_data_dir, out, budget_seconds=0.5)
+    cfg = tiny_cfg(synth_data_dir, out, budget_seconds=0.5, mltp=mltp)
     result = run_training(cfg, clock=clock)
     assert result.epochs_completed == 0
     recs = read_metrics(out)
@@ -243,20 +247,60 @@ def test_budget_zero_epochs_emits_eval_record(synth_data_dir, tmp_path):
     assert 0.0 <= recs[0].test_accuracy <= 100.0
 
 
-def test_budget_never_exceeded_by_more_than_one_epoch(synth_data_dir, tmp_path):
-    # simulated clock: each call advances 1s; epochs take several calls, so
-    # the run must stop once remaining < longest epoch observed.
+@pytest.mark.parametrize("mltp", [False, True], ids=["epochs", "mltp"])
+def test_budget_never_exceeded_by_more_than_one_epoch(synth_data_dir, tmp_path, mltp):
+    # simulated clock: each call advances 1s; blocks span several calls, so
+    # the run must stop once remaining < longest block observed.
     t = [0.0]
 
     def clock():
         t[0] += 1.0
         return t[0]
 
-    cfg = tiny_cfg(synth_data_dir, tmp_path / "b.csv", budget_seconds=30.0, max_epochs=50)
+    cfg = tiny_cfg(synth_data_dir, tmp_path / "b.csv", budget_seconds=30.0, max_epochs=50, mltp=mltp)
     result = run_training(cfg, clock=clock)
     per_epoch = max(r.wall_seconds for r in result.records) / len(result.records)
     assert result.manifest["total_wall_seconds"] <= 30.0 + 2 * per_epoch
     assert 0 < result.epochs_completed < 50
+
+
+def test_block_time_includes_calibration_and_eval(synth_data_dir, tmp_path, monkeypatch):
+    # Only calibration and evaluation move the clock: 40 s each. The first
+    # MLTP round therefore takes 80 s, and the 20 s left cannot fit a second.
+    import minitrain.harness as H
+
+    now = [0.0]
+
+    def taking(fn, seconds):
+        def timed(*args, **kwargs):
+            now[0] += seconds
+            return fn(*args, **kwargs)
+        return timed
+
+    monkeypatch.setattr(H, "calibrate_batchnorm", taking(H.calibrate_batchnorm, 40.0))
+    monkeypatch.setattr(H, "evaluate", taking(H.evaluate, 40.0))
+    cfg = tiny_cfg(synth_data_dir, tmp_path / "clk.csv", mltp=True, max_epochs=3,
+                   budget_seconds=100.0)
+    result = run_training(cfg, clock=lambda: now[0])
+    assert [(r.epoch, r.wall_seconds) for r in result.records] == [(1, 80.0)]
+    assert result.manifest["total_wall_seconds"] == 80.0
+
+
+def test_mltp_lr_column_follows_inner_schedule(synth_data_dir, tmp_path):
+    cfg = tiny_cfg(synth_data_dir, tmp_path / "lr.csv", mltp=True, max_epochs=4)
+    result = run_training(cfg)
+    # 40 images in batches of 20: the one-cycle spans 4 epochs of 2 steps.
+    # Each round adapts on two 20-image tasks, one step each.
+    opt_cfg = OptConfig(lr_peak=cfg.lr_peak, total_steps=4 * 2)
+    steps_per_round = 1
+    assert [r.lr for r in result.records] == [schedule_lr(opt_cfg, b * steps_per_round)
+                                              for b in (1, 2, 3, 4)]
+
+
+def test_precision_64_does_not_leak_into_later_tensors(synth_data_dir, tmp_path):
+    result = run_training(tiny_cfg(synth_data_dir, tmp_path / "p64.csv", precision=64, max_epochs=1))
+    assert all(e.tensor.dtype == np.float64 for e in result.params)
+    assert Tensor(np.zeros(2)).dtype == np.float32
 
 
 def test_missing_data_dir_fails_before_training(tmp_path):

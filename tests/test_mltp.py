@@ -11,7 +11,6 @@ from minitrain.mltp import MltpConfig, inner_loop, meta_update, mltp_train, spli
 from minitrain.models import ModelSpec, ParamSet, build_resnet9
 from minitrain.optim import OptConfig, OptState, sgd_step
 from minitrain.tensor import ConfigError, Tensor, backward, linear, smoothed_cross_entropy, tape
-from minitrain.train import BudgetClock
 
 F64 = np.float64
 
@@ -206,8 +205,9 @@ def test_degenerate_single_task_equals_sgd_trajectory():
 
     stub = LinearStub(w0.copy())
     cfg = MltpConfig(inner_opt=sgd_only(lr=lr), inner_steps=1, inner_lr=lr,
-                     beta=1.0, meta_iterations=5, batch_size=30)
-    mltp_train(stub, stub.params, [(xs, ys)], cfg)
+                     beta=1.0, batch_size=30)
+    for rnd in range(5):
+        mltp_train(stub, stub.params, [(xs, ys)], cfg, rnd)
 
     # plain momentum-free SGD, same batch schedule (full-batch here)
     ref = LinearStub(w0.copy())
@@ -230,8 +230,8 @@ def test_identical_tasks_mean_equals_single_delta():
 
     twin = LinearStub(w0.copy())
     cfg = MltpConfig(inner_opt=sgd_only(lr=lr), inner_steps=1, inner_lr=lr,
-                     beta=beta, meta_iterations=1, batch_size=16)
-    mltp_train(twin, twin.params, [(xs, ys), (xs, ys)], cfg)
+                     beta=beta, batch_size=16)
+    mltp_train(twin, twin.params, [(xs, ys), (xs, ys)], cfg, 0)
 
     single = LinearStub(w0.copy())
     adapted, _ = inner_loop(single, single.params, xs, ys, cfg, shuffle_seed=1000)
@@ -248,10 +248,11 @@ def test_two_round_trajectory_matches_reference_script():
 
     stub = LinearStub(w0.copy())
     cfg = MltpConfig(inner_opt=sgd_only(lr=lr), inner_steps=inner_steps, inner_lr=lr,
-                     beta=beta, meta_iterations=rounds, batch_size=bs)
+                     beta=beta, batch_size=bs)
     traj = [stub.params.snapshot()["w"]]
-    mltp_train(stub, stub.params, [t0, t1], cfg,
-               on_round=lambda rec: traj.append(stub.params.snapshot()["w"]))
+    for rnd in range(rounds):
+        mltp_train(stub, stub.params, [t0, t1], cfg, rnd)
+        traj.append(stub.params.snapshot()["w"])
 
     ref = oracles.reptile_reference(w0, [t0, t1], lr, beta, rounds, inner_steps, bs, 0.0, k)
     assert len(traj) == len(ref)
@@ -259,33 +260,10 @@ def test_two_round_trajectory_matches_reference_script():
         np.testing.assert_allclose(a, b, rtol=1e-6)
 
 
-def test_budget_rollback_to_round_boundary():
-    k, d = 10, 4
-    xs, ys = make_linear_task(12, d, k, seed=16)
-    w0 = np.random.default_rng(17).normal(size=(k, d))
-    stub = LinearStub(w0.copy())
-
-    ticks = iter([0.0, 0.5, 100.0])  # start, should_start, exceeded-check
-    last = [0.0]
-
-    def clock():
-        last[0] = next(ticks, last[0] + 1000.0)
-        return last[0]
-
-    budget = BudgetClock(5.0, clock=clock)
-    cfg = MltpConfig(inner_opt=sgd_only(lr=0.1), inner_steps=1, inner_lr=0.1,
-                     beta=1.0, meta_iterations=3, batch_size=12)
-    history = mltp_train(stub, stub.params, [(xs, ys)], cfg, budget=budget)
-    assert history == []
-    assert (stub.params.snapshot()["w"] == w0).all()
-
-
 def test_mltp_config_validation():
     with pytest.raises(ConfigError):
         MltpConfig(inner_opt=sgd_only(), beta=0.0)
     with pytest.raises(ConfigError):
         MltpConfig(inner_opt=sgd_only(), beta=1.5)
-    with pytest.raises(ConfigError):
-        MltpConfig(inner_opt=sgd_only(), meta_iterations=0)
     with pytest.raises(ConfigError):
         MltpConfig(inner_opt=sgd_only(), inner_steps=0)

@@ -137,6 +137,20 @@ def test_sgd_nonfinite_gradient_aborts_with_name():
         sgd_step(ps, OptState.create(ps), 0.1, OptConfig(lr_peak=1.0, total_steps=1))
 
 
+def test_sgd_abort_on_later_parameter_moves_nothing():
+    ps = param_set(a=np.ones((2, 2)), b=np.ones((2, 2)))
+    ps["a"].tensor.grad = np.full((2, 2), 0.5)
+    ps["b"].tensor.grad = np.array([[0.0, np.inf], [0.0, 0.0]])
+    state = OptState.create(ps)
+    state.velocity["a"][...] = 0.25
+    state.step_index = 7
+    with pytest.raises(OptimizerAbort, match="parameter b"):
+        sgd_step(ps, state, 0.1, OptConfig(lr_peak=1.0, momentum=0.9, total_steps=1))
+    assert (ps["a"].tensor.data == 1.0).all()
+    assert (state.velocity["a"] == 0.25).all()
+    assert state.step_index == 7
+
+
 # ---------------------------------------------------------------------------
 # sam
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -307,6 +309,15 @@ def test_backward_without_tape_rejected():
     loss = tsum(t64([1.0], rg=True))
     with pytest.raises(TapeError):
         backward(loss)
+
+
+def test_tape_is_per_thread():
+    x = t64([1.0, 2.0], rg=True)
+    with tape() as main_tape:
+        worker = threading.Thread(target=T.mul, args=(x, 2.0))
+        worker.start()
+        worker.join()
+        assert len(main_tape) == 0
 
 
 def test_forward_determinism_bit_identical():
