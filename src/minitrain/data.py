@@ -166,10 +166,8 @@ def extract_patches(images: np.ndarray, count: int, rng: np.random.Generator) ->
     idx = rng.integers(0, n, size=count)
     ys = rng.integers(0, h - 2, size=count)
     xs = rng.integers(0, w - 2, size=count)
-    patches = np.empty((count, c * 9), dtype=np.float64)
-    for i in range(count):
-        patches[i] = images[idx[i], :, ys[i] : ys[i] + 3, xs[i] : xs[i] + 3].reshape(-1)
-    return patches
+    windows = np.lib.stride_tricks.sliding_window_view(images, (3, 3), axis=(2, 3))
+    return windows[idx, :, ys, xs].reshape(count, c * 9).astype(np.float64, copy=False)
 
 
 def fit_whitening(

@@ -1,6 +1,7 @@
 """Two-task meta-learning: split the subset into class-balanced halves, adapt
-a snapshot of the shared weights on each task, and pull the shared weights
-toward the mean of the adapted weights (first-order interpolation).
+a copy of the shared weights on each task for one epoch (``train.run_epoch``
+with fresh momentum), and pull the shared weights toward the mean of the
+adapted weights (first-order interpolation).
 
 ``mltp_train`` runs one meta-round; the budgeted loop over rounds, the
 batchnorm calibration after each round and the evaluation live in
@@ -11,15 +12,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, batch_iterator
+from .data import Dataset
 from .models import Model, ParamSet
-from .optim import OptConfig, OptState, schedule_lr, train_step
+from .optim import OptConfig, OptState
 from .tensor import ConfigError, ShapeError
-# Unused here, but perfbench/spans.py wraps calibrate_batchnorm under this module's name.
+from .train import run_epoch
+# Unused here, but perfbench/spans.py wraps these names on this module.
+from .optim import train_step  # noqa: F401
 from .train import calibrate_batchnorm, make_closure  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -35,8 +37,6 @@ class TaskSplit:
 @dataclass
 class MltpConfig:
     inner_opt: OptConfig
-    inner_steps: Optional[int] = None  # None -> one epoch over the task
-    inner_lr: Optional[float] = None  # None -> follow inner_opt's schedule
     beta: float = 0.5  # outer interpolation rate
     batch_size: int = 256
     ls_alpha: float = 0.0
@@ -44,8 +44,6 @@ class MltpConfig:
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise ConfigError(f"beta must be in (0,1], got {self.beta}")
-        if self.inner_steps is not None and self.inner_steps < 1:
-            raise ConfigError(f"inner_steps must be >= 1, got {self.inner_steps}")
 
 
 def split_tasks(ds: Dataset, seed: int, num_tasks: int = 2) -> TaskSplit:
@@ -83,39 +81,25 @@ def inner_loop(
     step_offset: int = 0,
     epoch: int = 0,
     shuffle_seed: int = 0,
-) -> tuple[dict[str, np.ndarray], list[float]]:
-    """Adapt a snapshot of the shared weights on one task.
+) -> tuple[dict[str, np.ndarray], float]:
+    """Adapt a snapshot of the shared weights by one epoch on one task.
 
     The shared parameters and batchnorm stats are restored bit-exactly before
-    returning; only the adapted values leave this function. Momentum starts
-    fresh for every adaptation.
+    returning; only the adapted values and the mean batch loss leave this
+    function. Momentum starts fresh for every adaptation.
     """
     shared = params.snapshot()
     bn_saved = [st.copy() for st in model.bn_states()]
     state = OptState.create(params)
     state.step_index = step_offset
-
-    steps_target = cfg.inner_steps
-    if steps_target is None:
-        steps_target = max(1, int(np.ceil(len(labels) / cfg.batch_size)))
-    losses: list[float] = []
-    sub_epoch = 0
-    while len(losses) < steps_target:
-        for idx in batch_iterator(len(labels), cfg.batch_size, shuffle=True,
-                                  seed=shuffle_seed, epoch=epoch * 1000 + sub_epoch):
-            if len(losses) >= steps_target:
-                break
-            lr = cfg.inner_lr if cfg.inner_lr is not None else schedule_lr(cfg.inner_opt, state.step_index)
-            losses.append(train_step(params, state, lr, cfg.inner_opt,
-                                     make_closure(model, params, images[idx], labels[idx], cfg.ls_alpha)))
-        sub_epoch += 1
-
+    loss = run_epoch(model, params, state, cfg.inner_opt, images, labels, cfg.batch_size,
+                     cfg.ls_alpha, shuffle_seed=shuffle_seed, epoch=epoch * 1000)
     adapted = params.snapshot()
     params.load(shared)
     for st, saved in zip(model.bn_states(), bn_saved):
         st.running_mean[...] = saved.running_mean
         st.running_var[...] = saved.running_var
-    return adapted, losses
+    return adapted, loss
 
 
 def meta_update(params: ParamSet, adapted: list[dict[str, np.ndarray]], beta: float) -> float:
@@ -138,8 +122,6 @@ def meta_update(params: ParamSet, adapted: list[dict[str, np.ndarray]], beta: fl
 
 def steps_per_round(tasks: list[tuple[np.ndarray, np.ndarray]], cfg: MltpConfig) -> int:
     """Inner-optimizer steps one meta-round advances the shared schedule by."""
-    if cfg.inner_steps is not None:
-        return cfg.inner_steps
     return max(1, int(np.ceil(max(len(t[1]) for t in tasks) / cfg.batch_size)))
 
 
@@ -158,9 +140,9 @@ def mltp_train(
     step_offset = rnd * steps_per_round(tasks, cfg)
     adapted, task_losses = [], []
     for t, (imgs, labs) in enumerate(tasks):
-        a, losses = inner_loop(model, params, imgs, labs, cfg, step_offset=step_offset,
-                               epoch=rnd, shuffle_seed=1000 + t)
+        a, loss = inner_loop(model, params, imgs, labs, cfg, step_offset=step_offset,
+                             epoch=rnd, shuffle_seed=1000 + t)
         adapted.append(a)
-        task_losses.append(float(np.mean(losses)))
+        task_losses.append(loss)
     meta_update(params, adapted, cfg.beta)
     return task_losses

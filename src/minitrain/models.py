@@ -10,6 +10,8 @@ global max pool and a scaled linear head. The whitened stem replaces the prep
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -120,9 +122,6 @@ class ParamSet:
 
     def __len__(self):
         return len(self._entries)
-
-    def __contains__(self, name: str):
-        return name in self._by_name
 
     def __getitem__(self, name: str) -> ParamEntry:
         return self._by_name[name]
@@ -277,17 +276,36 @@ def _write_record(fh, name: str, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype=f"<f{arr.dtype.itemsize}").tobytes())
 
 
-def _read_record(fh):
-    head = fh.read(4)
-    if not head:
-        return None
-    (nlen,) = struct.unpack("<I", head)
-    name = fh.read(nlen).decode("utf-8")
-    itemsize, rank = struct.unpack("<BI", fh.read(5))
-    shape = struct.unpack(f"<{rank}I", fh.read(4 * rank)) if rank else ()
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(itemsize * count), dtype=f"<f{itemsize}").reshape(shape)
-    return name, data
+class CheckpointError(ValueError):
+    """A checkpoint is truncated, malformed, or lacks an array the model needs."""
+
+
+def _read_records(fh, path) -> dict[str, np.ndarray]:
+    """Parse every record after the magic; any short or bad field raises."""
+    size = os.fstat(fh.fileno()).st_size
+
+    def take(n: int, what: str) -> bytes:
+        if fh.tell() + n > size:
+            raise CheckpointError(f"{path}: truncated at byte {size}, reading {what}")
+        return fh.read(n)
+
+    arrays = {}
+    while fh.tell() < size:
+        (nlen,) = struct.unpack("<I", take(4, "a record header"))
+        name = take(nlen, "a record name").decode("utf-8")
+        itemsize, rank = struct.unpack("<BI", take(5, f"the header of {name}"))
+        if itemsize not in (4, 8):
+            raise CheckpointError(f"{path}: {name} has itemsize {itemsize}, expected 4 or 8")
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, f"the shape of {name}"))
+        data = take(itemsize * math.prod(shape), f"the data of {name}")
+        arrays[name] = np.frombuffer(data, dtype=f"<f{itemsize}").reshape(shape)
+    return arrays
+
+
+def _require(arrays: dict, names, path) -> None:
+    for name in names:
+        if name not in arrays:
+            raise CheckpointError(f"{path}: missing array {name}")
 
 
 def _checkpoint_arrays(model: Model) -> dict[str, np.ndarray]:
@@ -317,14 +335,14 @@ def load_checkpoint(path, dtype=None):
         sidecar = json.load(fh)
     spec = ModelSpec.from_dict(sidecar["spec"])
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint")
-        arrays = {}
-        while (rec := _read_record(fh)) is not None:
-            arrays[rec[0]] = rec[1]
-    wf = arrays.get("__stem.filters")
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            raise CheckpointError(f"{path}: not a model checkpoint")
+        arrays = _read_records(fh, path)
+    if spec.stem == "whitened":
+        _require(arrays, ["__stem.filters"], path)
     model, params = build_resnet9(spec, seed=sidecar.get("seed", 0),
-                                  whitening_filters=wf, dtype=dtype)
+                                  whitening_filters=arrays.get("__stem.filters"), dtype=dtype)
+    _require(arrays, _checkpoint_arrays(model), path)
     params.load({k: v for k, v in arrays.items() if not k.startswith("__")})
     for i, st in enumerate(model.bn_states()):
         st.running_mean[...] = arrays[f"__bn{i}.mean"]

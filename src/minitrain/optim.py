@@ -17,6 +17,8 @@ import numpy as np
 from .models import ParamSet
 from .tensor import ConfigError
 
+WARMUP_FRACTION = 0.2  # share of the one-cycle spent ramping up to lr_peak
+
 
 class OptimizerAbort(RuntimeError):
     """A step hit non-finite numbers; carries the offending parameter name."""
@@ -31,7 +33,6 @@ class OptConfig:
     gc_enabled: bool = False
     sam_enabled: bool = False
     schedule: str = "onecycle"  # "onecycle" | "constant"
-    warmup_fraction: float = 0.2
     total_steps: int = 1
 
     def __post_init__(self):
@@ -45,8 +46,6 @@ class OptConfig:
             raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
         if self.schedule not in ("onecycle", "constant"):
             raise ConfigError(f"unknown schedule {self.schedule!r}")
-        if not 0.0 < self.warmup_fraction < 1.0:
-            raise ConfigError(f"warmup_fraction must be in (0,1), got {self.warmup_fraction}")
 
 
 @dataclass
@@ -159,9 +158,9 @@ def schedule_lr(cfg: OptConfig, step: int) -> float:
     if cfg.schedule == "constant":
         return cfg.lr_peak
     step = min(max(step, 0), cfg.total_steps)
-    peak_at = cfg.warmup_fraction * cfg.total_steps
+    peak_at = WARMUP_FRACTION * cfg.total_steps
     if step <= peak_at:
-        return cfg.lr_peak * (step / peak_at if peak_at > 0 else 1.0)
+        return cfg.lr_peak * (step / peak_at)
     return cfg.lr_peak * (cfg.total_steps - step) / (cfg.total_steps - peak_at)
 
 

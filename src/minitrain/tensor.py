@@ -81,9 +81,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor._wrap(self.data.copy())
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -91,23 +88,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, mul(other, -1.0))
-        return add(self, -other)
 
 
 class Tape:

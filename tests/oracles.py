@@ -86,6 +86,18 @@ def linear_loops(x, w, b=None):
     return out
 
 
+def extract_patches_loops(images, count, rng):
+    """One 3x3 patch per loop iteration, drawn in the library's RNG order."""
+    n, c, h, w = images.shape
+    idx = rng.integers(0, n, size=count)
+    ys = rng.integers(0, h - 2, size=count)
+    xs = rng.integers(0, w - 2, size=count)
+    patches = np.empty((count, c * 9), dtype=np.float64)
+    for i in range(count):
+        patches[i] = images[idx[i], :, ys[i] : ys[i] + 3, xs[i] : xs[i] + 3].reshape(-1)
+    return patches
+
+
 def sam_two_step_reference(w, grad_fn, lr, rho, momentum, decay, v):
     """One sharpness-aware update on a flat parameter vector.
 

@@ -236,13 +236,12 @@ def test_criterion_5_loop_oracles_and_meta_trajectory():
     tasks = [make_linear_task(24, d, k, seed=s) for s in (7, 8)]
     w0 = np.random.default_rng(9).normal(size=(k, d))
     stub = LinearStub(w0.copy())
-    mcfg = MltpConfig(inner_opt=sgd_only(lr=0.08), inner_steps=4, inner_lr=0.08,
-                      beta=0.5, batch_size=8)
+    mcfg = MltpConfig(inner_opt=sgd_only(lr=0.08), beta=0.5, batch_size=8)
     traj = [w0.copy()]
     for rnd in range(2):
         mltp_train(stub, stub.params, tasks, mcfg, rnd)
         traj.append(stub.params.snapshot()["w"])
-    ref = oracles.reptile_reference(w0, tasks, 0.08, 0.5, 2, 4, 8, 0.0, k)
+    ref = oracles.reptile_reference(w0, tasks, 0.08, 0.5, 2, 3, 8, 0.0, k)  # 3 steps: one epoch
     meta_ok = len(traj) == len(ref) and all(
         np.allclose(a, b, rtol=1e-6) for a, b in zip(traj, ref))
 

@@ -16,6 +16,7 @@ from minitrain.data import (
 )
 from minitrain.tensor import ConfigError
 
+import oracles
 from conftest import make_synthetic_dataset
 
 
@@ -232,6 +233,15 @@ def test_whitening_projected_covariance_identity():
     np.testing.assert_allclose(np.diag(cov), expected_diag, atol=1e-6)
     off = cov - np.diag(np.diag(cov))
     assert np.abs(off).max() <= 1e-3
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_extract_patches_matches_loop_oracle(dtype):
+    imgs = np.random.default_rng(13).normal(size=(7, 3, 32, 32)).astype(dtype)
+    got = extract_patches(imgs, 2000, np.random.default_rng(14))
+    want = oracles.extract_patches_loops(imgs, 2000, np.random.default_rng(14))
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, want)
 
 
 def test_whitening_eigvals_sorted_descending():

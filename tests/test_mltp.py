@@ -9,7 +9,7 @@ from conftest import make_synthetic_dataset
 from minitrain.data import batch_iterator
 from minitrain.mltp import MltpConfig, inner_loop, meta_update, mltp_train, split_tasks
 from minitrain.models import ModelSpec, ParamSet, build_resnet9
-from minitrain.optim import OptConfig, OptState, sgd_step
+from minitrain.optim import OptConfig, OptState, schedule_lr, sgd_step
 from minitrain.tensor import ConfigError, Tensor, backward, linear, smoothed_cross_entropy, tape
 
 F64 = np.float64
@@ -107,7 +107,10 @@ def test_split_odd_counts_dropped_with_warning(caplog):
 def test_inner_loop_zero_lr_is_identity():
     xs, ys = make_linear_task(20, 5, 10, seed=0)
     stub = LinearStub(np.random.default_rng(1).normal(size=(10, 5)))
-    cfg = MltpConfig(inner_opt=sgd_only(), inner_steps=1, inner_lr=0.0, batch_size=20)
+    # one step at step 0 of a one-cycle, where the lr is exactly 0
+    onecycle = OptConfig(lr_peak=0.1, momentum=0.0, schedule="onecycle", total_steps=10)
+    assert schedule_lr(onecycle, 0) == 0.0
+    cfg = MltpConfig(inner_opt=onecycle, batch_size=20)
     before = stub.params.snapshot()
     adapted, _ = inner_loop(stub, stub.params, xs, ys, cfg)
     np.testing.assert_array_equal(adapted["w"], before["w"])
@@ -119,13 +122,13 @@ def test_inner_loop_single_sgd_step_hand_computed():
     w0 = np.random.default_rng(3).normal(size=(k, d))
     stub = LinearStub(w0.copy())
     lr = 0.05
-    cfg = MltpConfig(inner_opt=sgd_only(), inner_steps=1, inner_lr=lr, batch_size=8)
-    adapted, losses = inner_loop(stub, stub.params, xs, ys, cfg, shuffle_seed=77)
+    cfg = MltpConfig(inner_opt=sgd_only(lr=lr), batch_size=8)
+    adapted, loss = inner_loop(stub, stub.params, xs, ys, cfg, shuffle_seed=77)
 
     # manual: one full-batch softmax CE gradient step (batch is the whole task)
     expected = w0 - lr * oracles.softmax_ce_grad(w0, xs, ys, 0.0, k)
     np.testing.assert_allclose(adapted["w"], expected, rtol=1e-10)
-    assert len(losses) == 1
+    assert np.isfinite(loss)
     # shared weights restored bit-exactly
     assert (stub.params.snapshot()["w"] == w0).all()
 
@@ -139,7 +142,7 @@ def test_inner_loop_leaves_shared_model_untouched():
     imgs = normalize(ds.images, stats)
     before = params.snapshot()
     bn_before = [(st.running_mean.copy(), st.running_var.copy()) for st in model.bn_states()]
-    cfg = MltpConfig(inner_opt=sgd_only(lr=0.05), inner_steps=2, batch_size=10)
+    cfg = MltpConfig(inner_opt=sgd_only(lr=0.05), batch_size=10)
     adapted, _ = inner_loop(model, params, imgs, ds.labels, cfg)
     for e in params:
         assert (e.tensor.data == before[e.name]).all(), e.name
@@ -204,8 +207,7 @@ def test_degenerate_single_task_equals_sgd_trajectory():
     lr = 0.05
 
     stub = LinearStub(w0.copy())
-    cfg = MltpConfig(inner_opt=sgd_only(lr=lr), inner_steps=1, inner_lr=lr,
-                     beta=1.0, batch_size=30)
+    cfg = MltpConfig(inner_opt=sgd_only(lr=lr), beta=1.0, batch_size=30)
     for rnd in range(5):
         mltp_train(stub, stub.params, [(xs, ys)], cfg, rnd)
 
@@ -229,8 +231,7 @@ def test_identical_tasks_mean_equals_single_delta():
     lr, beta = 0.05, 0.5
 
     twin = LinearStub(w0.copy())
-    cfg = MltpConfig(inner_opt=sgd_only(lr=lr), inner_steps=1, inner_lr=lr,
-                     beta=beta, batch_size=16)
+    cfg = MltpConfig(inner_opt=sgd_only(lr=lr), beta=beta, batch_size=16)
     mltp_train(twin, twin.params, [(xs, ys), (xs, ys)], cfg, 0)
 
     single = LinearStub(w0.copy())
@@ -244,11 +245,11 @@ def test_two_round_trajectory_matches_reference_script():
     t0 = make_linear_task(24, d, k, seed=13)
     t1 = make_linear_task(24, d, k, seed=14)
     w0 = np.random.default_rng(15).normal(size=(k, d))
-    lr, beta, rounds, inner_steps, bs = 0.08, 0.5, 2, 4, 8
+    lr, beta, rounds, bs = 0.08, 0.5, 2, 8
+    inner_steps = 3  # one epoch: 24 images in batches of 8
 
     stub = LinearStub(w0.copy())
-    cfg = MltpConfig(inner_opt=sgd_only(lr=lr), inner_steps=inner_steps, inner_lr=lr,
-                     beta=beta, batch_size=bs)
+    cfg = MltpConfig(inner_opt=sgd_only(lr=lr), beta=beta, batch_size=bs)
     traj = [stub.params.snapshot()["w"]]
     for rnd in range(rounds):
         mltp_train(stub, stub.params, [t0, t1], cfg, rnd)
@@ -265,5 +266,3 @@ def test_mltp_config_validation():
         MltpConfig(inner_opt=sgd_only(), beta=0.0)
     with pytest.raises(ConfigError):
         MltpConfig(inner_opt=sgd_only(), beta=1.5)
-    with pytest.raises(ConfigError):
-        MltpConfig(inner_opt=sgd_only(), inner_steps=0)

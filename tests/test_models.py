@@ -1,8 +1,14 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from minitrain import tensor as T
 from minitrain.models import (
+    CheckpointError,
     ModelSpec,
     build_resnet9,
     load_checkpoint,
@@ -169,6 +175,65 @@ def test_checkpoint_round_trip(tmp_path):
     x = np.random.default_rng(9).normal(size=(2, 3, 32, 32)).astype(np.float32)
     np.testing.assert_array_equal(model.forward(Tensor(x), mode="eval").data,
                                   restored.forward(Tensor(x), mode="eval").data)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """Bytes of a widths-(4, 4, 4, 4) whitened-stem checkpoint, and a scratch path."""
+    d = tmp_path_factory.mktemp("ckpt")
+    wf = np.random.default_rng(1).normal(size=(27, 3, 3, 3))
+    model, _ = build_resnet9(ModelSpec(widths=(4, 4, 4, 4), stem="whitened"), seed=1,
+                             whitening_filters=wf)
+    save_checkpoint(model, d / "full.ckpt", seed=1)
+    path = d / "cut.ckpt"
+    (d / "cut.ckpt.json").write_bytes((d / "full.ckpt.json").read_bytes())
+    return (d / "full.ckpt").read_bytes(), path
+
+
+def _records(blob: bytes) -> list[tuple[str, int]]:
+    """(name, start offset) of every record, walked from the format description."""
+    pos, out = 4, []
+    while pos < len(blob):
+        (nlen,) = struct.unpack_from("<I", blob, pos)
+        name = blob[pos + 4 : pos + 4 + nlen].decode("utf-8")
+        itemsize, rank = struct.unpack_from("<BI", blob, pos + 4 + nlen)
+        shape = struct.unpack_from(f"<{rank}I", blob, pos + 9 + nlen)
+        out.append((name, pos))
+        pos += 9 + nlen + 4 * rank + itemsize * math.prod(shape)
+    return out
+
+
+def test_checkpoint_truncated_at_record_boundary_names_missing_array(tiny_checkpoint):
+    blob, path = tiny_checkpoint
+    records = _records(blob)
+    assert len(records) > 40
+    for k, (_, start) in enumerate(records):
+        path.write_bytes(blob[:start])
+        with pytest.raises(CheckpointError, match="missing array ") as err:
+            load_checkpoint(path)
+        assert str(err.value).rsplit(" ", 1)[1] in {name for name, _ in records[k:]}
+
+
+@given(data=st.data())
+def test_checkpoint_truncated_anywhere_raises_named_error(tiny_checkpoint, data):
+    blob, path = tiny_checkpoint
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    path.write_bytes(blob[:cut])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_bad_itemsize_and_magic_rejected(tiny_checkpoint):
+    blob, path = tiny_checkpoint
+    name, start = _records(blob)[0]
+    bad = bytearray(blob)
+    bad[start + 4 + len(name)] = 3  # the itemsize byte
+    path.write_bytes(bytes(bad))
+    with pytest.raises(CheckpointError, match="itemsize 3"):
+        load_checkpoint(path)
+    path.write_bytes(b"NOPE" + blob[4:])
+    with pytest.raises(CheckpointError, match="not a model checkpoint"):
+        load_checkpoint(path)
 
 
 def test_calibrate_batchnorm_sets_dataset_stats():

@@ -247,19 +247,19 @@ def test_sam_nonfinite_perturbed_loss_aborts():
 
 
 def test_schedule_onecycle_endpoints_and_apex():
-    cfg = OptConfig(lr_peak=0.4, total_steps=100, warmup_fraction=0.2)
+    cfg = OptConfig(lr_peak=0.4, total_steps=100)
     assert schedule_lr(cfg, 0) == 0.0
     assert schedule_lr(cfg, 20) == pytest.approx(0.4, abs=0)
     assert schedule_lr(cfg, 100) == 0.0
 
 
 def test_schedule_decay_midpoint():
-    cfg = OptConfig(lr_peak=0.4, total_steps=100, warmup_fraction=0.2)
+    cfg = OptConfig(lr_peak=0.4, total_steps=100)
     assert schedule_lr(cfg, 60) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_schedule_clamps_out_of_range():
-    cfg = OptConfig(lr_peak=0.4, total_steps=100, warmup_fraction=0.2)
+    cfg = OptConfig(lr_peak=0.4, total_steps=100)
     assert schedule_lr(cfg, -5) == 0.0
     assert schedule_lr(cfg, 400) == 0.0
 

@@ -183,6 +183,16 @@ def test_batchnorm_constant_channel_is_finite_zero():
     assert np.isfinite(out.data).all()
     np.testing.assert_allclose(out.data, 0.0, atol=1e-8)
 
+    # N*H*W == 1: the one value is its own mean, so the output is beta and no
+    # gradient reaches x or gamma.
+    x1, gamma = t64(np.full((1, 1, 1, 1), 4.2), rg=True), t64([1.5], rg=True)
+    with tape():
+        out1 = batchnorm2d(x1, gamma, t64([0.7]), BatchNormState.create(1, dtype=F64), mode="train")
+        backward(tsum(out1))
+    assert np.isfinite(out1.data).all()
+    assert out1.data.item() == 0.7
+    assert (x1.grad == 0).all() and (gamma.grad == 0).all()
+
 
 def test_batchnorm_momentum_one_makes_eval_match_train():
     rng = np.random.default_rng(7)
