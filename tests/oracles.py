@@ -4,6 +4,8 @@ Everything here is deliberately naive (nested loops, straight-line numpy) and
 stays independent of the library code paths it checks.
 """
 
+import math
+
 import numpy as np
 
 
@@ -84,6 +86,43 @@ def linear_loops(x, w, b=None):
                 acc += x[ni, di] * w[ki, di]
             out[ni, ki] = acc + (b[ki] if b is not None else 0.0)
     return out
+
+
+def batchnorm2d_loops(x, gamma, beta, running_mean, running_var, mode, momentum=0.1, eps=1e-5):
+    """Channel by channel, value by value.
+
+    Returns (out, running_mean, running_var): the normalized output and the
+    running statistics after the call, which train mode folds the biased batch
+    statistics into and eval mode leaves as they were.
+    """
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h, w), dtype=np.float64)
+    rm = np.array(running_mean, dtype=np.float64)
+    rv = np.array(running_var, dtype=np.float64)
+    for ci in range(c):
+        vals = [x[ni, ci, yi, xi] for ni in range(n) for yi in range(h) for xi in range(w)]
+        if mode == "train":
+            mean = sum(vals) / len(vals)
+            var = sum((v - mean) ** 2 for v in vals) / len(vals)
+            rm[ci] += momentum * (mean - rm[ci])
+            rv[ci] += momentum * (var - rv[ci])
+        else:
+            mean, var = rm[ci], rv[ci]
+        inv_std = 1.0 / math.sqrt(var + eps)
+        for ni in range(n):
+            for yi in range(h):
+                for xi in range(w):
+                    out[ni, ci, yi, xi] = gamma[ci] * (x[ni, ci, yi, xi] - mean) * inv_std + beta[ci]
+    return out, rm, rv
+
+
+def celu_loops(x, alpha):
+    """Elementwise: v for v >= 0, alpha * (exp(v / alpha) - 1) otherwise."""
+    flat = np.asarray(x, dtype=np.float64).reshape(-1)
+    out = np.empty_like(flat)
+    for i, v in enumerate(flat):
+        out[i] = v if v >= 0 else alpha * math.expm1(v / alpha)
+    return out.reshape(np.shape(x))
 
 
 def extract_patches_loops(images, count, rng):

@@ -511,6 +511,78 @@ def test_maxpool_property_matches_oracles(case):
     np.testing.assert_array_equal(xt.grad, oracles.maxpool2d_grad_loops(x, g, k, stride))
 
 
+@st.composite
+def bn_cases(draw):
+    # N*H*W runs from 1 (variance 0) upward
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    c = shape[1]
+    mode = draw(st.sampled_from(["train", "eval"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=shape) * rng.uniform(0.5, 3.0) + rng.normal()
+    gamma = rng.normal(size=c)
+    gamma[draw(st.integers(0, c - 1))] *= draw(st.sampled_from([0.0, 1.0]))
+    beta = rng.normal(size=c)
+    running = (rng.normal(size=c), rng.uniform(0.2, 3.0, size=c))
+    return x, gamma, beta, running, mode
+
+
+def _bn_state(running):
+    return BatchNormState(running[0].copy(), running[1].copy())
+
+
+@given(bn_cases())
+def test_batchnorm_property_forward_matches_oracle(case):
+    x, gamma, beta, running, mode = case
+    state = _bn_state(running)
+    out = batchnorm2d(t64(x), t64(gamma), t64(beta), state, mode=mode, momentum=0.3)
+    ref, ref_mean, ref_var = oracles.batchnorm2d_loops(x, gamma, beta, *running, mode, momentum=0.3)
+    np.testing.assert_allclose(out.data, ref, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(state.running_mean, ref_mean, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(state.running_var, ref_var, rtol=1e-12, atol=1e-12)
+
+
+@given(bn_cases())
+def test_batchnorm_property_backward_grad_check(case):
+    x, gamma, beta, running, mode = case
+    # random linear functional, so every output coordinate carries gradient
+    c = t64(np.random.default_rng(1).normal(size=x.shape))
+
+    def loss(xt, gt, bt):
+        return tsum(T.mul(batchnorm2d(xt, gt, bt, _bn_state(running), mode=mode), c))
+
+    for name, f, at in (
+        ("dx", lambda t: loss(t, t64(gamma), t64(beta)), x),
+        ("dgamma", lambda t: loss(t64(x), t, t64(beta)), gamma),
+        ("dbeta", lambda t: loss(t64(x), t64(gamma), t), beta),
+    ):
+        rep = grad_check(f, t64(at), max_coords=30, tol=1e-4)
+        assert rep.passed, f"{name}: {rep}"
+
+
+@st.composite
+def celu_cases(draw):
+    alpha = draw(st.floats(0.05, 3.0))
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # both signs, kept off the kink at 0 where central differences lose accuracy
+    x = rng.normal(size=shape) * draw(st.sampled_from([0.1, 1.0, 3.0]))
+    return x + np.sign(x) * 1e-3, alpha
+
+
+@given(celu_cases())
+def test_celu_property_forward_matches_oracle(case):
+    x, alpha = case
+    np.testing.assert_allclose(celu(t64(x), alpha).data, oracles.celu_loops(x, alpha), rtol=1e-13, atol=1e-15)
+
+
+@given(celu_cases())
+def test_celu_property_backward_grad_check(case):
+    x, alpha = case
+    c = t64(np.random.default_rng(2).normal(size=x.shape))
+    rep = grad_check(lambda t: tsum(T.mul(celu(t, alpha), c)), t64(x), step=1e-4, tol=1e-4)
+    assert rep.passed, rep
+
+
 @pytest.mark.parametrize("stride,pad,bias", [(1, 1, False), (2, 1, True)])
 def test_conv_chunked_matches_single_chunk(monkeypatch, stride, pad, bias):
     rng = np.random.default_rng(21)
