@@ -9,6 +9,14 @@ gradient checker used as the independent oracle for the whole engine.
 The active tape is a context variable, so each thread records on its own:
 one active tape per training thread. Tensors built without an explicit dtype
 are float32. Kernels are plain numpy and deterministic for a fixed input.
+
+Gradients are owned, not shared. ``backward`` takes each op output's ``.grad``
+away before running its rule, so after ``backward`` only leaf tensors (those
+no op produced, such as parameters) keep a ``.grad``; intermediate gradients
+and the arrays their rules captured are freed as backward proceeds. A rule
+may therefore overwrite the gradient it is handed, and it passes
+``Tensor._accumulate`` only arrays that nothing else holds, which lets the
+first gradient a tensor receives become its ``.grad`` without a copy.
 """
 
 from __future__ import annotations
@@ -82,9 +90,20 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
+        """Add ``g`` into ``grad``, adopting it as ``grad`` when it is the first.
+
+        The caller hands over ``g``: nothing else may hold it. It is adopted
+        only if it matches ``data`` in dtype and shape and is writeable and
+        C-contiguous; otherwise it is added into a zeroed buffer.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif (g.dtype == self.data.dtype and g.shape == self.data.shape
+              and g.flags.writeable and g.flags.c_contiguous):
+            self.grad = g
+        else:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -95,7 +114,7 @@ class Tape:
 
     Nodes are appended in forward execution order, so replaying them in
     reverse is a valid topological traversal. A tape can be consumed by
-    ``backward`` exactly once.
+    ``backward`` exactly once; it pops each node as it runs it.
     """
 
     def __init__(self):
@@ -115,10 +134,13 @@ class Tape:
             raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
         self._consumed = True
         loss.grad = np.ones_like(loss.data)
-        for out, fn in reversed(self._nodes):
-            if out.grad is not None:
-                fn(out.grad)
-        self._nodes.clear()
+        nodes = self._nodes
+        while nodes:
+            out, fn = nodes.pop()
+            # the rule owns the gradient it is handed; the output keeps none
+            g, out.grad = out.grad, None
+            if g is not None:
+                fn(g)
 
 
 _active_tape: contextvars.ContextVar[Optional[Tape]] = contextvars.ContextVar("active_tape", default=None)
@@ -164,10 +186,16 @@ def add(a: Tensor, b) -> Tensor:
         out = Tensor._wrap(a.data + b.data)
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g if a.size != 1 else np.sum(g).reshape(a.shape))
-            if b.requires_grad:
-                b._accumulate(g if b.size != 1 else np.sum(g).reshape(b.shape))
+            # the first full-size input may adopt g, so a second gets a copy
+            g_free = True
+            for t in (a, b):
+                if not t.requires_grad:
+                    continue
+                if t.size == 1:
+                    t._accumulate(np.sum(g).reshape(t.shape))
+                else:
+                    t._accumulate(g if g_free else g.copy())
+                    g_free = False
 
         _record(out, (a, b), bwd)
         return out
@@ -213,7 +241,7 @@ def tsum(x: Tensor) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            x._accumulate(np.broadcast_to(g, x.shape).astype(x.dtype, copy=False))
+            x._accumulate(np.full(x.shape, g, dtype=x.dtype))
 
     _record(out, (x,), bwd)
     return out
@@ -453,6 +481,12 @@ def batchnorm2d(
     Train mode normalizes by batch statistics (biased variance) and folds them
     into the running stats with the given momentum; eval mode uses the running
     stats. With momentum=1 one train step makes eval reproduce train exactly.
+
+    The input is centred once into the buffer that becomes the output, and
+    gamma, beta and 1/std are applied to it in place. Backward centres the
+    input again into the buffer that becomes its gradient, so no normalized
+    copy stays alive on the tape; it needs only the per-channel sums of g and
+    of g * xhat.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d expects 4D input, got {x.shape}")
@@ -462,35 +496,43 @@ def batchnorm2d(
     if mode not in ("train", "eval"):
         raise ConfigError(f"batchnorm2d: unknown mode {mode!r}")
 
+    axes, per_channel = (0, 2, 3), (1, c, 1, 1)
+    m = x.size // c
     if mode == "train":
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mean = x.data.mean(axis=axes)
+        out = x.data - mean.reshape(per_channel)
+        var = np.einsum("nchw,nchw->c", out, out) / m
         state.running_mean += momentum * (mean - state.running_mean)
         state.running_var += momentum * (var - state.running_var)
     else:
-        mean = state.running_mean
-        var = state.running_var
+        # copies: backward must see the statistics this forward used
+        mean, var = state.running_mean.copy(), state.running_var.copy()
+        out = x.data - mean.reshape(per_channel)
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-    out = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
+    out *= (gamma.data * inv_std).reshape(per_channel)
+    out += beta.data.reshape(per_channel)
     res = Tensor._wrap(out)
 
     def bwd(g):
+        xc = x.data - mean.reshape(per_channel)
+        sum_g = g.sum(axis=axes)
+        sum_g_xhat = np.einsum("nchw,nchw->c", g, xc) * inv_std
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=(0, 2, 3)))
+            gamma._accumulate(sum_g_xhat)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=(0, 2, 3)))
+            beta._accumulate(sum_g)
         if not x.requires_grad:
             return
-        gs = g * gamma.data.reshape(1, c, 1, 1)
+        scale = gamma.data * inv_std
+        g *= scale.reshape(per_channel)
         if mode == "train":
-            mean_gs = gs.mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-            mean_gs_xhat = (gs * xhat).mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-            gx = inv_std.reshape(1, c, 1, 1) * (gs - mean_gs - xhat * mean_gs_xhat)
-        else:
-            gx = gs * inv_std.reshape(1, c, 1, 1)
-        x._accumulate(gx)
+            # gx = scale * (g - sum_g / m - xhat * sum_g_xhat / m), built in xc
+            xc *= (-scale * inv_std * sum_g_xhat / m).reshape(per_channel)
+            xc -= (scale * sum_g / m).reshape(per_channel)
+            xc += g
+            g = xc
+        x._accumulate(g)
 
     _record(res, (x, gamma, beta), bwd)
     return res
@@ -504,14 +546,22 @@ def celu(x: Tensor, alpha: float) -> Tensor:
     """x for x >= 0, alpha * (exp(x/alpha) - 1) otherwise. Approaches ReLU as alpha -> 0."""
     if alpha <= 0:
         raise ConfigError(f"celu: alpha must be positive, got {alpha}")
-    neg = np.expm1(np.minimum(x.data, 0.0) / alpha) * alpha
-    out = np.where(x.data >= 0, x.data, neg)
-    res = Tensor._wrap(out.astype(x.dtype, copy=False))
+    # max(x, 0) + alpha * expm1(min(x, 0) / alpha), built in one buffer
+    out = np.minimum(x.data, 0.0)
+    out /= alpha
+    np.expm1(out, out=out)
+    out *= alpha
+    out += np.maximum(x.data, 0.0)
+    res = Tensor._wrap(out)
 
     def bwd(g):
         if x.requires_grad:
-            slope = np.where(x.data >= 0, 1.0, np.exp(np.minimum(x.data, 0.0) / alpha))
-            x._accumulate((g * slope).astype(x.dtype, copy=False))
+            # the slope from the output: exp(x / alpha) = out / alpha + 1 below 0
+            slope = np.minimum(out, 0.0)
+            slope /= alpha
+            slope += 1.0
+            g *= slope
+            x._accumulate(g)
 
     _record(res, (x,), bwd)
     return res
@@ -523,7 +573,8 @@ def relu(x: Tensor) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            x._accumulate(g * (x.data > 0))
+            g *= out > 0
+            x._accumulate(g)
 
     _record(res, (x,), bwd)
     return res

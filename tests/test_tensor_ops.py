@@ -330,6 +330,93 @@ def test_tape_is_per_thread():
         assert len(main_tape) == 0
 
 
+# ---------------------------------------------------------------------------
+# gradient ownership: rules hand _accumulate arrays nothing else holds
+
+
+def test_accumulate_adopts_an_owned_array_and_copies_anything_else():
+    x = t64(np.zeros((2, 3)), rg=True)
+    g = np.arange(6.0).reshape(2, 3)
+    x._accumulate(g)
+    assert x.grad is g
+    x._accumulate(np.ones((2, 3)))
+    np.testing.assert_array_equal(x.grad, np.arange(6.0).reshape(2, 3) + 1)
+
+    wide = np.arange(12.0).reshape(2, 6)
+    for other in (np.broadcast_to(1.0, (2, 3)), wide[:, ::2], np.ones((2, 3), dtype=np.float32)):
+        y = t64(np.zeros((2, 3)), rg=True)
+        y._accumulate(other)
+        assert y.grad is not other and not np.shares_memory(y.grad, other)
+        assert y.grad.dtype == F64 and y.grad.flags.writeable and y.grad.flags.c_contiguous
+        np.testing.assert_array_equal(y.grad, other)
+
+
+_FAN_W = np.random.default_rng(31).normal(size=(2, 2, 3, 3))
+_FAN_C = np.random.default_rng(32).normal(size=(2, 2, 3, 3))
+
+
+def _residual(t):
+    # the block input feeds the identity branch and the conv branch
+    h = celu(t, 0.3)
+    st = BatchNormState.create(2, dtype=F64)
+    branch = celu(batchnorm2d(conv2d(h, t64(_FAN_W), pad=1), t64([1.3, 0.7]), t64([0.1, -0.2]), st), 0.3)
+    return T.add(h, branch)
+
+
+@pytest.mark.parametrize("graph", [
+    lambda t: T.add(t, t),
+    lambda t: T.add(relu(t), t),
+    lambda t: T.add(celu(t, 0.3), t),
+    lambda t: T.mul(t, t),
+    lambda t: T.add(T.add(t, t), celu(T.add(t, t), 0.3)),
+    _residual,
+], ids=["add_x_x", "add_relu_x", "add_celu_x", "mul_x_x", "nested_add", "residual"])
+def test_fan_out_gradients(graph):
+    x = _away_from_kinks(np.random.default_rng(33), (2, 2, 3, 3))
+    rep = grad_check(lambda t: tsum(T.mul(graph(t), t64(_FAN_C))), t64(x), tol=1e-4)
+    assert rep.passed, rep
+
+
+def _tiny_model_backward(dtype):
+    from minitrain.models import ModelSpec, build_resnet9
+
+    model, params = build_resnet9(ModelSpec(widths=(4, 4, 4, 4), activation="celu"), seed=0, dtype=dtype)
+    x = Tensor(np.random.default_rng(34).normal(size=(2, 3, 32, 32)), dtype=dtype)
+    with tape() as tp:
+        loss, _ = smoothed_cross_entropy(model(x), np.array([1, 7]), 0.1, 10)
+        outs = [out for out, _ in tp._nodes]
+        backward(loss)
+    return outs, params
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_backward_leaves_grads_only_on_leaves(dtype):
+    outs, params = _tiny_model_backward(dtype)
+    assert len(outs) > 30
+    assert [i for i, out in enumerate(outs) if out.grad is not None] == []
+    assert all(e.tensor.grad is not None and e.tensor.grad.dtype == dtype for e in params)
+
+
+def test_parameter_grads_share_no_memory():
+    _, params = _tiny_model_backward(F64)
+    grads = [(e.name, e.tensor.grad) for e in params]
+    for i, (name_a, a) in enumerate(grads):
+        assert a.flags.writeable and a.flags.c_contiguous, name_a
+        for name_b, b in grads[i + 1 :]:
+            assert not np.shares_memory(a, b), (name_a, name_b)
+
+
+def test_tsum_grad_is_writeable_and_accumulates():
+    x = t64(np.ones((2, 3)), rg=True)
+    with tape():
+        backward(tsum(x))
+    assert x.grad.flags.writeable
+    x.grad += 1.0
+    with tape():
+        backward(tsum(x))
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 3.0))
+
+
 def test_forward_determinism_bit_identical():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(2, 3, 6, 6))
