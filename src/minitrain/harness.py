@@ -189,7 +189,8 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
     metrics record. The clock starts before data loading; a block only starts
     if the longest block so far, timed on ``clock`` through its evaluation,
     still fits in the remaining budget, so total time never exceeds budget +
-    one block.
+    one block. If a block raises, the metrics of the completed blocks and a
+    manifest naming the error are written before the exception propagates.
     """
     budget = BudgetClock(cfg.budget_seconds, clock=clock)
     dtype = np.float32 if cfg.precision == 32 else np.float64
@@ -263,33 +264,41 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
         blocks = cfg.max_epochs
 
     longest_block = 0.0
-    for b in range(1, blocks + 1):
-        if not budget.should_start(longest_block):
-            break
-        t0 = budget.elapsed()
-        if cfg.mltp:
-            loss = float(np.mean(mltp_train(model, params, tasks, mcfg, b - 1)))
-            calibrate_batchnorm(model, train_x, cfg.batch_size)
-            steps = b * round_steps
-        else:
-            loss = run_epoch(
-                model, params, state, opt_cfg,
-                train_x, subset.labels, cfg.batch_size, cfg.ls_alpha(),
-                shuffle_seed=cfg.seed, epoch=b,
-                augment_rng=augment_rng,
-            )
-            steps = state.step_index
-        acc = evaluate(model, test_x, test_ds.labels, cfg.batch_size)
-        wall = budget.elapsed()
-        longest_block = max(longest_block, wall - t0)
-        records.append(MetricsRecord(
-            epoch=b,
-            wall_seconds=wall,
-            train_loss=loss,
-            test_accuracy=acc,
-            lr=schedule_lr(opt_cfg, steps),
-            recipe=cfg.recipe,
-        ))
+    try:
+        for b in range(1, blocks + 1):
+            if not budget.should_start(longest_block):
+                break
+            t0 = budget.elapsed()
+            if cfg.mltp:
+                loss = float(np.mean(mltp_train(model, params, tasks, mcfg, b - 1)))
+                calibrate_batchnorm(model, train_x, cfg.batch_size)
+                steps = b * round_steps
+            else:
+                loss = run_epoch(
+                    model, params, state, opt_cfg,
+                    train_x, subset.labels, cfg.batch_size, cfg.ls_alpha(),
+                    shuffle_seed=cfg.seed, epoch=b,
+                    augment_rng=augment_rng,
+                )
+                steps = state.step_index
+            acc = evaluate(model, test_x, test_ds.labels, cfg.batch_size)
+            wall = budget.elapsed()
+            longest_block = max(longest_block, wall - t0)
+            records.append(MetricsRecord(
+                epoch=b,
+                wall_seconds=wall,
+                train_loss=loss,
+                test_accuracy=acc,
+                lr=schedule_lr(opt_cfg, steps),
+                recipe=cfg.recipe,
+            ))
+    except Exception as e:
+        # a failed run still leaves its completed blocks and the reason on disk
+        manifest["error"] = {"type": type(e).__name__, "message": str(e)}
+        manifest["epochs_completed"] = len(records)
+        manifest["total_wall_seconds"] = budget.elapsed()
+        write_metrics(records, manifest, cfg.metrics_out)
+        raise
 
     if not records:
         # Nothing fit in the budget; still report where the model stands.

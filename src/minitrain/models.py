@@ -265,6 +265,7 @@ def build_resnet9(spec: ModelSpec, seed: int,
 # ModelSpec and the build seed.
 
 _MAGIC = b"MTCK"
+_MAX_RANK = 4  # conv kernels; every other array a model holds has rank 1 or 2
 
 
 def _write_record(fh, name: str, arr: np.ndarray) -> None:
@@ -292,10 +293,16 @@ def _read_records(fh, path) -> dict[str, np.ndarray]:
     arrays = {}
     while fh.tell() < size:
         (nlen,) = struct.unpack("<I", take(4, "a record header"))
-        name = take(nlen, "a record name").decode("utf-8")
+        start = fh.tell()
+        try:
+            name = take(nlen, "a record name").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: the record name at byte {start} is not UTF-8") from e
         itemsize, rank = struct.unpack("<BI", take(5, f"the header of {name}"))
         if itemsize not in (4, 8):
             raise CheckpointError(f"{path}: {name} has itemsize {itemsize}, expected 4 or 8")
+        if rank > _MAX_RANK:
+            raise CheckpointError(f"{path}: {name} has rank {rank}, at most {_MAX_RANK} expected")
         shape = struct.unpack(f"<{rank}I", take(4 * rank, f"the shape of {name}"))
         data = take(itemsize * math.prod(shape), f"the data of {name}")
         arrays[name] = np.frombuffer(data, dtype=f"<f{itemsize}").reshape(shape)

@@ -19,7 +19,7 @@ from minitrain.harness import (
     write_metrics,
 )
 from minitrain.models import ModelSpec, build_resnet9
-from minitrain.optim import OptConfig, schedule_lr
+from minitrain.optim import OptConfig, OptimizerAbort, schedule_lr
 from minitrain.tensor import ConfigError, Tensor
 from minitrain.train import BudgetClock, evaluate
 
@@ -301,6 +301,31 @@ def test_precision_64_does_not_leak_into_later_tensors(synth_data_dir, tmp_path)
     result = run_training(tiny_cfg(synth_data_dir, tmp_path / "p64.csv", precision=64, max_epochs=1))
     assert all(e.tensor.dtype == np.float64 for e in result.params)
     assert Tensor(np.zeros(2)).dtype == np.float32
+
+
+def test_failed_run_writes_completed_blocks_and_error(synth_data_dir, tmp_path, monkeypatch):
+    import minitrain.harness as H
+
+    real, calls = H.run_epoch, []
+
+    def abort_on_block_2(*args, **kwargs):
+        calls.append(kwargs["epoch"])
+        if kwargs["epoch"] == 2:
+            raise OptimizerAbort("sgd_step: non-finite gradient in parameter head.w")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(H, "run_epoch", abort_on_block_2)
+    out = tmp_path / "fail.csv"
+    with pytest.raises(OptimizerAbort, match="head.w"):
+        run_training(tiny_cfg(synth_data_dir, out, max_epochs=3))
+    assert calls == [1, 2]
+    assert [r.epoch for r in read_metrics(out)] == [1]
+    manifest = json.loads(manifest_path(out).read_text())
+    assert manifest["error"] == {"type": "OptimizerAbort",
+                                 "message": "sgd_step: non-finite gradient in parameter head.w"}
+    assert manifest["epochs_completed"] == 1
+    assert manifest["total_wall_seconds"] >= read_metrics(out)[0].wall_seconds
+    assert "final_accuracy" not in manifest
 
 
 def test_missing_data_dir_fails_before_training(tmp_path):

@@ -236,6 +236,39 @@ def test_checkpoint_bad_itemsize_and_magic_rejected(tiny_checkpoint):
         load_checkpoint(path)
 
 
+def _header_offsets(blob: bytes) -> list[int]:
+    """Offsets of the magic and of every record's length, name, itemsize, rank and extents."""
+    offsets = list(range(4))
+    for name, start in _records(blob):
+        (rank,) = struct.unpack_from("<I", blob, start + 5 + len(name))
+        offsets += range(start, start + 9 + len(name) + 4 * rank)
+    return offsets
+
+
+def test_checkpoint_flipped_header_byte_raises_named_error(tiny_checkpoint):
+    blob, path = tiny_checkpoint
+    offsets = _header_offsets(blob)
+    assert len(offsets) > 1000
+    for off in offsets:
+        bad = bytearray(blob)
+        bad[off] ^= 0xFF
+        path.write_bytes(bytes(bad))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    name, start = _records(blob)[0]
+    bad = bytearray(blob)
+    bad[start + 4] ^= 0xFF  # first name byte: no longer UTF-8
+    path.write_bytes(bytes(bad))
+    with pytest.raises(CheckpointError, match="not UTF-8"):
+        load_checkpoint(path)
+    bad = bytearray(blob)
+    bad[start + 5 + len(name)] ^= 0xFF  # low rank byte
+    path.write_bytes(bytes(bad))
+    with pytest.raises(CheckpointError, match="rank 251"):
+        load_checkpoint(path)
+
+
 def test_calibrate_batchnorm_sets_dataset_stats():
     model, _ = build_resnet9(ModelSpec(**SMALL), seed=10, dtype=F64)
     x = np.random.default_rng(10).normal(size=(16, 3, 32, 32))
