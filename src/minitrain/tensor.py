@@ -483,10 +483,12 @@ def batchnorm2d(
     stats. With momentum=1 one train step makes eval reproduce train exactly.
 
     The input is centred once into the buffer that becomes the output, and
-    gamma, beta and 1/std are applied to it in place. Backward centres the
-    input again into the buffer that becomes its gradient, so no normalized
-    copy stays alive on the tape; it needs only the per-channel sums of g and
-    of g * xhat.
+    1/std, gamma and beta are applied to it in place, in that order, so the
+    output rounds exactly as ``gamma * ((x - mean) / std) + beta`` with
+    ``x.var`` does (fixed-seed fp32 training amplifies any last-bit change in
+    the forward pass). Backward centres the input again into the buffer that
+    becomes its gradient, so no normalized copy stays alive on the tape; it
+    needs only the per-channel sums of g and of g * xhat.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d expects 4D input, got {x.shape}")
@@ -501,7 +503,7 @@ def batchnorm2d(
     if mode == "train":
         mean = x.data.mean(axis=axes)
         out = x.data - mean.reshape(per_channel)
-        var = np.einsum("nchw,nchw->c", out, out) / m
+        var = np.square(out).mean(axis=axes)  # what x.var computes, from the one centring
         state.running_mean += momentum * (mean - state.running_mean)
         state.running_var += momentum * (var - state.running_var)
     else:
@@ -510,7 +512,8 @@ def batchnorm2d(
         out = x.data - mean.reshape(per_channel)
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    out *= (gamma.data * inv_std).reshape(per_channel)
+    out *= inv_std.reshape(per_channel)
+    out *= gamma.data.reshape(per_channel)
     out += beta.data.reshape(per_channel)
     res = Tensor._wrap(out)
 

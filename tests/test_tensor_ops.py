@@ -194,6 +194,21 @@ def test_batchnorm_constant_channel_is_finite_zero():
     assert (x1.grad == 0).all() and (gamma.grad == 0).all()
 
 
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batchnorm_forward_rounds_like_the_textbook_formula(mode):
+    # fp32 training amplifies last-bit differences in the forward pass, so the
+    # in-place kernel keeps the rounding of gamma * (x - mean) / std + beta
+    rng = np.random.default_rng(9)
+    x = (rng.normal(size=(6, 5, 7, 7)) * 3 + 1).astype(np.float32)
+    g, b = rng.normal(size=5).astype(np.float32), rng.normal(size=5).astype(np.float32)
+    st = BatchNormState(rng.normal(size=5).astype(np.float32), rng.uniform(0.5, 2, size=5).astype(np.float32))
+    mean, var = (x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))) if mode == "train" else (st.running_mean, st.running_var)
+    inv_std = (1.0 / np.sqrt(var + 1e-5)).reshape(1, 5, 1, 1)
+    ref = g.reshape(1, 5, 1, 1) * ((x - mean.reshape(1, 5, 1, 1)) * inv_std) + b.reshape(1, 5, 1, 1)
+    out = batchnorm2d(Tensor(x), Tensor(g), Tensor(b), st, mode=mode)
+    np.testing.assert_array_equal(out.data, ref)
+
+
 def test_batchnorm_momentum_one_makes_eval_match_train():
     rng = np.random.default_rng(7)
     x = t64(rng.normal(size=(4, 3, 5, 5)))
