@@ -484,9 +484,9 @@ def batchnorm2d(
 
     The input is centred once into the buffer that becomes the output, and
     1/std, gamma and beta are applied to it in place, in that order, so the
-    output rounds exactly as ``gamma * ((x - mean) / std) + beta`` with
-    ``x.var`` does (fixed-seed fp32 training amplifies any last-bit change in
-    the forward pass). Backward centres the input again into the buffer that
+    output rounds exactly as ``gamma * ((x - mean) * inv_std) + beta`` with
+    ``inv_std = 1 / sqrt(x.var + eps)`` does (fixed-seed fp32 training
+    amplifies any last-bit change in the forward pass). Backward centres the input again into the buffer that
     becomes its gradient, so no normalized copy stays alive on the tape; it
     needs only the per-channel sums of g and of g * xhat.
     """
