@@ -191,6 +191,7 @@ def test_run_training_baseline_outputs(synth_data_dir, tmp_path):
     man = json.loads(manifest_path(out).read_text())
     assert man["param_count"] == result.params.num_elements()
     assert man["epochs_completed"] == 2
+    assert list(man)[-3:] == ["final_accuracy", "epochs_completed", "total_wall_seconds"]
     assert set(man["seeds"]) == {"subset", "init", "whitening", "augment"}
     assert man["subset_size"] == 40
     assert man["whitening"] is None
@@ -243,6 +244,8 @@ def test_budget_zero_epochs_emits_eval_record(synth_data_dir, tmp_path, mltp):
     assert result.epochs_completed == 0
     recs = read_metrics(out)
     assert len(recs) == 1 and recs[0].epoch == 0
+    assert result.manifest["final_accuracy"] == result.final_accuracy
+    assert result.final_accuracy == pytest.approx(recs[0].test_accuracy, abs=1e-6)
     assert math.isnan(recs[0].train_loss)
     assert 0.0 <= recs[0].test_accuracy <= 100.0
 
@@ -303,28 +306,33 @@ def test_precision_64_does_not_leak_into_later_tensors(synth_data_dir, tmp_path)
     assert Tensor(np.zeros(2)).dtype == np.float32
 
 
-def test_failed_run_writes_completed_blocks_and_error(synth_data_dir, tmp_path, monkeypatch):
+@pytest.mark.parametrize("failing_block", [1, 2], ids=["block1", "block2"])
+def test_failed_run_writes_completed_blocks_and_error(synth_data_dir, tmp_path, monkeypatch,
+                                                      failing_block):
     import minitrain.harness as H
 
     real, calls = H.run_epoch, []
 
-    def abort_on_block_2(*args, **kwargs):
+    def abort_on_failing_block(*args, **kwargs):
         calls.append(kwargs["epoch"])
-        if kwargs["epoch"] == 2:
+        if kwargs["epoch"] == failing_block:
             raise OptimizerAbort("sgd_step: non-finite gradient in parameter head.w")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(H, "run_epoch", abort_on_block_2)
+    monkeypatch.setattr(H, "run_epoch", abort_on_failing_block)
     out = tmp_path / "fail.csv"
     with pytest.raises(OptimizerAbort, match="head.w"):
         run_training(tiny_cfg(synth_data_dir, out, max_epochs=3))
-    assert calls == [1, 2]
-    assert [r.epoch for r in read_metrics(out)] == [1]
+    assert calls == list(range(1, failing_block + 1))
+    records = read_metrics(out)
+    assert [r.epoch for r in records] == list(range(1, failing_block))
+    assert len(out.read_text().splitlines()) == failing_block  # header + completed blocks
     manifest = json.loads(manifest_path(out).read_text())
+    assert list(manifest)[-3:] == ["error", "epochs_completed", "total_wall_seconds"]
     assert manifest["error"] == {"type": "OptimizerAbort",
                                  "message": "sgd_step: non-finite gradient in parameter head.w"}
-    assert manifest["epochs_completed"] == 1
-    assert manifest["total_wall_seconds"] >= read_metrics(out)[0].wall_seconds
+    assert manifest["epochs_completed"] == failing_block - 1
+    assert manifest["total_wall_seconds"] >= max((r.wall_seconds for r in records), default=0.0)
     assert "final_accuracy" not in manifest
 
 

@@ -14,7 +14,7 @@ from minitrain.models import (
     load_checkpoint,
     save_checkpoint,
 )
-from minitrain.optim import OptConfig, OptState, sgd_step
+from minitrain.optim import OptConfig, OptState, centralize_gradients, sgd_step
 from minitrain.tensor import ConfigError, ShapeError, Tensor, backward, smoothed_cross_entropy, tape
 from minitrain.train import calibrate_batchnorm
 
@@ -83,10 +83,25 @@ def test_bn_calibration_makes_eval_match_train():
 def test_param_classification_partition():
     model, params = build_resnet9(ModelSpec(stem="whitened"), seed=0,
                                   whitening_filters=np.random.default_rng(0).normal(size=(27, 3, 3, 3)))
+    rng = np.random.default_rng(1)
     for e in params:
-        multi_axis = e.tensor.ndim >= 2
-        assert e.gc_eligible == multi_axis, e.name
-        assert e.decay_exempt == (not multi_axis), e.name
+        e.tensor.grad = rng.normal(size=e.tensor.shape).astype(e.tensor.dtype)
+    grads = {e.name: e.tensor.grad.copy() for e in params}
+    centralize_gradients(params)
+    for e in params:
+        if e.tensor.ndim == 1:  # batchnorm scale/shift, bias: left as is
+            np.testing.assert_array_equal(e.tensor.grad, grads[e.name], err_msg=e.name)
+        else:  # conv kernel, linear weight: every output slice has zero mean
+            means = e.tensor.grad.mean(axis=tuple(range(1, e.tensor.ndim)))
+            np.testing.assert_allclose(means, 0.0, atol=1e-6, err_msg=e.name)
+
+    # with zero gradients and no momentum, a step applies decay alone
+    before = params.snapshot()
+    for e in params:
+        e.tensor.grad = np.zeros_like(e.tensor.data)
+    sgd_step(params, OptState.create(params), 1.0, OptConfig(momentum=0.0, decay=0.1))
+    moved = {e.name for e in params if not np.array_equal(e.tensor.data, before[e.name])}
+    assert moved == {e.name for e in params if e.tensor.ndim >= 2}
     names = params.names()
     assert len(names) == len(set(names))
     assert "__stem.filters" not in names

@@ -398,6 +398,38 @@ def test_fan_out_gradients(graph):
     assert rep.passed, rep
 
 
+def test_grad_check_mul_by_scalar():
+    x = np.random.default_rng(35).normal(size=(2, 2, 3, 3))
+    rep = grad_check(lambda t: tsum(T.mul(T.mul(t, -0.37), t64(_FAN_C))), t64(x), tol=1e-6)
+    assert rep.passed, rep
+
+
+@pytest.mark.parametrize("differentiable", ["first", "second"])
+@pytest.mark.parametrize("op", [T.add, T.mul], ids=["add", "mul"])
+def test_grad_check_with_one_differentiable_operand(op, differentiable):
+    const = t64(_FAN_W)
+
+    def f(t):
+        out = op(t, const) if differentiable == "first" else op(const, t)
+        return tsum(T.mul(out, t64(_FAN_C)))
+
+    x = np.random.default_rng(36).normal(size=(2, 2, 3, 3))
+    rep = grad_check(f, t64(x), tol=1e-6)
+    assert rep.passed, rep
+    assert const.grad is None
+
+
+@pytest.mark.parametrize("op", [T.add, T.mul], ids=["add", "mul"])
+def test_binary_op_hands_each_operand_its_own_gradient(op):
+    a = t64(np.random.default_rng(37).normal(size=(2, 3)), rg=True)
+    b = t64(np.random.default_rng(38).normal(size=(2, 3)), rg=True)
+    with tape():
+        backward(tsum(op(a, b)))
+    assert not np.shares_memory(a.grad, b.grad)
+    np.testing.assert_array_equal(a.grad, np.ones((2, 3)) if op is T.add else b.data)
+    np.testing.assert_array_equal(b.grad, np.ones((2, 3)) if op is T.add else a.data)
+
+
 def _tiny_model_backward(dtype):
     model, params = build_resnet9(ModelSpec(widths=(4, 4, 4, 4), activation="celu"), seed=0, dtype=dtype)
     x = Tensor(np.random.default_rng(34).normal(size=(2, 3, 32, 32)), dtype=dtype)
