@@ -284,48 +284,30 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
             acc = evaluate(model, test_x, test_ds.labels, cfg.batch_size)
             wall = budget.elapsed()
             longest_block = max(longest_block, wall - t0)
-            records.append(MetricsRecord(
-                epoch=b,
-                wall_seconds=wall,
-                train_loss=loss,
-                test_accuracy=acc,
-                lr=schedule_lr(opt_cfg, steps),
-                recipe=cfg.recipe,
-            ))
-    except Exception as e:
+            records.append(MetricsRecord(epoch=b, wall_seconds=wall, train_loss=loss, test_accuracy=acc,
+                                         lr=schedule_lr(opt_cfg, steps), recipe=cfg.recipe))
+        if not records:
+            # Nothing fit in the budget; still report where the model stands.
+            acc = evaluate(model, test_x, test_ds.labels, cfg.batch_size)
+            records.append(MetricsRecord(epoch=0, wall_seconds=budget.elapsed(), train_loss=float("nan"),
+                                         test_accuracy=acc, lr=0.0, recipe=cfg.recipe))
+        manifest["final_accuracy"] = records[-1].test_accuracy
+    except BaseException as e:
         # a failed run still leaves its completed blocks and the reason on disk
         manifest["error"] = {"type": type(e).__name__, "message": str(e)}
-        manifest["epochs_completed"] = len(records)
+        raise
+    finally:
+        manifest["epochs_completed"] = records[-1].epoch if records else 0
         manifest["total_wall_seconds"] = budget.elapsed()
         write_metrics(records, manifest, cfg.metrics_out)
-        raise
 
-    if not records:
-        # Nothing fit in the budget; still report where the model stands.
-        acc = evaluate(model, test_x, test_ds.labels, cfg.batch_size)
-        records.append(MetricsRecord(
-            epoch=0,
-            wall_seconds=budget.elapsed(),
-            train_loss=float("nan"),
-            test_accuracy=acc,
-            lr=0.0,
-            recipe=cfg.recipe,
-        ))
-        epochs_completed = 0
-    else:
-        epochs_completed = records[-1].epoch
-
-    manifest["final_accuracy"] = records[-1].test_accuracy
-    manifest["epochs_completed"] = epochs_completed
-    manifest["total_wall_seconds"] = budget.elapsed()
-    write_metrics(records, manifest, cfg.metrics_out)
     if cfg.checkpoint_out:
         save_checkpoint(model, cfg.checkpoint_out, seed=seeds["init"])
     return RunResult(
         records=records,
         manifest=manifest,
-        final_accuracy=records[-1].test_accuracy,
-        epochs_completed=epochs_completed,
+        final_accuracy=manifest["final_accuracy"],
+        epochs_completed=manifest["epochs_completed"],
         model=model,
         params=params,
     )

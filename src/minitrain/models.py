@@ -92,27 +92,26 @@ class ModelSpec:
 class ParamEntry:
     name: str
     tensor: Tensor
-    decay_exempt: bool
-    gc_eligible: bool
 
 
 class ParamSet:
     """Named, ordered collection of trainable tensors.
 
-    gc_eligible marks tensors with >= 2 axes (conv kernels, linear weights);
-    decay_exempt marks batchnorm scales/shifts and biases. Iteration order is
-    insertion order and stable across runs.
+    A tensor's shape decides its optimizer role: one with two or more axes
+    (conv kernel, linear weight) gets gradient centralization and weight
+    decay; a single-axis one (batchnorm scale or shift, bias) gets neither.
+    Iteration order is insertion order and stable across runs.
     """
 
     def __init__(self):
         self._entries: list[ParamEntry] = []
         self._by_name: dict[str, ParamEntry] = {}
 
-    def add(self, name: str, tensor: Tensor, decay_exempt: bool, gc_eligible: bool) -> Tensor:
+    def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._by_name:
             raise ValueError(f"duplicate parameter name {name!r}")
         tensor.requires_grad = True
-        e = ParamEntry(name, tensor, decay_exempt, gc_eligible)
+        e = ParamEntry(name, tensor)
         self._entries.append(e)
         self._by_name[name] = e
         return tensor
@@ -158,12 +157,9 @@ class _ConvBlock:
 
     def __init__(self, params: ParamSet, name: str, cin: int, cout: int, k: int, pad: int,
                  spec: ModelSpec, rng: np.random.Generator, dtype):
-        self.w = params.add(f"{name}.conv.w", _kaiming_conv(rng, cout, cin, k, dtype),
-                            decay_exempt=False, gc_eligible=True)
-        self.gamma = params.add(f"{name}.bn.gamma", Tensor(np.ones(cout), dtype=dtype),
-                                decay_exempt=True, gc_eligible=False)
-        self.beta = params.add(f"{name}.bn.beta", Tensor(np.zeros(cout), dtype=dtype),
-                               decay_exempt=True, gc_eligible=False)
+        self.w = params.add(f"{name}.conv.w", _kaiming_conv(rng, cout, cin, k, dtype))
+        self.gamma = params.add(f"{name}.bn.gamma", Tensor(np.ones(cout), dtype=dtype))
+        self.beta = params.add(f"{name}.bn.beta", Tensor(np.zeros(cout), dtype=dtype))
         self.bn_state = BatchNormState.create(cout, dtype=dtype)
         self.pad = pad
         self.spec = spec
@@ -218,10 +214,8 @@ class Model:
         self.res2 = _ResidualBlock(params, "res2", w4, spec, rng, dtype)
 
         head_std = np.sqrt(1.0 / w4)
-        self.head_w = params.add("head.w", Tensor(rng.normal(0.0, head_std, size=(spec.classes, w4)), dtype=dtype),
-                                 decay_exempt=False, gc_eligible=True)
-        self.head_b = params.add("head.b", Tensor(np.zeros(spec.classes), dtype=dtype),
-                                 decay_exempt=True, gc_eligible=False)
+        self.head_w = params.add("head.w", Tensor(rng.normal(0.0, head_std, size=(spec.classes, w4)), dtype=dtype))
+        self.head_b = params.add("head.b", Tensor(np.zeros(spec.classes), dtype=dtype))
 
     def bn_states(self) -> list[BatchNormState]:
         blocks = [self.prep, self.stage1, self.res1.a, self.res1.b,

@@ -3,8 +3,10 @@ centralization, the sharpness-aware two-step wrapper, and the LR schedule.
 
 Per-step flow is fixed: backward -> (centralize) -> (ascend, re-backward,
 centralize) -> decay -> momentum -> update. Weight decay enters the gradient
-as +2*lambda*w (the quadratic penalty added to the loss, differentiated), and
-batchnorm scales/shifts and biases are exempt.
+as +2*lambda*w (the quadratic penalty added to the loss, differentiated).
+Shape decides a parameter's role: centralization and decay apply to tensors
+with two or more axes (conv kernels, linear weights), never to single-axis
+ones (batchnorm scales and shifts, biases).
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def centralize_gradients(params: ParamSet) -> None:
     Single-axis parameters are left untouched. Idempotent.
     """
     for e in params:
-        if not e.gc_eligible:
+        if e.tensor.ndim < 2:
             continue
         g = e.tensor.grad
         if g is None:
@@ -89,7 +91,7 @@ def sgd_step(params: ParamSet, state: OptState, lr: float, cfg: OptConfig) -> No
             raise OptimizerAbort(f"sgd_step: non-finite gradient in parameter {e.name}")
     for e in params:
         g = e.tensor.grad
-        if cfg.decay and not e.decay_exempt:
+        if cfg.decay and e.tensor.ndim >= 2:
             g = g + (2.0 * cfg.decay) * e.tensor.data
         v = state.velocity[e.name]
         v *= cfg.momentum

@@ -179,59 +179,38 @@ def _record(out: Tensor, inputs: tuple, backward_fn: Callable[[np.ndarray], None
 # elementwise / reduction basics
 
 
-def add(a: Tensor, b) -> Tensor:
-    if isinstance(b, Tensor):
-        if a.shape != b.shape and a.size != 1 and b.size != 1:
-            raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-        out = Tensor._wrap(a.data + b.data)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
+    if not isinstance(b, Tensor) or a.shape != b.shape:
+        raise ShapeError(f"add: needs two tensors of one shape, got {a.shape} and {np.shape(b)}")
+    out = Tensor._wrap(a.data + b.data)
 
-        def bwd(g):
-            # the first full-size input may adopt g, so a second gets a copy
-            g_free = True
-            for t in (a, b):
-                if not t.requires_grad:
-                    continue
-                if t.size == 1:
-                    t._accumulate(np.sum(g).reshape(t.shape))
-                else:
-                    t._accumulate(g if g_free else g.copy())
-                    g_free = False
-
-        _record(out, (a, b), bwd)
-        return out
-
-    out = Tensor._wrap(a.data + b)
-
-    def bwd_s(g):
+    def bwd(g):
+        # the first input may adopt g, so the second gets a copy
         if a.requires_grad:
             a._accumulate(g)
+        if b.requires_grad:
+            b._accumulate(g.copy() if a.requires_grad else g)
 
-    _record(out, (a,), bwd_s)
+    _record(out, (a, b), bwd)
     return out
 
 
 def mul(a: Tensor, b) -> Tensor:
-    if isinstance(b, Tensor):
-        if a.shape != b.shape:
-            raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-        out = Tensor._wrap(a.data * b.data)
+    """Elementwise product of ``a`` with a tensor of its shape or a scalar."""
+    other = b if isinstance(b, Tensor) else None
+    if other is not None and a.shape != other.shape:
+        raise ShapeError(f"mul: shapes {a.shape} and {other.shape} differ")
+    b_data = b if other is None else other.data
+    out = Tensor._wrap(a.data * b_data)
 
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g * b.data)
-            if b.requires_grad:
-                b._accumulate(g * a.data)
-
-        _record(out, (a, b), bwd)
-        return out
-
-    out = Tensor._wrap(a.data * b)
-
-    def bwd_s(g):
+    def bwd(g):
         if a.requires_grad:
-            a._accumulate(g * b)
+            a._accumulate(g * b_data)
+        if other is not None and other.requires_grad:
+            other._accumulate(g * a.data)
 
-    _record(out, (a,), bwd_s)
+    _record(out, (a, other), bwd)
     return out
 
 

@@ -108,7 +108,7 @@ def test_criterion_1_gradient_oracle_suite():
 def test_criterion_2_optimizer_algebra():
     # (a) centralization post-condition + idempotence
     ps = ParamSet()
-    ps.add("w", Tensor(np.zeros((4, 3, 3, 3)), dtype=F64), decay_exempt=False, gc_eligible=True)
+    ps.add("w", Tensor(np.zeros((4, 3, 3, 3)), dtype=F64))
     ps["w"].tensor.grad = np.random.default_rng(1).normal(size=(4, 3, 3, 3))
     centralize_gradients(ps)
     once = ps["w"].tensor.grad.copy()
@@ -118,7 +118,7 @@ def test_criterion_2_optimizer_algebra():
 
     # (b) scalar quadratic closed form: w' = 0.79
     ps2 = ParamSet()
-    ps2.add("w", Tensor(np.array([1.0]), dtype=F64), decay_exempt=True, gc_eligible=False)
+    ps2.add("w", Tensor(np.array([1.0]), dtype=F64))
 
     def closure():
         ps2.zero_grads()
@@ -134,8 +134,8 @@ def test_criterion_2_optimizer_algebra():
     # (c) rho=0 is bit-identical to plain SGD over 10 steps
     init = np.random.default_rng(2).normal(size=(3, 2))
     pa, pb = ParamSet(), ParamSet()
-    pa.add("w", Tensor(init.copy(), dtype=F64), decay_exempt=False, gc_eligible=True)
-    pb.add("w", Tensor(init.copy(), dtype=F64), decay_exempt=False, gc_eligible=True)
+    pa.add("w", Tensor(init.copy(), dtype=F64))
+    pb.add("w", Tensor(init.copy(), dtype=F64))
     ca = OptConfig(lr_peak=1.0, momentum=0.9, decay=0.001, rho=0.0, sam_enabled=True, total_steps=10)
     cb = OptConfig(lr_peak=1.0, momentum=0.9, decay=0.001, total_steps=10)
     sa, sb = OptState.create(pa), OptState.create(pb)
@@ -158,7 +158,7 @@ def test_criterion_2_optimizer_algebra():
 
     # (d) decay-only step at lambda=0.0005 and lr=0.1: w *= (1 - 2*lr*lambda)
     pd = ParamSet()
-    pd.add("w", Tensor(np.array([[1.0]]), dtype=F64), decay_exempt=False, gc_eligible=True)
+    pd.add("w", Tensor(np.array([[1.0]]), dtype=F64))
     pd["w"].tensor.grad = np.zeros((1, 1))
     sgd_step(pd, OptState.create(pd), 0.1,
              OptConfig(lr_peak=1.0, momentum=0.0, decay=0.0005, total_steps=1))

@@ -20,8 +20,7 @@ class LinearStub:
 
     def __init__(self, w0, classes=10):
         self.params = ParamSet()
-        self.w = self.params.add("w", Tensor(np.asarray(w0, dtype=F64), dtype=F64),
-                                 decay_exempt=False, gc_eligible=True)
+        self.w = self.params.add("w", Tensor(np.asarray(w0, dtype=F64), dtype=F64))
         self.spec = SimpleNamespace(classes=classes)
 
     def forward(self, x, mode="train", bn_momentum=0.1):

@@ -20,7 +20,7 @@ def param_set(**arrays):
     ps = ParamSet()
     for name, arr in arrays.items():
         arr = np.asarray(arr, dtype=F64)
-        ps.add(name, Tensor(arr, dtype=F64), decay_exempt=arr.ndim < 2, gc_eligible=arr.ndim >= 2)
+        ps.add(name, Tensor(arr, dtype=F64))
     return ps
 
 

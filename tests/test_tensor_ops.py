@@ -419,6 +419,15 @@ def test_grad_check_with_one_differentiable_operand(op, differentiable):
     assert const.grad is None
 
 
+def test_add_takes_two_tensors_of_one_shape():
+    x = t64(np.ones((2, 3)))
+    for other in (1.0, t64([1.0]), t64(np.ones((3, 2)))):
+        with pytest.raises(ShapeError, match="add"):
+            T.add(x, other)
+    with pytest.raises(ShapeError, match="add"):
+        T.add(t64([1.0]), x)
+
+
 @pytest.mark.parametrize("op", [T.add, T.mul], ids=["add", "mul"])
 def test_binary_op_hands_each_operand_its_own_gradient(op):
     a = t64(np.random.default_rng(37).normal(size=(2, 3)), rg=True)
