@@ -3,7 +3,9 @@
 Precedence for every setting: CLI flag > config file > built-in default. The
 config file is plain ``key = value`` lines (``#`` comments allowed) with keys
 named after RunConfig fields. Conflicting file/flag values are both echoed
-into the run manifest.
+into the run manifest. Every boolean flag has a ``--no-`` form, so a flag can
+switch off a value the file switched on. A malformed or invalid value exits
+with code 2 before any data is read.
 """
 
 from __future__ import annotations
@@ -22,23 +24,29 @@ from .tensor import ConfigError
 log = logging.getLogger("minitrain")
 
 _BOOL_FIELDS = {"gc", "ip", "mltp", "augment"}
+_INT_FIELDS = {"per_class", "seed", "max_epochs", "batch_size", "precision", "meta_iterations"}
+_FLOAT_FIELDS = {"budget_seconds", "lr_peak", "momentum", "rho", "decay", "beta"}
 
 
-def _coerce(name: str, raw: str):
+def _coerce(name: str, raw: str, where: str):
+    """Parse one raw setting; ``where`` (``file:line`` or a flag) leads any error."""
     if name in _BOOL_FIELDS:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"config file: {name} must be boolean, got {raw!r}")
-    if name == "widths":
-        return tuple(int(v) for v in raw.split(","))
-    int_fields = {"per_class", "seed", "max_epochs", "batch_size", "precision", "meta_iterations"}
-    float_fields = {"budget_seconds", "lr_peak", "momentum", "rho", "decay", "beta"}
-    if name in int_fields:
-        return int(raw)
-    if name in float_fields:
-        return float(raw)
+        raise ConfigError(f"{where}: {name} must be boolean, got {raw!r}")
+    try:
+        if name == "widths":
+            return tuple(int(v) for v in raw.split(","))
+        if name in _INT_FIELDS:
+            return int(raw)
+        if name in _FLOAT_FIELDS:
+            return float(raw)
+    except ValueError:
+        kind = ("comma-separated integers" if name == "widths"
+                else "an integer" if name in _INT_FIELDS else "a number")
+        raise ConfigError(f"{where}: {name} must be {kind}, got {raw!r}") from None
     return raw
 
 
@@ -57,7 +65,7 @@ def read_config_file(path) -> dict:
             key = "decay"
         if key not in valid:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, raw)
+        values[key] = _coerce(key, raw, f"{path}:{lineno}")
     return values
 
 
@@ -72,10 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--budget-seconds", type=float, help="end-to-end wall-clock cap (default 600)")
     p.add_argument("--optimizer", choices=["sgd", "sam"])
-    p.add_argument("--gc", action="store_true", default=None, help="centralize multi-axis gradients")
-    p.add_argument("--ip", action="store_true", default=None,
+    p.add_argument("--gc", action=argparse.BooleanOptionalAction, default=None,
+                   help="centralize multi-axis gradients")
+    p.add_argument("--ip", action=argparse.BooleanOptionalAction, default=None,
                    help="improved preprocessing: label smoothing, CELU, whitened stem, weight decay")
-    p.add_argument("--mltp", action="store_true", default=None, help="2-task meta-learning procedure")
+    p.add_argument("--mltp", action=argparse.BooleanOptionalAction, default=None,
+                   help="2-task meta-learning procedure")
     p.add_argument("--max-epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr-peak", type=float)
@@ -108,7 +118,7 @@ def parse_config(argv, env: Optional[dict] = None):
     for f in fields(RunConfig):
         v = getattr(args, f.name, None)
         if v is not None:
-            flag_values[f.name] = tuple(int(x) for x in v.split(",")) if f.name == "widths" else v
+            flag_values[f.name] = _coerce("widths", v, "--widths") if f.name == "widths" else v
 
     merged = dict(file_values)
     merged.update(flag_values)

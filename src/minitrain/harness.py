@@ -67,6 +67,14 @@ class RunConfig:
             raise ConfigError(f"optimizer must be sgd or sam, got {self.optimizer!r}")
         if self.precision not in (32, 64):
             raise ConfigError(f"precision must be 32 or 64, got {self.precision}")
+        for name in ("per_class", "max_epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.mltp and self.per_class < 2:
+            raise ConfigError(f"mltp splits every class over two tasks, so per_class must be >= 2, "
+                              f"got {self.per_class}")
+        if self.decay is not None and self.decay < 0:
+            raise ConfigError(f"decay must be >= 0, got {self.decay}")
         if self.meta_iterations is not None and self.meta_iterations < 1:
             raise ConfigError(f"meta_iterations must be >= 1, got {self.meta_iterations}")
         self.widths = tuple(self.widths)
@@ -334,16 +342,19 @@ RECIPES = {
 def recipe_matrix(base: RunConfig, recipes: Optional[list[str]] = None) -> list[dict]:
     """Run each recipe with its own budget and collect a comparison table.
 
-    A failing recipe is recorded and the rest still run.
+    Every recipe's configuration is checked before the first one runs. A
+    recipe that fails while running is recorded and the rest still run.
     """
-    rows = []
     out_base = Path(base.metrics_out)
+    configs = []
     for name in recipes or list(RECIPES):
         if name not in RECIPES:
             raise ConfigError(f"unknown recipe {name!r}; choose from {sorted(RECIPES)}")
         tag = name.replace("+", "_")
-        cfg = replace(base, metrics_out=str(out_base.with_name(f"{out_base.stem}_{tag}.csv")),
-                      **RECIPES[name])
+        configs.append((name, replace(base, metrics_out=str(out_base.with_name(f"{out_base.stem}_{tag}.csv")),
+                                      **RECIPES[name])))
+    rows = []
+    for name, cfg in configs:
         try:
             result = run_training(cfg)
             rows.append({

@@ -39,14 +39,18 @@ def tiny_cfg(data_dir, out, **kw):
 
 def test_flag_overrides_file_overrides_default(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("lr-peak = 0.2   # file value\nseed = 5\n")
+    cfgfile.write_text("lr-peak = 0.2   # file value\nseed = 5\nip = true\ngc = true\naugment = false\n")
     cfg, prov, _ = parse_config(
-        ["--config", str(cfgfile), "--lr-peak", "0.3"], env={})
+        ["--config", str(cfgfile), "--lr-peak", "0.3", "--no-ip", "--augment", "--mltp"], env={})
     assert cfg.lr_peak == 0.3  # flag wins
     assert cfg.seed == 5  # file beats default
     assert cfg.momentum == 0.9  # default
     assert prov["file_values"]["lr_peak"] == 0.2
     assert prov["flag_values"]["lr_peak"] == 0.3
+    # boolean flags switch a file value either way
+    assert (cfg.ip, cfg.gc, cfg.augment, cfg.mltp) == (False, True, True, True)
+    assert prov["flag_values"]["ip"] is False
+    assert "gc" not in prov["flag_values"]
 
 
 def test_env_data_dir_fallback(tmp_path):
@@ -73,6 +77,12 @@ def test_config_file_errors(tmp_path):
         read_config_file(f)
     f.write_text("ip = maybe\n")
     with pytest.raises(ConfigError, match="boolean"):
+        read_config_file(f)
+    f.write_text("# seed next\nseed = abc\n")
+    with pytest.raises(ConfigError, match="bad.cfg:2: seed must be an integer"):
+        read_config_file(f)
+    f.write_text("widths = 8,x,16,16\n")
+    with pytest.raises(ConfigError, match="bad.cfg:1: widths"):
         read_config_file(f)
 
 
@@ -101,6 +111,12 @@ def test_invalid_config_rejected():
         RunConfig(data_dir="x", precision=16)
     with pytest.raises(ConfigError):
         RunConfig(data_dir="x", meta_iterations=0)
+    for bad, named in [(dict(per_class=0), "per_class"), (dict(batch_size=0), "batch_size"),
+                       (dict(max_epochs=0), "max_epochs"), (dict(mltp=True, per_class=1), "per_class"),
+                       (dict(decay=-0.1), "decay")]:
+        with pytest.raises(ConfigError, match=named):
+            RunConfig(data_dir="x", **bad)
+    RunConfig(data_dir="x", mltp=True, per_class=2, decay=0.0)  # the smallest valid values
 
 
 def test_parser_lists_all_recipes_in_matrix_const():
@@ -370,6 +386,13 @@ def test_recipe_matrix_continues_after_failure(synth_data_dir, tmp_path, monkeyp
     assert (tmp_path / "mat_baseline.csv").exists()
 
 
+def test_recipe_matrix_checks_every_recipe_before_running(synth_data_dir, tmp_path):
+    base = tiny_cfg(synth_data_dir, tmp_path / "m.csv", per_class=1)
+    with pytest.raises(ConfigError, match="per_class"):
+        recipe_matrix(base, ["baseline", "mltp"])
+    assert not (tmp_path / "m_baseline.csv").exists()
+
+
 def test_recipe_matrix_unknown_recipe(synth_data_dir, tmp_path):
     base = tiny_cfg(synth_data_dir, tmp_path / "m.csv")
     with pytest.raises(ConfigError, match="unknown recipe"):
@@ -402,6 +425,27 @@ def test_cli_main_config_error_exit_code(tmp_path, capsys):
     rc = main(["--config", str(f), "--data-dir", "/x"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--widths", "8,x,16,16"],
+    ["--per-class", "0"],
+    ["--batch-size", "0"],
+    ["--max-epochs", "0"],
+    ["--mltp", "--per-class", "1"],
+    ["--lambda", "-0.5"],
+], ids=["widths", "per_class", "batch_size", "max_epochs", "mltp_per_class", "decay"])
+def test_cli_main_invalid_value_exits_2_before_reading_data(argv, tmp_path, capsys, monkeypatch):
+    import minitrain.harness as H
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data was read")
+
+    monkeypatch.setattr(H, "load_cifar_binary", no_data)
+    rc = main(argv + ["--data-dir", str(tmp_path), "--metrics-out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_budget_clock_contract():
