@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    NUM_CLASSES,
     Dataset,
     NormStats,
     fit_whitening,
@@ -197,11 +198,35 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
     metrics record. The clock starts before data loading; a block only starts
     if the longest block so far, timed on ``clock`` through its evaluation,
     still fits in the remaining budget, so total time never exceeds budget +
-    one block. If a block raises, the metrics of the completed blocks and a
-    manifest naming the error are written before the exception propagates.
+    one block. If a block raises, even on an interrupt, the metrics of the
+    completed blocks and a manifest naming the error are written before the
+    exception propagates.
     """
     budget = BudgetClock(cfg.budget_seconds, clock=clock)
     dtype = np.float32 if cfg.precision == 32 else np.float64
+    # every setting is checked before any file is touched
+    spec = ModelSpec(
+        widths=cfg.widths,
+        activation="celu" if cfg.ip else "relu",
+        celu_alpha=IP_CELU_ALPHA,
+        stem="whitened" if cfg.ip else "plain",
+        classes=NUM_CLASSES,
+        head_scale=0.125,
+    )
+    steps_per_epoch = math.ceil(NUM_CLASSES * cfg.per_class / cfg.batch_size)
+    opt_cfg = OptConfig(
+        lr_peak=cfg.lr_peak,
+        momentum=cfg.momentum,
+        decay=cfg.resolved_decay(),
+        rho=cfg.rho,
+        gc_enabled=cfg.gc,
+        sam_enabled=cfg.optimizer == "sam",
+        schedule="onecycle",
+        total_steps=cfg.max_epochs * steps_per_epoch,
+    )
+    if cfg.mltp:
+        mcfg = MltpConfig(inner_opt=opt_cfg, beta=cfg.beta, batch_size=cfg.batch_size,
+                          ls_alpha=cfg.ls_alpha())
     check_writable(cfg.metrics_out)
     seeds = _derived_seeds(cfg.seed)
 
@@ -216,30 +241,10 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
     whitening = None
     if cfg.ip:
         whitening = fit_whitening(train_x, seed=seeds["whitening"])
-    spec = ModelSpec(
-        widths=cfg.widths,
-        activation="celu" if cfg.ip else "relu",
-        celu_alpha=IP_CELU_ALPHA,
-        stem="whitened" if cfg.ip else "plain",
-        classes=10,
-        head_scale=0.125,
-    )
     model, params = build_resnet9(
         spec, seeds["init"],
         whitening_filters=whitening.filters if whitening else None,
         dtype=dtype,
-    )
-
-    steps_per_epoch = max(1, math.ceil(len(subset) / cfg.batch_size))
-    opt_cfg = OptConfig(
-        lr_peak=cfg.lr_peak,
-        momentum=cfg.momentum,
-        decay=cfg.resolved_decay(),
-        rho=cfg.rho,
-        gc_enabled=cfg.gc,
-        sam_enabled=cfg.optimizer == "sam",
-        schedule="onecycle",
-        total_steps=cfg.max_epochs * steps_per_epoch,
     )
 
     manifest = {
@@ -263,8 +268,6 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
     if cfg.mltp:
         split = split_tasks(subset, seeds["subset"])
         tasks = [(normalize(t.images, stats, dtype=dtype), t.labels) for t in split.tasks]
-        mcfg = MltpConfig(inner_opt=opt_cfg, beta=cfg.beta, batch_size=cfg.batch_size,
-                          ls_alpha=cfg.ls_alpha())
         round_steps = steps_per_round(tasks, mcfg)
         blocks = cfg.meta_iterations or cfg.max_epochs
     else:

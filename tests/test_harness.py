@@ -352,6 +352,22 @@ def test_failed_run_writes_completed_blocks_and_error(synth_data_dir, tmp_path, 
     assert "final_accuracy" not in manifest
 
 
+def test_interrupted_run_names_the_interrupt(synth_data_dir, tmp_path, monkeypatch):
+    import minitrain.harness as H
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(H, "run_epoch", interrupt)
+    out = tmp_path / "int.csv"
+    with pytest.raises(KeyboardInterrupt):
+        run_training(tiny_cfg(synth_data_dir, out))
+    assert read_metrics(out) == []
+    manifest = json.loads(manifest_path(out).read_text())
+    assert manifest["error"] == {"type": "KeyboardInterrupt", "message": ""}
+    assert manifest["epochs_completed"] == 0
+
+
 def test_missing_data_dir_fails_before_training(tmp_path):
     cfg = tiny_cfg(tmp_path / "nope", tmp_path / "m.csv")
     with pytest.raises(FileNotFoundError):
@@ -434,7 +450,13 @@ def test_cli_main_config_error_exit_code(tmp_path, capsys):
     ["--max-epochs", "0"],
     ["--mltp", "--per-class", "1"],
     ["--lambda", "-0.5"],
-], ids=["widths", "per_class", "batch_size", "max_epochs", "mltp_per_class", "decay"])
+    ["--widths", "8,16,16"],
+    ["--lr-peak", "0"],
+    ["--momentum", "1.5"],
+    ["--rho", "-1"],
+    ["--mltp", "--beta", "2"],
+], ids=["malformed_widths", "per_class", "batch_size", "max_epochs", "mltp_per_class", "decay",
+        "three_widths", "lr_peak", "momentum", "rho", "beta"])
 def test_cli_main_invalid_value_exits_2_before_reading_data(argv, tmp_path, capsys, monkeypatch):
     import minitrain.harness as H
 
