@@ -190,21 +190,8 @@ class RunResult:
     params: object = field(repr=False, default=None)
 
 
-def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[dict] = None) -> RunResult:
-    """Execute one recipe end to end under the wall-clock budget.
-
-    Training runs in blocks: an epoch, or for MLTP one meta-round followed by
-    batchnorm calibration. Every block ends with the test pass and one
-    metrics record. The clock starts before data loading; a block only starts
-    if the longest block so far, timed on ``clock`` through its evaluation,
-    still fits in the remaining budget, so total time never exceeds budget +
-    one block. If a block raises, even on an interrupt, the metrics of the
-    completed blocks and a manifest naming the error are written before the
-    exception propagates.
-    """
-    budget = BudgetClock(cfg.budget_seconds, clock=clock)
-    dtype = np.float32 if cfg.precision == 32 else np.float64
-    # every setting is checked before any file is touched
+def _settings(cfg: RunConfig) -> tuple[ModelSpec, OptConfig, Optional[MltpConfig]]:
+    """The model, optimizer and MLTP settings of a run; a bad value raises ConfigError."""
     spec = ModelSpec(
         widths=cfg.widths,
         activation="celu" if cfg.ip else "relu",
@@ -224,9 +211,28 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
         schedule="onecycle",
         total_steps=cfg.max_epochs * steps_per_epoch,
     )
+    mcfg = None
     if cfg.mltp:
         mcfg = MltpConfig(inner_opt=opt_cfg, beta=cfg.beta, batch_size=cfg.batch_size,
                           ls_alpha=cfg.ls_alpha())
+    return spec, opt_cfg, mcfg
+
+
+def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[dict] = None) -> RunResult:
+    """Execute one recipe end to end under the wall-clock budget.
+
+    Training runs in blocks: an epoch, or for MLTP one meta-round followed by
+    batchnorm calibration. Every block ends with the test pass and one
+    metrics record. The clock starts before data loading; a block only starts
+    if the longest block so far, timed on ``clock`` through its evaluation,
+    still fits in the remaining budget, so total time never exceeds budget +
+    one block. If a block raises, even on an interrupt, the metrics of the
+    completed blocks and a manifest naming the error are written before the
+    exception propagates.
+    """
+    budget = BudgetClock(cfg.budget_seconds, clock=clock)
+    dtype = np.float32 if cfg.precision == 32 else np.float64
+    spec, opt_cfg, mcfg = _settings(cfg)  # every setting is checked before any file is touched
     check_writable(cfg.metrics_out)
     seeds = _derived_seeds(cfg.seed)
 
@@ -354,8 +360,10 @@ def recipe_matrix(base: RunConfig, recipes: Optional[list[str]] = None) -> list[
         if name not in RECIPES:
             raise ConfigError(f"unknown recipe {name!r}; choose from {sorted(RECIPES)}")
         tag = name.replace("+", "_")
-        configs.append((name, replace(base, metrics_out=str(out_base.with_name(f"{out_base.stem}_{tag}.csv")),
-                                      **RECIPES[name])))
+        cfg = replace(base, metrics_out=str(out_base.with_name(f"{out_base.stem}_{tag}.csv")),
+                      **RECIPES[name])
+        _settings(cfg)
+        configs.append((name, cfg))
     rows = []
     for name, cfg in configs:
         try:

@@ -403,10 +403,11 @@ def test_recipe_matrix_continues_after_failure(synth_data_dir, tmp_path, monkeyp
 
 
 def test_recipe_matrix_checks_every_recipe_before_running(synth_data_dir, tmp_path):
-    base = tiny_cfg(synth_data_dir, tmp_path / "m.csv", per_class=1)
-    with pytest.raises(ConfigError, match="per_class"):
-        recipe_matrix(base, ["baseline", "mltp"])
-    assert not (tmp_path / "m_baseline.csv").exists()
+    for bad, named in [(dict(per_class=1), "per_class"), (dict(beta=2.0), "beta")]:
+        base = tiny_cfg(synth_data_dir, tmp_path / "m.csv", **bad)
+        with pytest.raises(ConfigError, match=named):
+            recipe_matrix(base, ["baseline", "mltp"])
+        assert not (tmp_path / "m_baseline.csv").exists()
 
 
 def test_recipe_matrix_unknown_recipe(synth_data_dir, tmp_path):
@@ -455,8 +456,9 @@ def test_cli_main_config_error_exit_code(tmp_path, capsys):
     ["--momentum", "1.5"],
     ["--rho", "-1"],
     ["--mltp", "--beta", "2"],
+    ["--recipe-matrix", "baseline,sam", "--lr-peak", "0"],
 ], ids=["malformed_widths", "per_class", "batch_size", "max_epochs", "mltp_per_class", "decay",
-        "three_widths", "lr_peak", "momentum", "rho", "beta"])
+        "three_widths", "lr_peak", "momentum", "rho", "beta", "matrix_lr_peak"])
 def test_cli_main_invalid_value_exits_2_before_reading_data(argv, tmp_path, capsys, monkeypatch):
     import minitrain.harness as H
 
