@@ -4,8 +4,8 @@ Precedence for every setting: CLI flag > config file > built-in default. The
 config file is plain ``key = value`` lines (``#`` comments allowed) with keys
 named after RunConfig fields. Conflicting file/flag values are both echoed
 into the run manifest. Every boolean flag has a ``--no-`` form, so a flag can
-switch off a value the file switched on. A malformed or invalid value exits
-with code 2 before any data is read.
+switch off a value the file switched on. A malformed or invalid value, or an
+output path that cannot be written, exits with code 2 before any data is read.
 """
 
 from __future__ import annotations

@@ -92,9 +92,8 @@ def sample_subset(ds: Dataset, per_class: int, seed: int) -> Dataset:
     for c in range(NUM_CLASSES):
         members = np.nonzero(ds.labels == c)[0]
         if members.size < per_class:
-            raise ValueError(
-                f"class {c} has {members.size} samples, need {per_class}"
-            )
+            raise ConfigError(f"per_class {per_class} is more than the {members.size} "
+                              f"images of class {c}")
         picked.append(rng.choice(members, size=per_class, replace=False))
     idx = np.concatenate(picked)
     rng.shuffle(idx)

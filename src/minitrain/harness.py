@@ -120,11 +120,20 @@ def manifest_path(metrics_out) -> Path:
 
 
 def check_writable(path) -> None:
-    """Pre-flight: fail before training if the output location is unusable."""
+    """Pre-flight: raise ConfigError before any data is read if ``path`` cannot be written.
+
+    Leaves no file that was not there before.
+    """
     p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "a", encoding="utf-8"):
-        pass
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+        existed = p.exists()
+        with open(p, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            p.unlink()
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def write_metrics(records: list[MetricsRecord], manifest: dict, path) -> None:
@@ -234,6 +243,8 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
     dtype = np.float32 if cfg.precision == 32 else np.float64
     spec, opt_cfg, mcfg = _settings(cfg)  # every setting is checked before any file is touched
     check_writable(cfg.metrics_out)
+    if cfg.checkpoint_out:
+        check_writable(cfg.checkpoint_out)
     seeds = _derived_seeds(cfg.seed)
 
     train_files, test_files = find_data_files(cfg.data_dir)

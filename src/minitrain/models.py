@@ -10,10 +10,8 @@ global max pool and a scaled linear head. The whitened stem replaces the prep
 from __future__ import annotations
 
 import json
-import math
-import os
-import struct
-from dataclasses import dataclass
+import zipfile
+from dataclasses import asdict, dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -63,29 +61,6 @@ class ModelSpec:
             raise ConfigError(f"unknown stem {self.stem!r}")
         if self.stem == "whitened" and self.in_channels != 3:
             raise ConfigError("whitened stem requires 3-channel input")
-
-    def to_dict(self) -> dict:
-        return {
-            "widths": list(self.widths),
-            "activation": self.activation,
-            "celu_alpha": self.celu_alpha,
-            "stem": self.stem,
-            "classes": self.classes,
-            "head_scale": self.head_scale,
-            "in_channels": self.in_channels,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(
-            widths=tuple(d["widths"]),
-            activation=d["activation"],
-            celu_alpha=d["celu_alpha"],
-            stem=d["stem"],
-            classes=d["classes"],
-            head_scale=d["head_scale"],
-            in_channels=d.get("in_channels", 3),
-        )
 
 
 @dataclass
@@ -251,62 +226,19 @@ def build_resnet9(spec: ModelSpec, seed: int,
 # ---------------------------------------------------------------------------
 # checkpoint format
 #
-# Binary file of records, little-endian:
-#   u32 name length | name bytes (utf-8) | u8 itemsize (4 or 8) |
-#   u32 rank | u32 extents[rank] | raw element data
-# Records cover all trainable parameters, batchnorm running stats, and the
-# frozen whitening stem filters. A JSON sidecar at <path>.json stores the
-# ModelSpec and the build seed.
+# One uncompressed .npz: NumPy's zip of .npy members, readable by np.load. It
+# holds every trainable parameter, the batchnorm running stats
+# (__bn<i>.mean/.var), the frozen whitening stem filters (__stem.filters) and
+# __meta, a JSON string with the ModelSpec and the build seed. The zip CRC-32
+# of each member covers every array byte. Members carry a fixed timestamp, so
+# the bytes are a function of the model and the seed alone.
 
-_MAGIC = b"MTCK"
-_MAX_RANK = 4  # conv kernels; every other array a model holds has rank 1 or 2
-
-
-def _write_record(fh, name: str, arr: np.ndarray) -> None:
-    nb = name.encode("utf-8")
-    fh.write(struct.pack("<I", len(nb)))
-    fh.write(nb)
-    fh.write(struct.pack("<BI", arr.dtype.itemsize, arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(np.ascontiguousarray(arr, dtype=f"<f{arr.dtype.itemsize}").tobytes())
+_META = "__meta"
+_ZIP_TIME = (1980, 1, 1, 0, 0, 0)  # the earliest time a zip entry can hold
 
 
 class CheckpointError(ValueError):
-    """A checkpoint is truncated, malformed, or lacks an array the model needs."""
-
-
-def _read_records(fh, path) -> dict[str, np.ndarray]:
-    """Parse every record after the magic; any short or bad field raises."""
-    size = os.fstat(fh.fileno()).st_size
-
-    def take(n: int, what: str) -> bytes:
-        if fh.tell() + n > size:
-            raise CheckpointError(f"{path}: truncated at byte {size}, reading {what}")
-        return fh.read(n)
-
-    arrays = {}
-    while fh.tell() < size:
-        (nlen,) = struct.unpack("<I", take(4, "a record header"))
-        start = fh.tell()
-        try:
-            name = take(nlen, "a record name").decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise CheckpointError(f"{path}: the record name at byte {start} is not UTF-8") from e
-        itemsize, rank = struct.unpack("<BI", take(5, f"the header of {name}"))
-        if itemsize not in (4, 8):
-            raise CheckpointError(f"{path}: {name} has itemsize {itemsize}, expected 4 or 8")
-        if rank > _MAX_RANK:
-            raise CheckpointError(f"{path}: {name} has rank {rank}, at most {_MAX_RANK} expected")
-        shape = struct.unpack(f"<{rank}I", take(4 * rank, f"the shape of {name}"))
-        data = take(itemsize * math.prod(shape), f"the data of {name}")
-        arrays[name] = np.frombuffer(data, dtype=f"<f{itemsize}").reshape(shape)
-    return arrays
-
-
-def _require(arrays: dict, names, path) -> None:
-    for name in names:
-        if name not in arrays:
-            raise CheckpointError(f"{path}: missing array {name}")
+    """A checkpoint is not a readable archive, or an array the model needs is missing or misfits."""
 
 
 def _checkpoint_arrays(model: Model) -> dict[str, np.ndarray]:
@@ -320,32 +252,45 @@ def _checkpoint_arrays(model: Model) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(model: Model, path, seed: int = 0) -> None:
-    arrays = _checkpoint_arrays(model)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
+    meta = json.dumps({"spec": asdict(model.spec), "seed": seed})
+    arrays = {**_checkpoint_arrays(model), _META: np.array(meta)}
+    with zipfile.ZipFile(path, "w") as zf:
         for name, arr in arrays.items():
-            _write_record(fh, name, arr)
-    sidecar = {"spec": model.spec.to_dict(), "seed": seed}
-    with open(f"{path}.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
+            with zf.open(zipfile.ZipInfo(f"{name}.npy", _ZIP_TIME), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, arr, allow_pickle=False)
 
 
-def load_checkpoint(path, dtype=None):
-    """Rebuild a model from a checkpoint; returns (model, params)."""
-    with open(f"{path}.json", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    spec = ModelSpec.from_dict(sidecar["spec"])
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise CheckpointError(f"{path}: not a model checkpoint")
-        arrays = _read_records(fh, path)
-    if spec.stem == "whitened":
-        _require(arrays, ["__stem.filters"], path)
-    model, params = build_resnet9(spec, seed=sidecar.get("seed", 0),
-                                  whitening_filters=arrays.get("__stem.filters"), dtype=dtype)
-    _require(arrays, _checkpoint_arrays(model), path)
-    params.load({k: v for k, v in arrays.items() if not k.startswith("__")})
-    for i, st in enumerate(model.bn_states()):
-        st.running_mean[...] = arrays[f"__bn{i}.mean"]
-        st.running_var[...] = arrays[f"__bn{i}.var"]
+def load_checkpoint(path):
+    """Rebuild a model from a checkpoint; returns (model, params).
+
+    The model is built at the one float dtype, float32 or float64, that the
+    arrays were saved in. A file that is not a checkpoint archive or fails a
+    CRC-32, and an array that is missing or has the wrong shape or dtype,
+    raise CheckpointError.
+    """
+    with open(path, "rb") as fh:  # a missing file stays FileNotFoundError
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                arrays = {name: np.asarray(npz[name]) for name in npz.files}
+            meta = json.loads(arrays.pop(_META).item())
+            spec, seed = ModelSpec(**meta["spec"]), int(meta["seed"])
+        except Exception as e:  # noqa: BLE001 - damage can surface in the zip, .npy or JSON layer
+            raise CheckpointError(f"{path}: not a readable model checkpoint "
+                                  f"({type(e).__name__}: {e})") from e
+    floats = {a.dtype for a in arrays.values()} & {np.dtype(np.float32), np.dtype(np.float64)}
+    if len(floats) != 1:
+        found = " and ".join(sorted(str(d) for d in floats)) or "neither"
+        raise CheckpointError(f"{path}: arrays must be all float32 or all float64, found {found}")
+    (dtype,) = floats
+    # a whitened stem is built on placeholder filters; the loop below copies the saved ones in
+    stem = np.zeros((27, 3, 3, 3)) if spec.stem == "whitened" else None
+    model, params = build_resnet9(spec, seed=seed, whitening_filters=stem, dtype=dtype.type)
+    for name, target in _checkpoint_arrays(model).items():
+        if name not in arrays:
+            raise CheckpointError(f"{path}: missing array {name}")
+        got = arrays[name]
+        if got.shape != target.shape or got.dtype != target.dtype:
+            raise CheckpointError(f"{path}: array {name} is {got.dtype} {got.shape}, "
+                                  f"the model needs {target.dtype} {target.shape}")
+        target[...] = got
     return model, params

@@ -117,7 +117,7 @@ def test_subset_determinism_on_100_record_fixture():
 
 def test_subset_insufficient_class_named():
     ds = make_synthetic_dataset(per_class=3, seed=4)
-    with pytest.raises(ValueError, match="class 0"):
+    with pytest.raises(ConfigError, match="per_class 10 is more than the 3 images of class 0"):
         sample_subset(ds, per_class=10, seed=0)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import make_synthetic_dataset
 
 from minitrain.cli import build_parser, main, parse_config, read_config_file
-from minitrain.data import NormStats, normalize
+from minitrain.data import NormStats, normalize, write_cifar_binary
 from minitrain.harness import (
     RECIPES,
     MetricsRecord,
@@ -374,10 +375,14 @@ def test_missing_data_dir_fails_before_training(tmp_path):
         run_training(cfg)
 
 
-def test_unwritable_metrics_path_fails_early(synth_data_dir):
-    cfg = tiny_cfg(synth_data_dir, "/proc/denied/m.csv")
-    with pytest.raises(OSError):
-        run_training(cfg)
+def test_unwritable_metrics_path_fails_early(synth_data_dir, tmp_path):
+    (tmp_path / "file").write_text("")
+    for out in ("metrics_out", "checkpoint_out"):
+        bad = str(tmp_path / "file" / "x")
+        cfg = replace(tiny_cfg(synth_data_dir, tmp_path / "m.csv"), **{out: bad})
+        with pytest.raises(ConfigError, match=f"cannot write {bad}"):
+            run_training(cfg)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +462,11 @@ def test_cli_main_config_error_exit_code(tmp_path, capsys):
     ["--rho", "-1"],
     ["--mltp", "--beta", "2"],
     ["--recipe-matrix", "baseline,sam", "--lr-peak", "0"],
+    ["--metrics-out", "{tmp}/file/m.csv"],
+    ["--checkpoint-out", "{tmp}/file/model.ckpt"],
 ], ids=["malformed_widths", "per_class", "batch_size", "max_epochs", "mltp_per_class", "decay",
-        "three_widths", "lr_peak", "momentum", "rho", "beta", "matrix_lr_peak"])
+        "three_widths", "lr_peak", "momentum", "rho", "beta", "matrix_lr_peak",
+        "metrics_under_file", "checkpoint_under_file"])
 def test_cli_main_invalid_value_exits_2_before_reading_data(argv, tmp_path, capsys, monkeypatch):
     import minitrain.harness as H
 
@@ -466,10 +474,22 @@ def test_cli_main_invalid_value_exits_2_before_reading_data(argv, tmp_path, caps
         raise AssertionError("data was read")
 
     monkeypatch.setattr(H, "load_cifar_binary", no_data)
-    rc = main(argv + ["--data-dir", str(tmp_path), "--metrics-out", str(tmp_path / "m.csv")])
+    (tmp_path / "file").write_text("")  # a regular file, so no path under it can be written
+    rc = main(["--data-dir", str(tmp_path), "--metrics-out", str(tmp_path / "m.csv")]
+              + [a.format(tmp=tmp_path) for a in argv])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "m.csv").exists()
+
+
+def test_cli_main_per_class_above_the_data_exits_2(tmp_path, capsys):
+    write_cifar_binary(make_synthetic_dataset(per_class=5, seed=0), tmp_path / "data_batch_1.bin")
+    write_cifar_binary(make_synthetic_dataset(per_class=2, seed=1), tmp_path / "test_batch.bin")
+    rc = main(["--data-dir", str(tmp_path), "--per-class", "6",
+               "--metrics-out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "per_class 6" in err and "5 images of class 0" in err
 
 
 def test_budget_clock_contract():

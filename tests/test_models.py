@@ -1,5 +1,7 @@
-import math
-import struct
+import io
+import pickle
+import re
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from minitrain import tensor as T
 from minitrain.models import (
     CheckpointError,
     ModelSpec,
+    _checkpoint_arrays,
     build_resnet9,
     load_checkpoint,
     save_checkpoint,
@@ -167,121 +170,153 @@ def test_forward_shape_total_over_batch_sizes():
         assert out.shape == (n, 10)
 
 
-def test_checkpoint_round_trip(tmp_path):
-    wf = np.random.default_rng(7).normal(size=(27, 3, 3, 3))
-    spec = ModelSpec(widths=(8, 16, 32, 64), stem="whitened", activation="celu")
-    model, params = build_resnet9(spec, seed=7, whitening_filters=wf)
+@pytest.mark.parametrize("stem", ["plain", "whitened"])
+@pytest.mark.parametrize("precision", [32, 64])
+def test_checkpoint_round_trip(tmp_path, precision, stem):
+    dtype = np.float32 if precision == 32 else np.float64
+    wf = np.random.default_rng(7).normal(size=(27, 3, 3, 3)) if stem == "whitened" else None
+    spec = ModelSpec(widths=(8, 16, 32, 64), stem=stem, activation="celu")
+    model, params = build_resnet9(spec, seed=7, whitening_filters=wf, dtype=dtype)
     # move running stats off their initial values
-    model.forward(Tensor(np.random.default_rng(8).normal(size=(4, 3, 32, 32)).astype(np.float32)),
+    model.forward(Tensor(np.random.default_rng(8).normal(size=(4, 3, 32, 32)), dtype=dtype),
                   mode="train")
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path, seed=7)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     restored, rparams = load_checkpoint(path)
     assert restored.spec == model.spec
     for a, b in zip(params, rparams):
         assert a.name == b.name
+        assert b.tensor.data.dtype == dtype
         assert (a.tensor.data == b.tensor.data).all()
     for sa, sb in zip(model.bn_states(), restored.bn_states()):
+        assert sb.running_mean.dtype == sb.running_var.dtype == dtype
         assert (sa.running_mean == sb.running_mean).all()
         assert (sa.running_var == sb.running_var).all()
-    assert (restored.stem_filters.data == model.stem_filters.data).all()
+    if stem == "whitened":
+        assert restored.stem_filters.data.dtype == dtype
+        assert (restored.stem_filters.data == model.stem_filters.data).all()
 
-    x = np.random.default_rng(9).normal(size=(2, 3, 32, 32)).astype(np.float32)
-    np.testing.assert_array_equal(model.forward(Tensor(x), mode="eval").data,
-                                  restored.forward(Tensor(x), mode="eval").data)
+    x = Tensor(np.random.default_rng(9).normal(size=(2, 3, 32, 32)), dtype=dtype)
+    np.testing.assert_array_equal(model.forward(x, mode="eval").data,
+                                  restored.forward(x, mode="eval").data)
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    model, _ = build_resnet9(ModelSpec(widths=(4, 4, 4, 4)), seed=3)
+    for t, name in ((1e9, "a.ckpt"), (2e9, "b.ckpt")):
+        monkeypatch.setattr(time, "time", lambda t=t: t)
+        save_checkpoint(model, tmp_path / name, seed=3)
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 @pytest.fixture(scope="module")
 def tiny_checkpoint(tmp_path_factory):
-    """Bytes of a widths-(4, 4, 4, 4) whitened-stem checkpoint, and a scratch path."""
+    """Bytes of a widths-(4, 4, 4, 4) whitened-stem checkpoint, copies of the
+    arrays saved in it, and a scratch path."""
     d = tmp_path_factory.mktemp("ckpt")
     wf = np.random.default_rng(1).normal(size=(27, 3, 3, 3))
     model, _ = build_resnet9(ModelSpec(widths=(4, 4, 4, 4), stem="whitened"), seed=1,
                              whitening_filters=wf)
     save_checkpoint(model, d / "full.ckpt", seed=1)
-    path = d / "cut.ckpt"
-    (d / "cut.ckpt.json").write_bytes((d / "full.ckpt.json").read_bytes())
-    return (d / "full.ckpt").read_bytes(), path
+    saved = {k: v.copy() for k, v in _checkpoint_arrays(model).items()}
+    return (d / "full.ckpt").read_bytes(), saved, d / "bad.ckpt"
 
 
-def _records(blob: bytes) -> list[tuple[str, int]]:
-    """(name, start offset) of every record, walked from the format description."""
-    pos, out = 4, []
-    while pos < len(blob):
-        (nlen,) = struct.unpack_from("<I", blob, pos)
-        name = blob[pos + 4 : pos + 4 + nlen].decode("utf-8")
-        itemsize, rank = struct.unpack_from("<BI", blob, pos + 4 + nlen)
-        shape = struct.unpack_from(f"<{rank}I", blob, pos + 9 + nlen)
-        out.append((name, pos))
-        pos += 9 + nlen + 4 * rank + itemsize * math.prod(shape)
-    return out
+def _rewrite(blob: bytes, path, changes: dict) -> None:
+    """Write the archive in ``blob`` to ``path`` with arrays replaced; a None value drops one."""
+    with np.load(io.BytesIO(blob)) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    arrays.update(changes)
+    with open(path, "wb") as fh:
+        np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
 
 
-def test_checkpoint_truncated_at_record_boundary_names_missing_array(tiny_checkpoint):
-    blob, path = tiny_checkpoint
-    records = _records(blob)
-    assert len(records) > 40
-    for k, (_, start) in enumerate(records):
-        path.write_bytes(blob[:start])
-        with pytest.raises(CheckpointError, match="missing array ") as err:
-            load_checkpoint(path)
-        assert str(err.value).rsplit(" ", 1)[1] in {name for name, _ in records[k:]}
+@given(data=st.data())
+def test_checkpoint_flipped_byte_raises_or_loads_identical(tiny_checkpoint, data):
+    blob, saved, path = tiny_checkpoint
+    offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    bad = bytearray(blob)
+    bad[offset] ^= data.draw(st.integers(1, 255), label="mask")
+    path.write_bytes(bytes(bad))
+    try:
+        model, _ = load_checkpoint(path)
+    except CheckpointError:
+        return
+    loaded = _checkpoint_arrays(model)
+    assert loaded.keys() == saved.keys()
+    for name, arr in saved.items():
+        assert loaded[name].dtype == arr.dtype and loaded[name].shape == arr.shape, name
+        assert loaded[name].tobytes() == arr.tobytes(), name
 
 
 @given(data=st.data())
 def test_checkpoint_truncated_anywhere_raises_named_error(tiny_checkpoint, data):
-    blob, path = tiny_checkpoint
+    blob, _, path = tiny_checkpoint
     cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
     path.write_bytes(blob[:cut])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 
-def test_checkpoint_bad_itemsize_and_magic_rejected(tiny_checkpoint):
-    blob, path = tiny_checkpoint
-    name, start = _records(blob)[0]
-    bad = bytearray(blob)
-    bad[start + 4 + len(name)] = 3  # the itemsize byte
-    path.write_bytes(bytes(bad))
-    with pytest.raises(CheckpointError, match="itemsize 3"):
-        load_checkpoint(path)
-    path.write_bytes(b"NOPE" + blob[4:])
-    with pytest.raises(CheckpointError, match="not a model checkpoint"):
-        load_checkpoint(path)
-
-
-def _header_offsets(blob: bytes) -> list[int]:
-    """Offsets of the magic and of every record's length, name, itemsize, rank and extents."""
-    offsets = list(range(4))
-    for name, start in _records(blob):
-        (rank,) = struct.unpack_from("<I", blob, start + 5 + len(name))
-        offsets += range(start, start + 9 + len(name) + 4 * rank)
-    return offsets
-
-
-def test_checkpoint_flipped_header_byte_raises_named_error(tiny_checkpoint):
-    blob, path = tiny_checkpoint
-    offsets = _header_offsets(blob)
-    assert len(offsets) > 1000
-    for off in offsets:
-        bad = bytearray(blob)
-        bad[off] ^= 0xFF
-        path.write_bytes(bytes(bad))
-        with pytest.raises(CheckpointError):
+def test_checkpoint_lacking_an_array_names_it(tiny_checkpoint):
+    blob, saved, path = tiny_checkpoint
+    assert len(saved) > 40
+    for name in saved:
+        _rewrite(blob, path, {name: None})
+        with pytest.raises(CheckpointError, match=f"missing array {re.escape(name)}$"):
             load_checkpoint(path)
 
-    name, start = _records(blob)[0]
-    bad = bytearray(blob)
-    bad[start + 4] ^= 0xFF  # first name byte: no longer UTF-8
-    path.write_bytes(bytes(bad))
-    with pytest.raises(CheckpointError, match="not UTF-8"):
+
+@pytest.mark.parametrize("name, value", [
+    ("__bn0.mean", np.zeros(1, np.float32)),  # would broadcast into the running stats
+    ("__stem.filters", np.zeros((27, 3, 3, 1), np.float32)),
+    ("head.w", np.zeros((10, 4), np.int32)),
+], ids=["bn_mean_shape", "stem_shape", "integer"])
+def test_checkpoint_array_of_wrong_shape_or_dtype_named(tiny_checkpoint, name, value):
+    blob, _, path = tiny_checkpoint
+    _rewrite(blob, path, {name: value})
+    with pytest.raises(CheckpointError, match=f"array {re.escape(name)} is {value.dtype} "):
         load_checkpoint(path)
-    bad = bytearray(blob)
-    bad[start + 5 + len(name)] ^= 0xFF  # low rank byte
-    path.write_bytes(bytes(bad))
-    with pytest.raises(CheckpointError, match="rank 251"):
+
+
+def test_checkpoint_mixed_precision_rejected(tiny_checkpoint):
+    blob, saved, path = tiny_checkpoint
+    _rewrite(blob, path, {"head.w": saved["head.w"].astype(np.float64)})
+    with pytest.raises(CheckpointError, match="all float32 or all float64, found float32 and float64"):
         load_checkpoint(path)
+
+
+def _npy_bytes() -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3, np.float32))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("content", [
+    b"",
+    b"MTCK" + bytes(64),  # the record format that preceded the archive
+    _npy_bytes(),
+    pickle.dumps({"head.w": np.zeros((10, 4), np.float32)}),
+], ids=["empty", "mtck", "npy", "pickle"])
+def test_checkpoint_foreign_file_rejected(tiny_checkpoint, content):
+    _, _, path = tiny_checkpoint
+    path.write_bytes(content)
+    with pytest.raises(CheckpointError, match="not a readable model checkpoint"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_archive_without_metadata_rejected(tiny_checkpoint):
+    blob, _, path = tiny_checkpoint
+    _rewrite(blob, path, {"__meta": None})
+    with pytest.raises(CheckpointError, match="not a readable model checkpoint"):
+        load_checkpoint(path)
+
+
+def test_missing_checkpoint_file_is_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_checkpoint(tmp_path / "absent.ckpt")
 
 
 def test_calibrate_batchnorm_sets_dataset_stats():
