@@ -142,9 +142,10 @@ class _ConvBlock:
     def __call__(self, x: Tensor, mode: str, bn_momentum: float = 0.1) -> Tensor:
         h = conv2d(x, self.w, stride=1, pad=self.pad)
         h = batchnorm2d(h, self.gamma, self.beta, self.bn_state, mode=mode, momentum=bn_momentum)
+        # the batchnorm output feeds only the activation, so it is overwritten
         if self.spec.activation == "celu":
-            return celu(h, self.spec.celu_alpha)
-        return relu(h)
+            return celu(h, self.spec.celu_alpha, inplace=True)
+        return relu(h, inplace=True)
 
 
 class _ResidualBlock:

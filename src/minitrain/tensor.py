@@ -17,6 +17,16 @@ and the arrays their rules captured are freed as backward proceeds. A rule
 may therefore overwrite the gradient it is handed, and it passes
 ``Tensor._accumulate`` only arrays that nothing else holds, which lets the
 first gradient a tensor receives become its ``.grad`` without a copy.
+
+``celu`` and ``relu`` take ``inplace=True`` to write their output into their
+input's buffer instead of a new one. The input tensor then holds the
+activation's output in ``data``, and still receives its gradient. A caller
+may ask for this only when nothing reads the input's values afterwards: no
+other op consumes the input, and the rule of the op that produced it does
+not read its own output. Batchnorm's rule reads only its own input, so a
+conv block applies its activation in place on the batchnorm output and keeps
+two full-size buffers alive, not three. A graph that fans an activation's
+input out, such as ``add(relu(t), t)``, must use the default.
 """
 
 from __future__ import annotations
@@ -524,16 +534,21 @@ def batchnorm2d(
 # activations
 
 
-def celu(x: Tensor, alpha: float) -> Tensor:
-    """x for x >= 0, alpha * (exp(x/alpha) - 1) otherwise. Approaches ReLU as alpha -> 0."""
+def celu(x: Tensor, alpha: float, inplace: bool = False) -> Tensor:
+    """x for x >= 0, alpha * (exp(x/alpha) - 1) otherwise. Approaches ReLU as alpha -> 0.
+
+    With ``inplace=True`` the output is written into ``x.data`` (see the module
+    docstring for when a caller may ask for that).
+    """
     if alpha <= 0:
         raise ConfigError(f"celu: alpha must be positive, got {alpha}")
-    # max(x, 0) + alpha * expm1(min(x, 0) / alpha), built in one buffer
-    out = np.minimum(x.data, 0.0)
-    out /= alpha
-    np.expm1(out, out=out)
-    out *= alpha
-    out += np.maximum(x.data, 0.0)
+    # alpha * expm1(min(x, 0) / alpha) + max(x, 0); the max goes to the destination
+    neg = np.minimum(x.data, 0.0)
+    neg /= alpha
+    np.expm1(neg, out=neg)
+    neg *= alpha
+    out = np.maximum(x.data, 0.0, out=x.data if inplace else None)
+    out += neg
     res = Tensor._wrap(out)
 
     def bwd(g):
@@ -549,8 +564,9 @@ def celu(x: Tensor, alpha: float) -> Tensor:
     return res
 
 
-def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0)
+def relu(x: Tensor, inplace: bool = False) -> Tensor:
+    """max(x, 0); with ``inplace=True`` written into ``x.data``."""
+    out = np.maximum(x.data, 0, out=x.data if inplace else None)
     res = Tensor._wrap(out)
 
     def bwd(g):

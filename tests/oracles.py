@@ -116,6 +116,14 @@ def batchnorm2d_loops(x, gamma, beta, running_mean, running_var, mode, momentum=
     return out, rm, rv
 
 
+def relu_loops(x):
+    flat = np.asarray(x, dtype=np.float64).reshape(-1)
+    out = np.empty_like(flat)
+    for i, v in enumerate(flat):
+        out[i] = v if v > 0 else 0.0
+    return out.reshape(np.shape(x))
+
+
 def celu_loops(x, alpha):
     """Elementwise: v for v >= 0, alpha * (exp(v / alpha) - 1) otherwise."""
     flat = np.asarray(x, dtype=np.float64).reshape(-1)

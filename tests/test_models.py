@@ -163,6 +163,33 @@ def test_residual_block_grad_check():
     assert rep.passed, rep
 
 
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("activation", ["relu", "celu"])
+def test_conv_block_activation_overwrites_batchnorm_output(monkeypatch, activation, mode):
+    import minitrain.models as M
+
+    bn_outs, act_outs = [], []
+
+    def capture(fn, outs):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            outs.append(out.data)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(M, "batchnorm2d", capture(M.batchnorm2d, bn_outs))
+    monkeypatch.setattr(M, activation, capture(getattr(M, activation), act_outs))
+    model, params = build_resnet9(ModelSpec(widths=(4, 4, 4, 4), activation=activation), seed=0)
+    x = Tensor(np.random.default_rng(7).normal(size=(2, 3, 32, 32)))
+    with tape():
+        loss, _ = smoothed_cross_entropy(model(x, mode=mode), np.array([1, 2]), 0.0, 10)
+        backward(loss)
+    assert len(bn_outs) == len(act_outs) == len(model.bn_states())
+    for bn_out, act_out in zip(bn_outs, act_outs):
+        assert np.shares_memory(bn_out, act_out)
+    assert all(np.isfinite(e.tensor.grad).all() for e in params)
+
+
 def test_forward_shape_total_over_batch_sizes():
     model, _ = build_resnet9(ModelSpec(**SMALL), seed=0)
     for n in (1, 3, 5):

@@ -238,10 +238,11 @@ def test_celu_rejects_bad_alpha():
         celu(t64([1.0]), -0.5)
 
 
-def test_relu_values():
-    np.testing.assert_array_equal(relu(t64([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
+@pytest.mark.parametrize("inplace", [False, True], ids=["new_buffer", "inplace"])
+def test_relu_values(inplace):
+    np.testing.assert_array_equal(relu(t64([-1.0, 0.0, 2.0]), inplace=inplace).data, [0.0, 0.0, 2.0])
     x = np.abs(np.random.default_rng(8).normal(size=20))
-    np.testing.assert_array_equal(relu(t64(x)).data, x)
+    np.testing.assert_array_equal(relu(t64(x.copy()), inplace=inplace).data, x)
 
 
 def test_celu_limits_to_relu():
@@ -705,18 +706,89 @@ def celu_cases(draw):
     return x + np.sign(x) * 1e-3, alpha
 
 
+def _activation(name, alpha=0.3):
+    if name == "celu":
+        return lambda t, inplace: celu(t, alpha, inplace=inplace)
+    return lambda t, inplace: relu(t, inplace=inplace)
+
+
+def _oracle(name, alpha=0.3):
+    return (lambda x: oracles.celu_loops(x, alpha)) if name == "celu" else oracles.relu_loops
+
+
+def _owned(t, inplace):
+    # an in-place activation overwrites its input, so it gets a buffer of its own
+    return T.mul(t, 1.0) if inplace else t
+
+
+@pytest.mark.parametrize("inplace", [False, True], ids=["new_buffer", "inplace"])
 @given(celu_cases())
-def test_celu_property_forward_matches_oracle(case):
+def test_celu_property_forward_matches_oracle(inplace, case):
     x, alpha = case
-    np.testing.assert_allclose(celu(t64(x), alpha).data, oracles.celu_loops(x, alpha), rtol=1e-13, atol=1e-15)
+    xt = t64(x.copy())  # Tensor adopts a float64 array, and inplace overwrites it
+    out = celu(xt, alpha, inplace=inplace)
+    np.testing.assert_allclose(out.data, oracles.celu_loops(x, alpha), rtol=1e-13, atol=1e-15)
+    assert np.shares_memory(out.data, xt.data) == inplace
 
 
+@pytest.mark.parametrize("inplace", [False, True], ids=["new_buffer", "inplace"])
 @given(celu_cases())
-def test_celu_property_backward_grad_check(case):
+def test_celu_property_backward_grad_check(inplace, case):
     x, alpha = case
     c = t64(np.random.default_rng(2).normal(size=x.shape))
-    rep = grad_check(lambda t: tsum(T.mul(celu(t, alpha), c)), t64(x), step=1e-4, tol=1e-4)
+    rep = grad_check(lambda t: tsum(T.mul(celu(_owned(t, inplace), alpha, inplace=inplace), c)),
+                     t64(x), step=1e-4, tol=1e-4)
     assert rep.passed, rep
+
+
+@pytest.mark.parametrize("inplace", [False, True], ids=["new_buffer", "inplace"])
+@given(celu_cases())
+def test_relu_property_matches_oracle_and_grad_check(inplace, case):
+    x, _ = case  # kept off the kink at 0
+    xt = t64(x.copy())
+    out = relu(xt, inplace=inplace)
+    np.testing.assert_array_equal(out.data, oracles.relu_loops(x))
+    assert np.shares_memory(out.data, xt.data) == inplace
+    c = t64(np.random.default_rng(3).normal(size=x.shape))
+    rep = grad_check(lambda t: tsum(T.mul(relu(_owned(t, inplace), inplace=inplace), c)),
+                     t64(x), step=1e-5, tol=1e-6)
+    assert rep.passed, rep
+
+
+@st.composite
+def signed_zero_cases(draw, dtype):
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    values = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.floats(-20.0, 20.0, width=np.dtype(dtype).itemsize * 8))
+    return draw(hnp.arrays(dtype, shape, elements=values))
+
+
+def _bits(a):
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64], ids=["fp32", "fp64"])
+@pytest.mark.parametrize("name", ["celu", "relu"])
+@given(data=st.data())
+def test_inplace_activation_is_bit_identical(name, dtype, data):
+    x = data.draw(signed_zero_cases(dtype))
+    c = np.random.default_rng(4).normal(size=x.shape).astype(dtype)
+    act = _activation(name)
+
+    def run(inplace):
+        xt = Tensor(x.copy(), requires_grad=True, dtype=dtype)
+        with tape():
+            h = T.mul(xt, 1.0)  # a buffer the activation may consume
+            out = act(h, inplace)
+            backward(tsum(T.mul(out, Tensor(c, dtype=dtype))))
+        assert np.shares_memory(out.data, h.data) == inplace
+        return out.data, xt.grad
+
+    (out_new, g_new), (out_inplace, g_inplace) = run(False), run(True)
+    np.testing.assert_array_equal(_bits(out_inplace), _bits(out_new))
+    np.testing.assert_array_equal(_bits(g_inplace), _bits(g_new))
+    np.testing.assert_allclose(out_new, _oracle(name)(x), rtol=1e-6 if dtype == np.float32 else 1e-13,
+                               atol=1e-7 if dtype == np.float32 else 1e-15)
 
 
 @pytest.mark.parametrize("stride,pad,bias", [(1, 1, False), (2, 1, True)])
