@@ -362,17 +362,22 @@ RECIPES = {
 def recipe_matrix(base: RunConfig, recipes: Optional[list[str]] = None) -> list[dict]:
     """Run each recipe with its own budget and collect a comparison table.
 
-    Every recipe's configuration is checked before the first one runs. A
-    recipe that fails while running is recorded and the rest still run.
+    Each recipe writes its metrics to ``<metrics stem>_<tag>.csv`` and, when
+    ``checkpoint_out`` is set, its model to ``<checkpoint stem>_<tag><suffix>``,
+    where the tag is the recipe name with ``+`` as ``_``. Every recipe's
+    configuration is checked before the first one runs. A recipe that fails
+    while running is recorded and the rest still run.
     """
     out_base = Path(base.metrics_out)
+    ckpt_base = Path(base.checkpoint_out) if base.checkpoint_out else None
     configs = []
     for name in recipes or list(RECIPES):
         if name not in RECIPES:
             raise ConfigError(f"unknown recipe {name!r}; choose from {sorted(RECIPES)}")
         tag = name.replace("+", "_")
+        ckpt = None if ckpt_base is None else str(ckpt_base.with_name(f"{ckpt_base.stem}_{tag}{ckpt_base.suffix}"))
         cfg = replace(base, metrics_out=str(out_base.with_name(f"{out_base.stem}_{tag}.csv")),
-                      **RECIPES[name])
+                      checkpoint_out=ckpt, **RECIPES[name])
         _settings(cfg)
         configs.append((name, cfg))
     rows = []

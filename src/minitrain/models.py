@@ -121,17 +121,22 @@ class ParamSet:
             e.tensor.data[...] = src
 
 
-def _kaiming_conv(rng: np.random.Generator, cout: int, cin: int, k: int, dtype) -> Tensor:
-    fan_in = cin * k * k
-    std = np.sqrt(2.0 / fan_in)
-    return Tensor(rng.normal(0.0, std, size=(cout, cin, k, k)), dtype=dtype)
+def _normal(rng: Optional[np.random.Generator], std: float, shape: tuple, dtype) -> Tensor:
+    """N(0, std^2) draws, or zeros for the caller to overwrite when there is no generator."""
+    if rng is None:
+        return Tensor(np.zeros(shape, dtype=dtype), dtype=dtype)
+    return Tensor(rng.normal(0.0, std, size=shape), dtype=dtype)
+
+
+def _kaiming_conv(rng: Optional[np.random.Generator], cout: int, cin: int, k: int, dtype) -> Tensor:
+    return _normal(rng, np.sqrt(2.0 / (cin * k * k)), (cout, cin, k, k), dtype)
 
 
 class _ConvBlock:
     """conv -> batchnorm -> activation. Convs carry no bias (batchnorm follows)."""
 
     def __init__(self, params: ParamSet, name: str, cin: int, cout: int, k: int, pad: int,
-                 spec: ModelSpec, rng: np.random.Generator, dtype):
+                 spec: ModelSpec, rng: Optional[np.random.Generator], dtype):
         self.w = params.add(f"{name}.conv.w", _kaiming_conv(rng, cout, cin, k, dtype))
         self.gamma = params.add(f"{name}.bn.gamma", Tensor(np.ones(cout), dtype=dtype))
         self.beta = params.add(f"{name}.bn.beta", Tensor(np.zeros(cout), dtype=dtype))
@@ -152,7 +157,7 @@ class _ResidualBlock:
     """x + f(x), f = two conv blocks at constant width."""
 
     def __init__(self, params: ParamSet, name: str, channels: int, spec: ModelSpec,
-                 rng: np.random.Generator, dtype):
+                 rng: Optional[np.random.Generator], dtype):
         self.a = _ConvBlock(params, f"{name}.a", channels, channels, 3, 1, spec, rng, dtype)
         self.b = _ConvBlock(params, f"{name}.b", channels, channels, 3, 1, spec, rng, dtype)
 
@@ -163,12 +168,12 @@ class _ResidualBlock:
 class Model:
     """ResNet-9 with train/eval modes and a frozen optional whitening stem."""
 
-    def __init__(self, spec: ModelSpec, params: ParamSet, seed: int,
+    def __init__(self, spec: ModelSpec, params: ParamSet, seed: Optional[int],
                  whitening_filters: Optional[np.ndarray] = None, dtype=None):
         self.spec = spec
         self.params = params
         dtype = dtype or np.float32
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         w1, w2, w3, w4 = spec.widths
 
         self.stem_filters: Optional[Tensor] = None
@@ -189,8 +194,7 @@ class Model:
         self.stage3 = _ConvBlock(params, "stage3", w3, w4, 3, 1, spec, rng, dtype)
         self.res2 = _ResidualBlock(params, "res2", w4, spec, rng, dtype)
 
-        head_std = np.sqrt(1.0 / w4)
-        self.head_w = params.add("head.w", Tensor(rng.normal(0.0, head_std, size=(spec.classes, w4)), dtype=dtype))
+        self.head_w = params.add("head.w", _normal(rng, np.sqrt(1.0 / w4), (spec.classes, w4), dtype))
         self.head_b = params.add("head.b", Tensor(np.zeros(spec.classes), dtype=dtype))
 
     def bn_states(self) -> list[BatchNormState]:
@@ -216,9 +220,13 @@ class Model:
     __call__ = forward
 
 
-def build_resnet9(spec: ModelSpec, seed: int,
+def build_resnet9(spec: ModelSpec, seed: Optional[int],
                   whitening_filters: Optional[np.ndarray] = None, dtype=None):
-    """Construct the network and its parameter registry from a seed."""
+    """Construct the network and its parameter registry from a seed.
+
+    With ``seed=None`` the conv and head weights are zeros, not draws: the
+    caller (``load_checkpoint``) overwrites every parameter.
+    """
     params = ParamSet()
     model = Model(spec, params, seed, whitening_filters=whitening_filters, dtype=dtype)
     return model, params
@@ -274,7 +282,7 @@ def load_checkpoint(path):
             with np.load(fh, allow_pickle=False) as npz:
                 arrays = {name: np.asarray(npz[name]) for name in npz.files}
             meta = json.loads(arrays.pop(_META).item())
-            spec, seed = ModelSpec(**meta["spec"]), int(meta["seed"])
+            spec = ModelSpec(**meta["spec"])
         except Exception as e:  # noqa: BLE001 - damage can surface in the zip, .npy or JSON layer
             raise CheckpointError(f"{path}: not a readable model checkpoint "
                                   f"({type(e).__name__}: {e})") from e
@@ -283,9 +291,9 @@ def load_checkpoint(path):
         found = " and ".join(sorted(str(d) for d in floats)) or "neither"
         raise CheckpointError(f"{path}: arrays must be all float32 or all float64, found {found}")
     (dtype,) = floats
-    # a whitened stem is built on placeholder filters; the loop below copies the saved ones in
+    # built undrawn, on placeholder stem filters: the loop below copies every saved array in
     stem = np.zeros((27, 3, 3, 3)) if spec.stem == "whitened" else None
-    model, params = build_resnet9(spec, seed=seed, whitening_filters=stem, dtype=dtype.type)
+    model, params = build_resnet9(spec, seed=None, whitening_filters=stem, dtype=dtype.type)
     for name, target in _checkpoint_arrays(model).items():
         if name not in arrays:
             raise CheckpointError(f"{path}: missing array {name}")

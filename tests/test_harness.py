@@ -19,7 +19,7 @@ from minitrain.harness import (
     run_training,
     write_metrics,
 )
-from minitrain.models import ModelSpec, build_resnet9
+from minitrain.models import ModelSpec, build_resnet9, load_checkpoint
 from minitrain.optim import OptConfig, OptimizerAbort, schedule_lr
 from minitrain.tensor import ConfigError, Tensor
 from minitrain.train import BudgetClock, evaluate
@@ -405,6 +405,17 @@ def test_recipe_matrix_continues_after_failure(synth_data_dir, tmp_path, monkeyp
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"].startswith("failed")
     assert (tmp_path / "mat_baseline.csv").exists()
+
+
+def test_recipe_matrix_gives_each_recipe_its_own_checkpoint(synth_data_dir, tmp_path):
+    base = tiny_cfg(synth_data_dir, tmp_path / "mat.csv", max_epochs=1,
+                    checkpoint_out=str(tmp_path / "model.ckpt"))
+    rows = recipe_matrix(base, ["baseline", "sam+ip"])
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert not (tmp_path / "model.ckpt").exists()
+    stems = {name: load_checkpoint(tmp_path / f"model_{name}.ckpt")[0].spec.stem
+             for name in ("baseline", "sam_ip")}
+    assert stems == {"baseline": "plain", "sam_ip": "whitened"}
 
 
 def test_recipe_matrix_checks_every_recipe_before_running(synth_data_dir, tmp_path):

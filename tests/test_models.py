@@ -230,6 +230,23 @@ def test_checkpoint_round_trip(tmp_path, precision, stem):
                                   restored.forward(x, mode="eval").data)
 
 
+def test_checkpoint_load_draws_no_weights(tmp_path, monkeypatch):
+    spec = ModelSpec(widths=(4, 4, 4, 4), stem="whitened")
+    wf = np.random.default_rng(5).normal(size=(27, 3, 3, 3))
+    model, _ = build_resnet9(spec, seed=2, whitening_filters=wf)
+    save_checkpoint(model, tmp_path / "m.npz", seed=2)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random weights")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    loaded, _ = load_checkpoint(tmp_path / "m.npz")
+    for name, arr in _checkpoint_arrays(model).items():
+        np.testing.assert_array_equal(_checkpoint_arrays(loaded)[name], arr, err_msg=name)
+    _, undrawn = build_resnet9(spec, seed=None, whitening_filters=wf)
+    assert all(not e.tensor.data.any() for e in undrawn if e.tensor.ndim > 1)
+
+
 def test_checkpoint_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
     model, _ = build_resnet9(ModelSpec(widths=(4, 4, 4, 4)), seed=3)
     for t, name in ((1e9, "a.ckpt"), (2e9, "b.ckpt")):
