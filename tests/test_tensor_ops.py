@@ -791,26 +791,34 @@ def test_inplace_activation_is_bit_identical(name, dtype, data):
                                atol=1e-7 if dtype == np.float32 else 1e-15)
 
 
+@pytest.mark.parametrize("dtype", [F64, np.float32], ids=["fp64", "fp32"])
 @pytest.mark.parametrize("stride,pad,bias", [(1, 1, False), (2, 1, True)])
-def test_conv_chunked_matches_single_chunk(monkeypatch, stride, pad, bias):
+def test_conv_chunked_matches_single_chunk(monkeypatch, stride, pad, bias, dtype):
     rng = np.random.default_rng(21)
     x = rng.normal(size=(7, 3, 5, 5))
     w = rng.normal(size=(4, 3, 3, 3))
     b = rng.normal(size=4) if bias else None
     ho = (5 + 2 * pad - 3) // stride + 1
+    itemsize = np.dtype(dtype).itemsize
 
     def run():
-        xt, wt = t64(x, rg=True), t64(w, rg=True)
-        c = t64(np.random.default_rng(22).normal(size=(7, 4, ho, ho)))
+        xt, wt = Tensor(x, requires_grad=True, dtype=dtype), Tensor(w, requires_grad=True, dtype=dtype)
+        c = Tensor(np.random.default_rng(22).normal(size=(7, 4, ho, ho)), dtype=dtype)
         with tape():
-            out = conv2d(xt, wt, None if b is None else t64(b), stride=stride, pad=pad)
+            out = conv2d(xt, wt, None if b is None else Tensor(b, dtype=dtype), stride=stride, pad=pad)
             backward(tsum(T.mul(out, c)))
         return out.data, wt.grad, xt.grad
 
     whole = run()
-    per_image = 3 * 9 * ho * ho * 8
+    per_image = 3 * 9 * ho * ho * itemsize
     monkeypatch.setattr(T, "_COL_BUDGET_BYTES", 3 * per_image)
-    assert T._conv_chunk(3, 9, ho * ho, 8) == 3  # chunks of 3, 3 and 1 image
+    assert T._conv_chunk(3, 9, ho * ho, itemsize) == 3  # chunks of 3, 3 and 1 image
     chunked = run()
+    if dtype == np.float32:
+        # the training precision: out and dX keep their bits, dW sums over the chunks
+        np.testing.assert_array_equal(chunked[0], whole[0], err_msg="out")
+        np.testing.assert_array_equal(chunked[2], whole[2], err_msg="dX")
+        np.testing.assert_allclose(chunked[1], whole[1], rtol=1e-5, err_msg="dW")
+        return
     for name, a, ref in zip(("out", "dW", "dX"), chunked, whole):
         np.testing.assert_allclose(a, ref, rtol=0, atol=1e-12, err_msg=name)
