@@ -375,7 +375,8 @@ def recipe_matrix(base: RunConfig, recipes: Optional[list[str]] = None) -> list[
         if name not in RECIPES:
             raise ConfigError(f"unknown recipe {name!r}; choose from {sorted(RECIPES)}")
         tag = name.replace("+", "_")
-        ckpt = None if ckpt_base is None else str(ckpt_base.with_name(f"{ckpt_base.stem}_{tag}{ckpt_base.suffix}"))
+        ckpt = (None if ckpt_base is None
+                else str(ckpt_base.with_name(f"{ckpt_base.stem}_{tag}{ckpt_base.suffix}")))
         cfg = replace(base, metrics_out=str(out_base.with_name(f"{out_base.stem}_{tag}.csv")),
                       checkpoint_out=ckpt, **RECIPES[name])
         _settings(cfg)

@@ -238,11 +238,10 @@ def test_celu_rejects_bad_alpha():
         celu(t64([1.0]), -0.5)
 
 
-@pytest.mark.parametrize("inplace", [False, True], ids=["new_buffer", "inplace"])
-def test_relu_values(inplace):
-    np.testing.assert_array_equal(relu(t64([-1.0, 0.0, 2.0]), inplace=inplace).data, [0.0, 0.0, 2.0])
+def test_relu_values():
+    np.testing.assert_array_equal(relu(t64([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
     x = np.abs(np.random.default_rng(8).normal(size=20))
-    np.testing.assert_array_equal(relu(t64(x.copy()), inplace=inplace).data, x)
+    np.testing.assert_array_equal(relu(t64(x)).data, x)
 
 
 def test_celu_limits_to_relu():
@@ -706,53 +705,43 @@ def celu_cases(draw):
     return x + np.sign(x) * 1e-3, alpha
 
 
-def _activation(name, alpha=0.3):
-    if name == "celu":
-        return lambda t, inplace: celu(t, alpha, inplace=inplace)
-    return lambda t, inplace: relu(t, inplace=inplace)
-
-
-def _oracle(name, alpha=0.3):
-    return (lambda x: oracles.celu_loops(x, alpha)) if name == "celu" else oracles.relu_loops
-
-
 def _owned(t, inplace):
     # an in-place activation overwrites its input, so it gets a buffer of its own
     return T.mul(t, 1.0) if inplace else t
 
 
-@pytest.mark.parametrize("inplace", [False, True], ids=["new_buffer", "inplace"])
 @given(celu_cases())
-def test_celu_property_forward_matches_oracle(inplace, case):
+def test_celu_property_forward_matches_oracle(case):
     x, alpha = case
-    xt = t64(x.copy())  # Tensor adopts a float64 array, and inplace overwrites it
-    out = celu(xt, alpha, inplace=inplace)
-    np.testing.assert_allclose(out.data, oracles.celu_loops(x, alpha), rtol=1e-13, atol=1e-15)
-    assert np.shares_memory(out.data, xt.data) == inplace
+    for inplace in (False, True):
+        xt = t64(x.copy())  # Tensor adopts a float64 array, and inplace overwrites it
+        out = celu(xt, alpha, inplace=inplace)
+        np.testing.assert_allclose(out.data, oracles.celu_loops(x, alpha), rtol=1e-13, atol=1e-15)
+        assert np.shares_memory(out.data, xt.data) == inplace
 
 
-@pytest.mark.parametrize("inplace", [False, True], ids=["new_buffer", "inplace"])
 @given(celu_cases())
-def test_celu_property_backward_grad_check(inplace, case):
+def test_celu_property_backward_grad_check(case):
     x, alpha = case
     c = t64(np.random.default_rng(2).normal(size=x.shape))
-    rep = grad_check(lambda t: tsum(T.mul(celu(_owned(t, inplace), alpha, inplace=inplace), c)),
-                     t64(x), step=1e-4, tol=1e-4)
-    assert rep.passed, rep
+    for inplace in (False, True):
+        rep = grad_check(lambda t: tsum(T.mul(celu(_owned(t, inplace), alpha, inplace=inplace), c)),
+                         t64(x), step=1e-4, tol=1e-4)
+        assert rep.passed, (inplace, rep)
 
 
-@pytest.mark.parametrize("inplace", [False, True], ids=["new_buffer", "inplace"])
 @given(celu_cases())
-def test_relu_property_matches_oracle_and_grad_check(inplace, case):
+def test_relu_property_matches_oracle_and_grad_check(case):
     x, _ = case  # kept off the kink at 0
-    xt = t64(x.copy())
-    out = relu(xt, inplace=inplace)
-    np.testing.assert_array_equal(out.data, oracles.relu_loops(x))
-    assert np.shares_memory(out.data, xt.data) == inplace
     c = t64(np.random.default_rng(3).normal(size=x.shape))
-    rep = grad_check(lambda t: tsum(T.mul(relu(_owned(t, inplace), inplace=inplace), c)),
-                     t64(x), step=1e-5, tol=1e-6)
-    assert rep.passed, rep
+    for inplace in (False, True):
+        xt = t64(x.copy())
+        out = relu(xt, inplace=inplace)
+        np.testing.assert_array_equal(out.data, oracles.relu_loops(x))
+        assert np.shares_memory(out.data, xt.data) == inplace
+        rep = grad_check(lambda t: tsum(T.mul(relu(_owned(t, inplace), inplace=inplace), c)),
+                         t64(x), step=1e-5, tol=1e-6)
+        assert rep.passed, (inplace, rep)
 
 
 @st.composite
@@ -773,13 +762,12 @@ def _bits(a):
 def test_inplace_activation_is_bit_identical(name, dtype, data):
     x = data.draw(signed_zero_cases(dtype))
     c = np.random.default_rng(4).normal(size=x.shape).astype(dtype)
-    act = _activation(name)
 
     def run(inplace):
         xt = Tensor(x.copy(), requires_grad=True, dtype=dtype)
         with tape():
             h = T.mul(xt, 1.0)  # a buffer the activation may consume
-            out = act(h, inplace)
+            out = celu(h, 0.3, inplace=inplace) if name == "celu" else relu(h, inplace=inplace)
             backward(tsum(T.mul(out, Tensor(c, dtype=dtype))))
         assert np.shares_memory(out.data, h.data) == inplace
         return out.data, xt.grad
@@ -787,38 +775,37 @@ def test_inplace_activation_is_bit_identical(name, dtype, data):
     (out_new, g_new), (out_inplace, g_inplace) = run(False), run(True)
     np.testing.assert_array_equal(_bits(out_inplace), _bits(out_new))
     np.testing.assert_array_equal(_bits(g_inplace), _bits(g_new))
-    np.testing.assert_allclose(out_new, _oracle(name)(x), rtol=1e-6 if dtype == np.float32 else 1e-13,
+    oracle = oracles.celu_loops(x, 0.3) if name == "celu" else oracles.relu_loops(x)
+    np.testing.assert_allclose(out_new, oracle, rtol=1e-6 if dtype == np.float32 else 1e-13,
                                atol=1e-7 if dtype == np.float32 else 1e-15)
 
 
-@pytest.mark.parametrize("dtype", [F64, np.float32], ids=["fp64", "fp32"])
 @pytest.mark.parametrize("stride,pad,bias", [(1, 1, False), (2, 1, True)])
-def test_conv_chunked_matches_single_chunk(monkeypatch, stride, pad, bias, dtype):
+def test_conv_chunked_matches_single_chunk(monkeypatch, stride, pad, bias):
     rng = np.random.default_rng(21)
     x = rng.normal(size=(7, 3, 5, 5))
     w = rng.normal(size=(4, 3, 3, 3))
     b = rng.normal(size=4) if bias else None
     ho = (5 + 2 * pad - 3) // stride + 1
-    itemsize = np.dtype(dtype).itemsize
+    c = np.random.default_rng(22).normal(size=(7, 4, ho, ho))
 
-    def run():
+    def run(dtype, images_per_chunk):
+        per_image = 3 * 9 * ho * ho * np.dtype(dtype).itemsize
+        monkeypatch.setattr(T, "_COL_BUDGET_BYTES", images_per_chunk * per_image)
+        assert T._conv_chunk(3, 9, ho * ho, np.dtype(dtype).itemsize) == images_per_chunk
         xt, wt = Tensor(x, requires_grad=True, dtype=dtype), Tensor(w, requires_grad=True, dtype=dtype)
-        c = Tensor(np.random.default_rng(22).normal(size=(7, 4, ho, ho)), dtype=dtype)
         with tape():
             out = conv2d(xt, wt, None if b is None else Tensor(b, dtype=dtype), stride=stride, pad=pad)
-            backward(tsum(T.mul(out, c)))
+            backward(tsum(T.mul(out, Tensor(c, dtype=dtype))))
         return out.data, wt.grad, xt.grad
 
-    whole = run()
-    per_image = 3 * 9 * ho * ho * itemsize
-    monkeypatch.setattr(T, "_COL_BUDGET_BYTES", 3 * per_image)
-    assert T._conv_chunk(3, 9, ho * ho, itemsize) == 3  # chunks of 3, 3 and 1 image
-    chunked = run()
-    if dtype == np.float32:
-        # the training precision: out and dX keep their bits, dW sums over the chunks
-        np.testing.assert_array_equal(chunked[0], whole[0], err_msg="out")
-        np.testing.assert_array_equal(chunked[2], whole[2], err_msg="dX")
-        np.testing.assert_allclose(chunked[1], whole[1], rtol=1e-5, err_msg="dW")
-        return
-    for name, a, ref in zip(("out", "dW", "dX"), chunked, whole):
-        np.testing.assert_allclose(a, ref, rtol=0, atol=1e-12, err_msg=name)
+    for dtype in (F64, np.float32):
+        whole, chunked = run(dtype, 7), run(dtype, 3)  # one chunk; chunks of 3, 3 and 1 image
+        if dtype == F64:
+            for name, a, ref in zip(("out", "dW", "dX"), chunked, whole):
+                np.testing.assert_allclose(a, ref, rtol=0, atol=1e-12, err_msg=name)
+        else:
+            # the training precision: out and dX keep their bits, dW sums over the chunks
+            np.testing.assert_array_equal(chunked[0], whole[0], err_msg="out")
+            np.testing.assert_array_equal(chunked[2], whole[2], err_msg="dX")
+            np.testing.assert_allclose(chunked[1], whole[1], rtol=1e-5, err_msg="dW")
