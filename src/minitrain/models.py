@@ -128,16 +128,13 @@ def _normal(rng: Optional[np.random.Generator], std: float, shape: tuple, dtype)
     return Tensor(rng.normal(0.0, std, size=shape), dtype=dtype)
 
 
-def _kaiming_conv(rng: Optional[np.random.Generator], cout: int, cin: int, k: int, dtype) -> Tensor:
-    return _normal(rng, np.sqrt(2.0 / (cin * k * k)), (cout, cin, k, k), dtype)
-
-
 class _ConvBlock:
     """conv -> batchnorm -> activation. Convs carry no bias (batchnorm follows)."""
 
     def __init__(self, params: ParamSet, name: str, cin: int, cout: int, k: int, pad: int,
                  spec: ModelSpec, rng: Optional[np.random.Generator], dtype):
-        self.w = params.add(f"{name}.conv.w", _kaiming_conv(rng, cout, cin, k, dtype))
+        kaiming_std = np.sqrt(2.0 / (cin * k * k))
+        self.w = params.add(f"{name}.conv.w", _normal(rng, kaiming_std, (cout, cin, k, k), dtype))
         self.gamma = params.add(f"{name}.bn.gamma", Tensor(np.ones(cout), dtype=dtype))
         self.beta = params.add(f"{name}.bn.beta", Tensor(np.zeros(cout), dtype=dtype))
         self.bn_state = BatchNormState.create(cout, dtype=dtype)
