@@ -1,11 +1,14 @@
 """Command-line entry point.
 
-Precedence for every setting: CLI flag > config file > built-in default. The
-config file is plain ``key = value`` lines (``#`` comments allowed) with keys
-named after RunConfig fields. Conflicting file/flag values are both echoed
-into the run manifest. Every boolean flag has a ``--no-`` form, so a flag can
-switch off a value the file switched on. A malformed or invalid value, or an
-output path that cannot be written, exits with code 2 before any data is read.
+RunConfig alone declares each setting's name, type and allowed values. Every
+field is a flag (``--per-class`` for ``per_class``; ``decay`` is ``--lambda``)
+and a key of the ``key = value`` config file (``#`` comments allowed), and
+both are parsed by the same code, keyed on the field's type. A boolean setting
+also has a ``--no-`` flag, so a flag can switch off a value the file switched
+on. Precedence: flag > config file > default (``CIFAR_DIR`` fills a missing
+``data_dir``). File and flag values are both echoed into the run manifest. A
+malformed or invalid value, or an output path that cannot be written, exits
+with code 2 before any data is read.
 """
 
 from __future__ import annotations
@@ -16,42 +19,63 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
+from .data import DataFormatError
 from .harness import RECIPES, RunConfig, recipe_matrix, run_training
 from .tensor import ConfigError
 
 log = logging.getLogger("minitrain")
 
-_BOOL_FIELDS = {"gc", "ip", "mltp", "augment"}
-_INT_FIELDS = {"per_class", "seed", "max_epochs", "batch_size", "precision", "meta_iterations"}
-_FLOAT_FIELDS = {"budget_seconds", "lr_peak", "momentum", "rho", "decay", "beta"}
+_SPELLING = {"decay": "lambda"}  # `lambda` is a Python keyword, so the field is `decay`
+
+_HELP = {
+    "data_dir": "directory with CIFAR-10 binary batches (or set CIFAR_DIR)",
+    "per_class": "training images per class (default 500)",
+    "budget_seconds": "end-to-end wall-clock cap (default 600)",
+    "optimizer": "sgd or sam",
+    "gc": "centralize multi-axis gradients",
+    "ip": "improved preprocessing: label smoothing, CELU, whitened stem, weight decay",
+    "mltp": "2-task meta-learning procedure",
+    "rho": "sharpness neighborhood radius",
+    "decay": "weight decay factor",
+    "precision": "32 or 64",
+    "widths": "comma-separated channel plan, e.g. 32,64,128,256",
+    "beta": "meta-learning outer interpolation rate",
+}
+
+# Each setting's type, with Optional[...] unwrapped.
+_TYPES = {name: next((a for a in get_args(hint) if a is not type(None)), hint)
+          for name, hint in get_type_hints(RunConfig).items()}
+
+_BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
+
+_PARSERS = {  # type -> (parser of the raw text, what the text must be)
+    bool: (lambda raw: _BOOLS[raw.lower()], "boolean"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    tuple: (lambda raw: tuple(int(v) for v in raw.split(",")), "comma-separated integers"),
+    str: (str, "text"),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + _SPELLING.get(name, name).replace("_", "-")
 
 
 def _coerce(name: str, raw: str, where: str):
     """Parse one raw setting; ``where`` (``file:line`` or a flag) leads any error."""
-    if name in _BOOL_FIELDS:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{where}: {name} must be boolean, got {raw!r}")
+    parse, kind = _PARSERS[_TYPES[name]]
     try:
-        if name == "widths":
-            return tuple(int(v) for v in raw.split(","))
-        if name in _INT_FIELDS:
-            return int(raw)
-        if name in _FLOAT_FIELDS:
-            return float(raw)
-    except ValueError:
-        kind = ("comma-separated integers" if name == "widths"
-                else "an integer" if name in _INT_FIELDS else "a number")
+        return parse(raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"{where}: {name} must be {kind}, got {raw!r}") from None
-    return raw
 
 
 def read_config_file(path) -> dict:
-    valid = {f.name for f in fields(RunConfig)}
+    keys = {}
+    for f in fields(RunConfig):
+        keys[f.name] = keys[_SPELLING.get(f.name, f.name)] = f.name
     values = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -61,11 +85,9 @@ def read_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
-        if key == "lambda":
-            key = "decay"
-        if key not in valid:
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, raw, f"{path}:{lineno}")
+        values[keys[key]] = _coerce(keys[key], raw, f"{path}:{lineno}")
     return values
 
 
@@ -75,30 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train ResNet-9 on a small CIFAR-10 subset under a wall-clock budget.",
     )
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--data-dir", help="directory with CIFAR-10 binary batches (or set CIFAR_DIR)")
-    p.add_argument("--per-class", type=int, help="training images per class (default 500)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget-seconds", type=float, help="end-to-end wall-clock cap (default 600)")
-    p.add_argument("--optimizer", choices=["sgd", "sam"])
-    p.add_argument("--gc", action=argparse.BooleanOptionalAction, default=None,
-                   help="centralize multi-axis gradients")
-    p.add_argument("--ip", action=argparse.BooleanOptionalAction, default=None,
-                   help="improved preprocessing: label smoothing, CELU, whitened stem, weight decay")
-    p.add_argument("--mltp", action=argparse.BooleanOptionalAction, default=None,
-                   help="2-task meta-learning procedure")
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr-peak", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--rho", type=float, help="sharpness neighborhood radius")
-    p.add_argument("--lambda", dest="decay", type=float, help="weight decay factor")
-    p.add_argument("--precision", type=int, choices=[32, 64])
-    p.add_argument("--metrics-out")
-    p.add_argument("--checkpoint-out")
-    p.add_argument("--augment", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--widths", help="comma-separated channel plan, e.g. 32,64,128,256")
-    p.add_argument("--beta", type=float, help="meta-learning outer interpolation rate")
-    p.add_argument("--meta-iterations", type=int)
+    for f in fields(RunConfig):
+        switch = dict(action=argparse.BooleanOptionalAction, default=None) if _TYPES[f.name] is bool else {}
+        p.add_argument(_flag(f.name), dest=f.name, help=_HELP.get(f.name), **switch)
     p.add_argument("--recipe-matrix", nargs="?", const=",".join(RECIPES), metavar="RECIPES",
                    help="run a comma-separated recipe list (default: all five) and print a table")
     return p
@@ -116,9 +117,9 @@ def parse_config(argv, env: Optional[dict] = None):
     file_values = read_config_file(args.config) if args.config else {}
     flag_values = {}
     for f in fields(RunConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            flag_values[f.name] = _coerce("widths", v, "--widths") if f.name == "widths" else v
+        v = getattr(args, f.name)
+        if v is not None:  # a boolean flag pair stores the bool itself
+            flag_values[f.name] = v if isinstance(v, bool) else _coerce(f.name, v, _flag(f.name))
 
     merged = dict(file_values)
     merged.update(flag_values)
@@ -154,7 +155,7 @@ def main(argv=None) -> int:
             print("error: no data directory (use --data-dir or CIFAR_DIR)", file=sys.stderr)
             return 2
         if matrix:
-            rows = recipe_matrix(cfg, matrix)
+            rows = recipe_matrix(cfg, matrix, extra_manifest={"cli": provenance})
             _print_matrix(rows)
             return 0 if all(r["status"] == "ok" for r in rows) else 1
         result = run_training(cfg, extra_manifest={"cli": provenance})
@@ -163,7 +164,7 @@ def main(argv=None) -> int:
               f"accuracy={last.test_accuracy:.2f}% wall={last.wall_seconds:.1f}s "
               f"metrics={cfg.metrics_out}")
         return 0
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, DataFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

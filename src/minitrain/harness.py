@@ -8,9 +8,9 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -71,6 +71,8 @@ class RunConfig:
         for name in ("per_class", "max_epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mltp and self.per_class < 2:
             raise ConfigError(f"mltp splits every class over two tasks, so per_class must be >= 2, "
                               f"got {self.per_class}")
@@ -112,7 +114,8 @@ class MetricsRecord:
     recipe: str
 
 
-CSV_HEADER = ["epoch", "wall_seconds", "train_loss", "test_accuracy", "lr", "recipe"]
+CSV_HEADER = [f.name for f in fields(MetricsRecord)]
+_CSV_TYPES = get_type_hints(MetricsRecord)  # a float column is written with 6 decimals
 
 
 def manifest_path(metrics_out) -> Path:
@@ -143,31 +146,16 @@ def write_metrics(records: list[MetricsRecord], manifest: dict, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for r in records:
-            writer.writerow([
-                r.epoch,
-                f"{r.wall_seconds:.6f}",
-                f"{r.train_loss:.6f}",
-                f"{r.test_accuracy:.6f}",
-                f"{r.lr:.6f}",
-                r.recipe,
-            ])
+            writer.writerow([f"{getattr(r, n):.6f}" if _CSV_TYPES[n] is float else getattr(r, n)
+                             for n in CSV_HEADER])
     with open(manifest_path(p), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, default=str)
 
 
 def read_metrics(path) -> list[MetricsRecord]:
-    records = []
     with open(path, encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            records.append(MetricsRecord(
-                epoch=int(row["epoch"]),
-                wall_seconds=float(row["wall_seconds"]),
-                train_loss=float(row["train_loss"]),
-                test_accuracy=float(row["test_accuracy"]),
-                lr=float(row["lr"]),
-                recipe=row["recipe"],
-            ))
-    return records
+        return [MetricsRecord(**{n: _CSV_TYPES[n](row[n]) for n in CSV_HEADER})
+                for row in csv.DictReader(fh)]
 
 
 def find_data_files(data_dir) -> tuple[list[Path], list[Path]]:
@@ -359,14 +347,16 @@ RECIPES = {
 }
 
 
-def recipe_matrix(base: RunConfig, recipes: Optional[list[str]] = None) -> list[dict]:
+def recipe_matrix(base: RunConfig, recipes: Optional[list[str]] = None,
+                  extra_manifest: Optional[dict] = None) -> list[dict]:
     """Run each recipe with its own budget and collect a comparison table.
 
     Each recipe writes its metrics to ``<metrics stem>_<tag>.csv`` and, when
     ``checkpoint_out`` is set, its model to ``<checkpoint stem>_<tag><suffix>``,
     where the tag is the recipe name with ``+`` as ``_``. Every recipe's
     configuration is checked before the first one runs. A recipe that fails
-    while running is recorded and the rest still run.
+    while running is recorded and the rest still run. ``extra_manifest`` goes
+    into every recipe's manifest, as in ``run_training``.
     """
     out_base = Path(base.metrics_out)
     ckpt_base = Path(base.checkpoint_out) if base.checkpoint_out else None
@@ -384,7 +374,7 @@ def recipe_matrix(base: RunConfig, recipes: Optional[list[str]] = None) -> list[
     rows = []
     for name, cfg in configs:
         try:
-            result = run_training(cfg)
+            result = run_training(cfg, extra_manifest=extra_manifest)
             rows.append({
                 "recipe": name,
                 "status": "ok",

@@ -1,6 +1,7 @@
+import argparse
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -118,6 +119,43 @@ def test_invalid_config_rejected():
         with pytest.raises(ConfigError, match=named):
             RunConfig(data_dir="x", **bad)
     RunConfig(data_dir="x", mltp=True, per_class=2, decay=0.0)  # the smallest valid values
+
+
+def test_flag_and_config_key_parse_alike(tmp_path):
+    """For every setting, a flag and the config-file key with the same raw text
+    give the same value, or the same error after the ``where`` prefix."""
+    actions = {a.dest: a for a in build_parser()._actions}
+    cfgfile = tmp_path / "run.cfg"
+
+    def outcome(argv, where):
+        try:
+            return "value", getattr(parse_config(argv, env={})[0], name)
+        except ConfigError as e:
+            return "error", str(e).removeprefix(f"{where}: ")
+
+    for name in (f.name for f in fields(RunConfig)):
+        flag = actions[name].option_strings[0]
+        if isinstance(actions[name], argparse.BooleanOptionalAction):
+            cases = [("true", [flag]), ("false", [actions[name].option_strings[1]])]
+        else:
+            cases = [(raw, [flag, raw]) for raw in ("1", "64", "0.5", "sam", "8,16,16,16", "abc")]
+        accepted = 0
+        for raw, argv in cases:
+            cfgfile.write_text(f"{name} = {raw}\n")
+            from_flag = outcome(argv, flag)
+            assert from_flag == outcome(["--config", str(cfgfile)], f"{cfgfile}:1"), (name, raw)
+            accepted += from_flag[0] == "value"
+        assert accepted, name
+
+
+def test_parser_flag_set():
+    options = {s for a in build_parser()._actions for s in a.option_strings}
+    assert options == {
+        "-h", "--help", "--config", "--recipe-matrix", "--data-dir", "--per-class", "--seed",
+        "--budget-seconds", "--optimizer", "--gc", "--no-gc", "--ip", "--no-ip", "--mltp", "--no-mltp",
+        "--max-epochs", "--batch-size", "--lr-peak", "--momentum", "--rho", "--lambda", "--precision",
+        "--metrics-out", "--checkpoint-out", "--augment", "--no-augment", "--widths", "--beta",
+        "--meta-iterations"}
 
 
 def test_parser_lists_all_recipes_in_matrix_const():
@@ -475,9 +513,15 @@ def test_cli_main_config_error_exit_code(tmp_path, capsys):
     ["--recipe-matrix", "baseline,sam", "--lr-peak", "0"],
     ["--metrics-out", "{tmp}/file/m.csv"],
     ["--checkpoint-out", "{tmp}/file/model.ckpt"],
+    ["--per-class", "abc"],
+    ["--seed", "1.5"],
+    ["--precision", "16"],
+    ["--optimizer", "adam"],
+    ["--seed", "-1"],
 ], ids=["malformed_widths", "per_class", "batch_size", "max_epochs", "mltp_per_class", "decay",
         "three_widths", "lr_peak", "momentum", "rho", "beta", "matrix_lr_peak",
-        "metrics_under_file", "checkpoint_under_file"])
+        "metrics_under_file", "checkpoint_under_file",
+        "per_class_text", "seed_fraction", "precision", "optimizer", "negative_seed"])
 def test_cli_main_invalid_value_exits_2_before_reading_data(argv, tmp_path, capsys, monkeypatch):
     import minitrain.harness as H
 
@@ -489,7 +533,8 @@ def test_cli_main_invalid_value_exits_2_before_reading_data(argv, tmp_path, caps
     rc = main(["--data-dir", str(tmp_path), "--metrics-out", str(tmp_path / "m.csv")]
               + [a.format(tmp=tmp_path) for a in argv])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "m.csv").exists()
 
 
@@ -501,6 +546,26 @@ def test_cli_main_per_class_above_the_data_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "per_class 6" in err and "5 images of class 0" in err
+
+
+def test_cli_main_malformed_data_file_exits_2(tmp_path, capsys):
+    (tmp_path / "data_batch_1.bin").write_bytes(b"7 bytes")
+    write_cifar_binary(make_synthetic_dataset(per_class=2, seed=1), tmp_path / "test_batch.bin")
+    rc = main(["--data-dir", str(tmp_path), "--metrics-out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "3073" in err and err.count("\n") == 1
+
+
+def test_cli_main_recipe_matrix_manifests_hold_cli_provenance(synth_data_dir, tmp_path, capsys):
+    rc = main(["--data-dir", str(synth_data_dir), "--recipe-matrix", "baseline,sam", "--per-class", "4",
+               "--max-epochs", "1", "--batch-size", "20", "--widths", "8,16,16,16", "--no-augment",
+               "--metrics-out", str(tmp_path / "m.csv")])
+    assert rc == 0
+    for tag in ("baseline", "sam"):
+        man = json.loads(manifest_path(tmp_path / f"m_{tag}.csv").read_text())
+        assert man["cli"]["flag_values"]["per_class"] == 4
+        assert man["cli"]["flag_values"]["widths"] == [8, 16, 16, 16]
 
 
 def test_budget_clock_contract():
