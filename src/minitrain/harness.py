@@ -62,7 +62,7 @@ class RunConfig:
     meta_iterations: Optional[int] = None  # None -> max_epochs
 
     def __post_init__(self):
-        if self.budget_seconds <= 0:
+        if not self.budget_seconds > 0:  # NaN fails too
             raise ConfigError(f"budget_seconds must be positive, got {self.budget_seconds}")
         if self.optimizer not in ("sgd", "sam"):
             raise ConfigError(f"optimizer must be sgd or sam, got {self.optimizer!r}")
@@ -76,7 +76,7 @@ class RunConfig:
         if self.mltp and self.per_class < 2:
             raise ConfigError(f"mltp splits every class over two tasks, so per_class must be >= 2, "
                               f"got {self.per_class}")
-        if self.decay is not None and self.decay < 0:
+        if self.decay is not None and not self.decay >= 0:
             raise ConfigError(f"decay must be >= 0, got {self.decay}")
         if self.meta_iterations is not None and self.meta_iterations < 1:
             raise ConfigError(f"meta_iterations must be >= 1, got {self.meta_iterations}")
@@ -184,7 +184,6 @@ class RunResult:
     final_accuracy: float
     epochs_completed: int
     model: object = field(repr=False, default=None)
-    params: object = field(repr=False, default=None)
 
 
 def _settings(cfg: RunConfig) -> tuple[ModelSpec, OptConfig, Optional[MltpConfig]]:
@@ -246,7 +245,7 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
     whitening = None
     if cfg.ip:
         whitening = fit_whitening(train_x, seed=seeds["whitening"])
-    model, params = build_resnet9(
+    model, _ = build_resnet9(
         spec, seeds["init"],
         whitening_filters=whitening.filters if whitening else None,
         dtype=dtype,
@@ -262,7 +261,7 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
         "subset_digest": _dataset_digest(subset),
         "norm_stats": stats.to_dict(),
         "whitening": {"fit_digest": whitening.fit_digest, "eps": whitening.eps} if whitening else None,
-        "param_count": params.num_elements(),
+        "param_count": model.params.num_elements(),
     }
     if extra_manifest:
         manifest.update(extra_manifest)
@@ -271,12 +270,11 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
     augment_rng = np.random.default_rng(seeds["augment"]) if cfg.augment else None
 
     if cfg.mltp:
-        split = split_tasks(subset, seeds["subset"])
-        tasks = [(normalize(t.images, stats, dtype=dtype), t.labels) for t in split.tasks]
+        tasks = [(train_x[idx], subset.labels[idx]) for idx in split_tasks(subset.labels, seeds["subset"])]
         round_steps = steps_per_round(tasks, mcfg)
         blocks = cfg.meta_iterations or cfg.max_epochs
     else:
-        state = OptState.create(params)
+        state = OptState.create(model.params)
         blocks = cfg.max_epochs
 
     longest_block = 0.0
@@ -286,12 +284,12 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
                 break
             t0 = budget.elapsed()
             if cfg.mltp:
-                loss = float(np.mean(mltp_train(model, params, tasks, mcfg, b - 1)))
+                loss = float(np.mean(mltp_train(model, tasks, mcfg, b - 1)))
                 calibrate_batchnorm(model, train_x, cfg.batch_size)
                 steps = b * round_steps
             else:
                 loss = run_epoch(
-                    model, params, state, opt_cfg,
+                    model, state, opt_cfg,
                     train_x, subset.labels, cfg.batch_size, cfg.ls_alpha(),
                     shuffle_seed=cfg.seed, epoch=b,
                     augment_rng=augment_rng,
@@ -325,7 +323,6 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
         final_accuracy=manifest["final_accuracy"],
         epochs_completed=manifest["epochs_completed"],
         model=model,
-        params=params,
     )
 
 

@@ -38,11 +38,11 @@ class OptConfig:
     total_steps: int = 1
 
     def __post_init__(self):
-        if self.lr_peak <= 0:
+        if not self.lr_peak > 0:  # NaN fails too
             raise ConfigError(f"lr_peak must be positive, got {self.lr_peak}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0,1), got {self.momentum}")
-        if self.rho < 0:
+        if not self.rho >= 0:
             raise ConfigError(f"rho must be >= 0, got {self.rho}")
         if self.total_steps < 1:
             raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
@@ -136,21 +136,18 @@ def sam_step(
         return loss0, loss0
 
     scale = cfg.rho / gnorm
-    backup = {e.name: e.tensor.data.copy() for e in params}
+    backup = params.snapshot()
     for e in params:
         e.tensor.data += scale * e.tensor.grad
 
     loss1 = closure()
     if not np.isfinite(loss1):
-        for e in params:
-            e.tensor.data[...] = backup[e.name]
+        params.load(backup)
         raise OptimizerAbort(f"sam_step: non-finite loss {loss1} at perturbed point")
     if cfg.gc_enabled:
         centralize_gradients(params)
 
-    # Bit-exact restore before the descent update.
-    for e in params:
-        e.tensor.data[...] = backup[e.name]
+    params.load(backup)  # bit-exact restore before the descent update
     sgd_step(params, state, lr, cfg)
     return loss0, loss1
 

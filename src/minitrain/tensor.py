@@ -461,9 +461,6 @@ class BatchNormState:
         self.running_mean[:] = 0.0
         self.running_var[:] = 1.0
 
-    def copy(self) -> "BatchNormState":
-        return BatchNormState(self.running_mean.copy(), self.running_var.copy())
-
 
 def batchnorm2d(
     x: Tensor,

@@ -9,7 +9,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import augment, batch_iterator
-from .models import Model, ParamSet
+from .models import Model
 from .optim import OptConfig, OptState, schedule_lr, train_step
 from .tensor import Tensor, backward, smoothed_cross_entropy, tape
 
@@ -23,7 +23,7 @@ class BudgetClock:
     """
 
     def __init__(self, budget_seconds: float, clock: Callable[[], float] = time.monotonic):
-        if budget_seconds <= 0:
+        if not budget_seconds > 0:  # NaN fails too
             raise ValueError(f"budget_seconds must be positive, got {budget_seconds}")
         self.budget = float(budget_seconds)
         self._clock = clock
@@ -39,22 +39,17 @@ class BudgetClock:
         return self.remaining() > estimate
 
 
-def make_closure(
-    model: Model,
-    params: ParamSet,
-    xb: np.ndarray,
-    yb: np.ndarray,
-    ls_alpha: float,
-):
+def make_closure(model: Model, xb: np.ndarray, yb: np.ndarray, ls_alpha: float):
     """Build the loss-recompute closure for one mini-batch.
 
-    Each call zeroes gradients, runs the taped forward in train mode, applies
-    smoothed cross-entropy, backpropagates, and returns the loss value.
+    Each call zeroes the gradients of ``model.params``, runs the taped forward
+    in train mode, applies smoothed cross-entropy, backpropagates, and returns
+    the loss value.
     """
     k = model.spec.classes
 
     def closure() -> float:
-        params.zero_grads()
+        model.params.zero_grads()
         with tape():
             logits = model.forward(Tensor(xb, dtype=xb.dtype), mode="train")
             loss, _ = smoothed_cross_entropy(logits, yb, ls_alpha, k)
@@ -66,7 +61,6 @@ def make_closure(
 
 def run_epoch(
     model: Model,
-    params: ParamSet,
     state: OptState,
     cfg: OptConfig,
     images: np.ndarray,
@@ -77,14 +71,14 @@ def run_epoch(
     epoch: int,
     augment_rng: Optional[np.random.Generator] = None,
 ) -> float:
-    """One pass over (images, labels); returns the mean batch loss."""
+    """One pass over (images, labels) that updates ``model.params``; returns the mean batch loss."""
     losses = []
     for idx in batch_iterator(len(labels), batch_size, shuffle=True, seed=shuffle_seed, epoch=epoch):
         xb = images[idx]
         if augment_rng is not None:
             xb = augment(xb, augment_rng)
         lr = schedule_lr(cfg, state.step_index)
-        loss = train_step(params, state, lr, cfg, make_closure(model, params, xb, labels[idx], ls_alpha))
+        loss = train_step(model.params, state, lr, cfg, make_closure(model, xb, labels[idx], ls_alpha))
         losses.append(loss)
     return float(np.mean(losses)) if losses else float("nan")
 

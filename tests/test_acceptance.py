@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import find_real_cifar, make_synthetic_dataset
+from synthetic import find_real_cifar, make_synthetic_dataset
 
 from minitrain import tensor as T
 from minitrain.data import NormStats, extract_patches, fit_whitening, normalize
@@ -239,7 +239,7 @@ def test_criterion_5_loop_oracles_and_meta_trajectory():
     mcfg = MltpConfig(inner_opt=sgd_only(lr=0.08), beta=0.5, batch_size=8)
     traj = [w0.copy()]
     for rnd in range(2):
-        mltp_train(stub, stub.params, tasks, mcfg, rnd)
+        mltp_train(stub, tasks, mcfg, rnd)
         traj.append(stub.params.snapshot()["w"])
     ref = oracles.reptile_reference(w0, tasks, 0.08, 0.5, 2, 3, 8, 0.0, k)  # 3 steps: one epoch
     meta_ok = len(traj) == len(ref) and all(

@@ -17,7 +17,7 @@ from minitrain.data import (
 from minitrain.tensor import ConfigError
 
 import oracles
-from conftest import make_synthetic_dataset
+from synthetic import make_synthetic_dataset
 
 
 # ---------------------------------------------------------------------------

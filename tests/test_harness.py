@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import make_synthetic_dataset
+from synthetic import make_synthetic_dataset
 
 from minitrain.cli import build_parser, main, parse_config, read_config_file
 from minitrain.data import NormStats, normalize, write_cifar_binary
@@ -244,7 +244,7 @@ def test_run_training_baseline_outputs(synth_data_dir, tmp_path):
     assert recs[0].wall_seconds < recs[1].wall_seconds
 
     man = json.loads(manifest_path(out).read_text())
-    assert man["param_count"] == result.params.num_elements()
+    assert man["param_count"] == result.model.params.num_elements()
     assert man["epochs_completed"] == 2
     assert list(man)[-3:] == ["final_accuracy", "epochs_completed", "total_wall_seconds"]
     assert set(man["seeds"]) == {"subset", "init", "whitening", "augment"}
@@ -357,7 +357,7 @@ def test_mltp_lr_column_follows_inner_schedule(synth_data_dir, tmp_path):
 
 def test_precision_64_does_not_leak_into_later_tensors(synth_data_dir, tmp_path):
     result = run_training(tiny_cfg(synth_data_dir, tmp_path / "p64.csv", precision=64, max_epochs=1))
-    assert all(e.tensor.dtype == np.float64 for e in result.params)
+    assert all(e.tensor.dtype == np.float64 for e in result.model.params)
     assert Tensor(np.zeros(2)).dtype == np.float32
 
 
@@ -518,10 +518,15 @@ def test_cli_main_config_error_exit_code(tmp_path, capsys):
     ["--precision", "16"],
     ["--optimizer", "adam"],
     ["--seed", "-1"],
+    ["--budget-seconds", "nan"],
+    ["--lr-peak", "nan"],
+    ["--lambda", "nan"],
+    ["--rho", "nan"],
 ], ids=["malformed_widths", "per_class", "batch_size", "max_epochs", "mltp_per_class", "decay",
         "three_widths", "lr_peak", "momentum", "rho", "beta", "matrix_lr_peak",
         "metrics_under_file", "checkpoint_under_file",
-        "per_class_text", "seed_fraction", "precision", "optimizer", "negative_seed"])
+        "per_class_text", "seed_fraction", "precision", "optimizer", "negative_seed",
+        "nan_budget_seconds", "nan_lr_peak", "nan_decay", "nan_rho"])
 def test_cli_main_invalid_value_exits_2_before_reading_data(argv, tmp_path, capsys, monkeypatch):
     import minitrain.harness as H
 
@@ -529,6 +534,8 @@ def test_cli_main_invalid_value_exits_2_before_reading_data(argv, tmp_path, caps
         raise AssertionError("data was read")
 
     monkeypatch.setattr(H, "load_cifar_binary", no_data)
+    for name in ("data_batch_1.bin", "test_batch.bin"):  # found, so only a bad setting can exit 2
+        (tmp_path / name).write_bytes(b"")
     (tmp_path / "file").write_text("")  # a regular file, so no path under it can be written
     rc = main(["--data-dir", str(tmp_path), "--metrics-out", str(tmp_path / "m.csv")]
               + [a.format(tmp=tmp_path) for a in argv])
