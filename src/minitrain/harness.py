@@ -24,7 +24,7 @@ from .data import (
     normalize,
     sample_subset,
 )
-from .mltp import MltpConfig, mltp_train, split_tasks, steps_per_round
+from .mltp import mltp_train, split_tasks
 from .models import ModelSpec, build_resnet9, save_checkpoint
 from .optim import OptConfig, OptState, schedule_lr
 from .tensor import ConfigError
@@ -78,6 +78,8 @@ class RunConfig:
                               f"got {self.per_class}")
         if self.decay is not None and not self.decay >= 0:
             raise ConfigError(f"decay must be >= 0, got {self.decay}")
+        if not 0.0 < self.beta <= 1.0:  # NaN fails too
+            raise ConfigError(f"beta must be in (0,1], got {self.beta}")
         if self.meta_iterations is not None and self.meta_iterations < 1:
             raise ConfigError(f"meta_iterations must be >= 1, got {self.meta_iterations}")
         self.widths = tuple(self.widths)
@@ -186,8 +188,8 @@ class RunResult:
     model: object = field(repr=False, default=None)
 
 
-def _settings(cfg: RunConfig) -> tuple[ModelSpec, OptConfig, Optional[MltpConfig]]:
-    """The model, optimizer and MLTP settings of a run; a bad value raises ConfigError."""
+def _settings(cfg: RunConfig) -> tuple[ModelSpec, OptConfig]:
+    """The model and optimizer settings of a run; a bad value raises ConfigError."""
     spec = ModelSpec(
         widths=cfg.widths,
         activation="celu" if cfg.ip else "relu",
@@ -207,28 +209,25 @@ def _settings(cfg: RunConfig) -> tuple[ModelSpec, OptConfig, Optional[MltpConfig
         schedule="onecycle",
         total_steps=cfg.max_epochs * steps_per_epoch,
     )
-    mcfg = None
-    if cfg.mltp:
-        mcfg = MltpConfig(inner_opt=opt_cfg, beta=cfg.beta, batch_size=cfg.batch_size,
-                          ls_alpha=cfg.ls_alpha())
-    return spec, opt_cfg, mcfg
+    return spec, opt_cfg
 
 
 def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[dict] = None) -> RunResult:
     """Execute one recipe end to end under the wall-clock budget.
 
     Training runs in blocks: an epoch, or for MLTP one meta-round followed by
-    batchnorm calibration. Every block ends with the test pass and one
-    metrics record. The clock starts before data loading; a block only starts
-    if the longest block so far, timed on ``clock`` through its evaluation,
-    still fits in the remaining budget, so total time never exceeds budget +
-    one block. If a block raises, even on an interrupt, the metrics of the
-    completed blocks and a manifest naming the error are written before the
-    exception propagates.
+    batchnorm calibration. Both kinds step one ``OptState``, and every block
+    ends with the test pass and one metrics record, whose ``lr`` is the
+    schedule at the state's step counter. The clock starts before data
+    loading; a block only starts if the longest block so far, timed on
+    ``clock`` through its evaluation, still fits in the remaining budget, so
+    total time never exceeds budget + one block. If a block raises, even on
+    an interrupt, the metrics of the completed blocks and a manifest naming
+    the error are written before the exception propagates.
     """
     budget = BudgetClock(cfg.budget_seconds, clock=clock)
     dtype = np.float32 if cfg.precision == 32 else np.float64
-    spec, opt_cfg, mcfg = _settings(cfg)  # every setting is checked before any file is touched
+    spec, opt_cfg = _settings(cfg)  # every setting is checked before any file is touched
     check_writable(cfg.metrics_out)
     if cfg.checkpoint_out:
         check_writable(cfg.checkpoint_out)
@@ -269,13 +268,11 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
     records: list[MetricsRecord] = []
     augment_rng = np.random.default_rng(seeds["augment"]) if cfg.augment else None
 
+    state = OptState.create(model.params)
+    blocks = cfg.max_epochs
     if cfg.mltp:
         tasks = [(train_x[idx], subset.labels[idx]) for idx in split_tasks(subset.labels, seeds["subset"])]
-        round_steps = steps_per_round(tasks, mcfg)
         blocks = cfg.meta_iterations or cfg.max_epochs
-    else:
-        state = OptState.create(model.params)
-        blocks = cfg.max_epochs
 
     longest_block = 0.0
     try:
@@ -284,9 +281,9 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
                 break
             t0 = budget.elapsed()
             if cfg.mltp:
-                loss = float(np.mean(mltp_train(model, tasks, mcfg, b - 1)))
+                loss = float(np.mean(mltp_train(model, state, opt_cfg, tasks, cfg.batch_size,
+                                                cfg.ls_alpha(), cfg.beta, b - 1)))
                 calibrate_batchnorm(model, train_x, cfg.batch_size)
-                steps = b * round_steps
             else:
                 loss = run_epoch(
                     model, state, opt_cfg,
@@ -294,17 +291,17 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
                     shuffle_seed=cfg.seed, epoch=b,
                     augment_rng=augment_rng,
                 )
-                steps = state.step_index
             acc = evaluate(model, test_x, test_ds.labels, cfg.batch_size)
             wall = budget.elapsed()
             longest_block = max(longest_block, wall - t0)
             records.append(MetricsRecord(epoch=b, wall_seconds=wall, train_loss=loss, test_accuracy=acc,
-                                         lr=schedule_lr(opt_cfg, steps), recipe=cfg.recipe))
+                                         lr=schedule_lr(opt_cfg, state.step_index), recipe=cfg.recipe))
         if not records:
             # Nothing fit in the budget; still report where the model stands.
             acc = evaluate(model, test_x, test_ds.labels, cfg.batch_size)
             records.append(MetricsRecord(epoch=0, wall_seconds=budget.elapsed(), train_loss=float("nan"),
-                                         test_accuracy=acc, lr=0.0, recipe=cfg.recipe))
+                                         test_accuracy=acc, lr=schedule_lr(opt_cfg, state.step_index),
+                                         recipe=cfg.recipe))
         manifest["final_accuracy"] = records[-1].test_accuracy
     except BaseException as e:
         # a failed run still leaves its completed blocks and the reason on disk

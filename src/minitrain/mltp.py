@@ -1,24 +1,25 @@
 """Two-task meta-learning: split the subset into class-balanced halves, adapt
-the shared weights on each task for one epoch (``train.run_epoch`` with fresh
-momentum), and pull the shared weights toward the mean of the adapted weights
-(first-order interpolation, as in Reptile).
+the shared weights on each task for one epoch (``train.run_epoch`` on the
+run's optimizer state, with its velocity zeroed), and pull the shared weights
+toward the mean of the adapted weights (first-order interpolation, as in
+Reptile).
 
 ``split_tasks`` returns one index array per task, with which the caller
 slices its normalized images and labels. ``mltp_train`` runs one meta-round;
 the budgeted loop over rounds, the batchnorm calibration after each round and
-the evaluation live in ``harness.run_training``.
+the evaluation live in ``harness.run_training``, which holds the one
+``OptState`` that epochs and rounds share.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .models import Model, ParamSet
 from .optim import OptConfig, OptState
-from .tensor import ConfigError, ShapeError
+from .tensor import ShapeError
 from .train import run_epoch
 # Unused here, but perfbench/spans.py wraps these names on this module.
 from .optim import train_step  # noqa: F401
@@ -26,33 +27,23 @@ from .train import calibrate_batchnorm, make_closure  # noqa: F401
 
 log = logging.getLogger(__name__)
 
-
-@dataclass
-class MltpConfig:
-    inner_opt: OptConfig
-    beta: float = 0.5  # outer interpolation rate
-    batch_size: int = 256
-    ls_alpha: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.beta <= 1.0:
-            raise ConfigError(f"beta must be in (0,1], got {self.beta}")
+NUM_TASKS = 2
 
 
-def split_tasks(labels: np.ndarray, seed: int, num_tasks: int = 2) -> list[np.ndarray]:
-    """Split sample indices into disjoint class-balanced tasks; odd remainders are dropped."""
+def split_tasks(labels: np.ndarray, seed: int) -> list[np.ndarray]:
+    """Split sample indices into two disjoint class-balanced tasks; odd remainders are dropped."""
     rng = np.random.default_rng(seed)
-    per_task: list[list[np.ndarray]] = [[] for _ in range(num_tasks)]
+    per_task: list[list[np.ndarray]] = [[] for _ in range(NUM_TASKS)]
     for c in np.unique(labels):
         members = np.nonzero(labels == c)[0]
-        if members.size < num_tasks:
-            raise ValueError(f"class {c} has only {members.size} samples, need {num_tasks}")
+        if members.size < NUM_TASKS:
+            raise ValueError(f"class {c} has only {members.size} samples, need {NUM_TASKS}")
         rng.shuffle(members)
-        quota = members.size // num_tasks
-        if quota * num_tasks != members.size:
+        quota = members.size // NUM_TASKS
+        if quota * NUM_TASKS != members.size:
             log.warning("class %d: dropping %d samples to balance the split",
-                        c, members.size - quota * num_tasks)
-        for t in range(num_tasks):
+                        c, members.size - quota * NUM_TASKS)
+        for t in range(NUM_TASKS):
             per_task[t].append(members[t * quota : (t + 1) * quota])
     tasks = [np.concatenate(parts) for parts in per_task]
     for idx in tasks:
@@ -62,27 +53,31 @@ def split_tasks(labels: np.ndarray, seed: int, num_tasks: int = 2) -> list[np.nd
 
 def inner_loop(
     model: Model,
+    state: OptState,
+    cfg: OptConfig,
     images: np.ndarray,
     labels: np.ndarray,
-    cfg: MltpConfig,
-    step_offset: int = 0,
-    epoch: int = 0,
-    shuffle_seed: int = 0,
+    batch_size: int,
+    ls_alpha: float,
+    shuffle_seed: int,
+    epoch: int,
 ) -> tuple[dict[str, np.ndarray], float]:
-    """Adapt the shared weights by one epoch on one task.
+    """Adapt the shared weights by one epoch on one task, from ``state.step_index`` on.
 
-    ``model.params`` are restored bit-exactly before returning; only the
-    adapted values and the mean batch loss leave this function. Momentum
-    starts fresh for every adaptation. The batchnorm running stats keep what
-    the train-mode forwards wrote: no train-mode forward reads them, and
+    Takes the arguments of ``train.run_epoch`` and never augments. The
+    velocity is zeroed first, so momentum starts fresh for every adaptation;
+    ``state.step_index`` advances by the epoch's steps. ``model.params`` are
+    restored bit-exactly before returning; only the adapted values and the
+    mean batch loss leave this function. The batchnorm running stats keep
+    what the train-mode forwards wrote: no train-mode forward reads them, and
     ``harness.run_training`` recalibrates them after every round.
     """
     params = model.params
     shared = params.snapshot()
-    state = OptState.create(params)
-    state.step_index = step_offset
-    loss = run_epoch(model, state, cfg.inner_opt, images, labels, cfg.batch_size,
-                     cfg.ls_alpha, shuffle_seed=shuffle_seed, epoch=epoch * 1000)
+    for v in state.velocity.values():
+        v.fill(0)
+    loss = run_epoch(model, state, cfg, images, labels, batch_size, ls_alpha,
+                     shuffle_seed=shuffle_seed, epoch=epoch)
     adapted = params.snapshot()
     params.load(shared)
     return adapted, loss
@@ -106,28 +101,30 @@ def meta_update(params: ParamSet, adapted: list[dict[str, np.ndarray]], beta: fl
     return float(np.sqrt(sq))
 
 
-def steps_per_round(tasks: list[tuple[np.ndarray, np.ndarray]], cfg: MltpConfig) -> int:
-    """Inner-optimizer steps one meta-round advances the shared schedule by."""
-    return max(1, int(np.ceil(max(len(t[1]) for t in tasks) / cfg.batch_size)))
-
-
 def mltp_train(
     model: Model,
+    state: OptState,
+    cfg: OptConfig,
     tasks: list[tuple[np.ndarray, np.ndarray]],
-    cfg: MltpConfig,
+    batch_size: int,
+    ls_alpha: float,
+    beta: float,
     rnd: int,
 ) -> list[float]:
     """Run meta-round ``rnd``: adapt ``model.params`` on each task, then interpolate.
 
-    Inner steps continue the schedule at ``rnd * steps_per_round``. Returns
-    the mean inner loss of each task.
+    Every task starts at the round's first ``state.step_index``, and the
+    round leaves the counter one task-epoch on, so the shared schedule moves
+    as it does for an epoch over one task. Returns the mean inner loss of
+    each task.
     """
-    step_offset = rnd * steps_per_round(tasks, cfg)
+    start = state.step_index
     adapted, task_losses = [], []
     for t, (imgs, labs) in enumerate(tasks):
-        a, loss = inner_loop(model, imgs, labs, cfg, step_offset=step_offset,
-                             epoch=rnd, shuffle_seed=1000 + t)
+        state.step_index = start
+        a, loss = inner_loop(model, state, cfg, imgs, labs, batch_size, ls_alpha,
+                             shuffle_seed=1000 + t, epoch=rnd * 1000)
         adapted.append(a)
         task_losses.append(loss)
-    meta_update(model.params, adapted, cfg.beta)
+    meta_update(model.params, adapted, beta)
     return task_losses

@@ -1,0 +1,75 @@
+"""Fingerprint fixed-seed runs of a minitrain checkout.
+
+Usage: python tests/same_numbers.py <checkout> <out-dir>
+
+Writes the synthetic train/test files that the test suite uses (40 images per
+class to train from, 15 per class to test on) under ``<out-dir>``, then runs
+``minitrain.cli.main`` from ``<checkout>/src`` over five recipes, each at
+fp32 and fp64: seed 3, widths 8/16/16/16, 4 images per class, batch 20,
+3 epochs. For each run it prints one line: the sha256 of the metrics CSV rows
+without the ``wall_seconds`` column, and the sha256 of the checkpoint file.
+
+Run it on two checkouts and diff the output: identical lines mean the same
+metrics (apart from wall time) and byte-identical checkpoints. Not a test
+module, so pytest does not collect it.
+"""
+
+import contextlib
+import csv
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+RUNS = {
+    "baseline": [],
+    "sam_ip_gc": ["--optimizer", "sam", "--ip", "--gc"],
+    "mltp": ["--mltp"],
+    "mltp_sam_gc": ["--mltp", "--optimizer", "sam", "--gc"],
+    "mltp_momentum_per_class_6": ["--mltp", "--momentum", "0.9", "--per-class", "6"],
+}
+COMMON = ["--seed", "3", "--widths", "8,16,16,16", "--per-class", "4", "--batch-size", "20",
+          "--max-epochs", "3"]
+
+
+def csv_digest(path: Path) -> str:
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index("wall_seconds")
+    kept = "\n".join(",".join(v for i, v in enumerate(row) if i != drop) for row in rows)
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
+def main(checkout: str, out_dir: str) -> int:
+    sys.path.insert(0, str(Path(checkout).resolve() / "src"))
+    from minitrain.cli import main as cli_main
+    from minitrain.data import write_cifar_binary
+    from synthetic import make_synthetic_dataset
+
+    out = Path(out_dir)
+    data = out / "data"
+    data.mkdir(parents=True, exist_ok=True)
+    write_cifar_binary(make_synthetic_dataset(per_class=40, seed=0), data / "data_batch_1.bin")
+    write_cifar_binary(make_synthetic_dataset(per_class=15, seed=99), data / "test_batch.bin")
+
+    status = 0
+    for name, flags in RUNS.items():
+        for precision in (32, 64):
+            tag = f"{name}_fp{precision}"
+            metrics, ckpt = out / f"{tag}.csv", out / f"{tag}.ckpt"
+            argv = ["--data-dir", str(data), *COMMON, "--precision", str(precision), *flags,
+                    "--metrics-out", str(metrics), "--checkpoint-out", str(ckpt)]
+            with contextlib.redirect_stdout(io.StringIO()):  # its summary line holds wall time
+                rc = cli_main(argv)
+            if rc != 0:
+                print(f"{tag} exit={rc}")
+                status = 1
+                continue
+            print(f"{tag} csv={csv_digest(metrics)} ckpt={hashlib.sha256(ckpt.read_bytes()).hexdigest()}")
+    return status
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__.split("\n\n")[1])
+    sys.exit(main(sys.argv[1], sys.argv[2]))

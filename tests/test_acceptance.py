@@ -18,7 +18,7 @@ from synthetic import find_real_cifar, make_synthetic_dataset
 from minitrain import tensor as T
 from minitrain.data import NormStats, extract_patches, fit_whitening, normalize
 from minitrain.harness import RunConfig, read_metrics, run_training
-from minitrain.mltp import MltpConfig, mltp_train
+from minitrain.mltp import mltp_train
 from minitrain.models import ModelSpec, ParamSet, build_resnet9
 from minitrain.optim import OptConfig, OptState, centralize_gradients, sam_step, sgd_step
 from minitrain.tensor import BatchNormState, Tensor, backward, grad_check, linear, mul, tape, tsum
@@ -236,10 +236,10 @@ def test_criterion_5_loop_oracles_and_meta_trajectory():
     tasks = [make_linear_task(24, d, k, seed=s) for s in (7, 8)]
     w0 = np.random.default_rng(9).normal(size=(k, d))
     stub = LinearStub(w0.copy())
-    mcfg = MltpConfig(inner_opt=sgd_only(lr=0.08), beta=0.5, batch_size=8)
+    state = OptState.create(stub.params)
     traj = [w0.copy()]
     for rnd in range(2):
-        mltp_train(stub, tasks, mcfg, rnd)
+        mltp_train(stub, state, sgd_only(lr=0.08), tasks, 8, 0.0, 0.5, rnd)
         traj.append(stub.params.snapshot()["w"])
     ref = oracles.reptile_reference(w0, tasks, 0.08, 0.5, 2, 3, 8, 0.0, k)  # 3 steps: one epoch
     meta_ok = len(traj) == len(ref) and all(

@@ -350,8 +350,8 @@ def test_mltp_lr_column_follows_inner_schedule(synth_data_dir, tmp_path):
     # 40 images in batches of 20: the one-cycle spans 4 epochs of 2 steps.
     # Each round adapts on two 20-image tasks, one step each.
     opt_cfg = OptConfig(lr_peak=cfg.lr_peak, total_steps=4 * 2)
-    steps_per_round = 1
-    assert [r.lr for r in result.records] == [schedule_lr(opt_cfg, b * steps_per_round)
+    task_epoch_steps = 1
+    assert [r.lr for r in result.records] == [schedule_lr(opt_cfg, b * task_epoch_steps)
                                               for b in (1, 2, 3, 4)]
 
 
@@ -457,10 +457,10 @@ def test_recipe_matrix_gives_each_recipe_its_own_checkpoint(synth_data_dir, tmp_
 
 
 def test_recipe_matrix_checks_every_recipe_before_running(synth_data_dir, tmp_path):
+    # per_class=1 only fails the mltp recipe; beta=2.0 fails at construction
     for bad, named in [(dict(per_class=1), "per_class"), (dict(beta=2.0), "beta")]:
-        base = tiny_cfg(synth_data_dir, tmp_path / "m.csv", **bad)
         with pytest.raises(ConfigError, match=named):
-            recipe_matrix(base, ["baseline", "mltp"])
+            recipe_matrix(tiny_cfg(synth_data_dir, tmp_path / "m.csv", **bad), ["baseline", "mltp"])
         assert not (tmp_path / "m_baseline.csv").exists()
 
 
@@ -522,11 +522,15 @@ def test_cli_main_config_error_exit_code(tmp_path, capsys):
     ["--lr-peak", "nan"],
     ["--lambda", "nan"],
     ["--rho", "nan"],
+    ["--beta", "0"],
+    ["--beta", "2"],
+    ["--beta", "nan"],
 ], ids=["malformed_widths", "per_class", "batch_size", "max_epochs", "mltp_per_class", "decay",
         "three_widths", "lr_peak", "momentum", "rho", "beta", "matrix_lr_peak",
         "metrics_under_file", "checkpoint_under_file",
         "per_class_text", "seed_fraction", "precision", "optimizer", "negative_seed",
-        "nan_budget_seconds", "nan_lr_peak", "nan_decay", "nan_rho"])
+        "nan_budget_seconds", "nan_lr_peak", "nan_decay", "nan_rho",
+        "beta_zero_without_mltp", "beta_above_one_without_mltp", "nan_beta_without_mltp"])
 def test_cli_main_invalid_value_exits_2_before_reading_data(argv, tmp_path, capsys, monkeypatch):
     import minitrain.harness as H
 

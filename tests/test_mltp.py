@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 import oracles
 from synthetic import make_synthetic_dataset
 
+import minitrain.mltp as M
 from minitrain.data import batch_iterator
-from minitrain.mltp import MltpConfig, inner_loop, meta_update, mltp_train, split_tasks
+from minitrain.harness import RunConfig
+from minitrain.mltp import inner_loop, meta_update, mltp_train, split_tasks
 from minitrain.models import ModelSpec, ParamSet, build_resnet9
 from minitrain.optim import OptConfig, OptState, schedule_lr, sgd_step
 from minitrain.tensor import ConfigError, Tensor, backward, linear, smoothed_cross_entropy, tape
@@ -97,9 +100,9 @@ def test_inner_loop_zero_lr_is_identity():
     # one step at step 0 of a one-cycle, where the lr is exactly 0
     onecycle = OptConfig(lr_peak=0.1, momentum=0.0, schedule="onecycle", total_steps=10)
     assert schedule_lr(onecycle, 0) == 0.0
-    cfg = MltpConfig(inner_opt=onecycle, batch_size=20)
     before = stub.params.snapshot()
-    adapted, _ = inner_loop(stub, xs, ys, cfg)
+    adapted, _ = inner_loop(stub, OptState.create(stub.params), onecycle, xs, ys, 20, 0.0,
+                            shuffle_seed=0, epoch=0)
     np.testing.assert_array_equal(adapted["w"], before["w"])
 
 
@@ -109,8 +112,8 @@ def test_inner_loop_single_sgd_step_hand_computed():
     w0 = np.random.default_rng(3).normal(size=(k, d))
     stub = LinearStub(w0.copy())
     lr = 0.05
-    cfg = MltpConfig(inner_opt=sgd_only(lr=lr), batch_size=8)
-    adapted, loss = inner_loop(stub, xs, ys, cfg, shuffle_seed=77)
+    adapted, loss = inner_loop(stub, OptState.create(stub.params), sgd_only(lr=lr), xs, ys, 8, 0.0,
+                               shuffle_seed=77, epoch=0)
 
     # manual: one full-batch softmax CE gradient step (batch is the whole task)
     expected = w0 - lr * oracles.softmax_ce_grad(w0, xs, ys, 0.0, k)
@@ -128,8 +131,8 @@ def test_inner_loop_leaves_shared_model_untouched():
     stats = NormStats.fit(ds)
     imgs = normalize(ds.images, stats)
     before = params.snapshot()
-    cfg = MltpConfig(inner_opt=sgd_only(lr=0.05), batch_size=10)
-    adapted, _ = inner_loop(model, imgs, ds.labels, cfg)
+    adapted, _ = inner_loop(model, OptState.create(params), sgd_only(lr=0.05), imgs, ds.labels, 10, 0.0,
+                            shuffle_seed=0, epoch=0)
     for e in params:
         assert (e.tensor.data == before[e.name]).all(), e.name
         assert (adapted[e.name] != before[e.name]).any(), e.name
@@ -191,9 +194,10 @@ def test_degenerate_single_task_equals_sgd_trajectory():
     lr = 0.05
 
     stub = LinearStub(w0.copy())
-    cfg = MltpConfig(inner_opt=sgd_only(lr=lr), beta=1.0, batch_size=30)
+    cfg = sgd_only(lr=lr)
+    meta_state = OptState.create(stub.params)
     for rnd in range(5):
-        mltp_train(stub, [(xs, ys)], cfg, rnd)
+        mltp_train(stub, meta_state, cfg, [(xs, ys)], 30, 0.0, 1.0, rnd)
 
     # plain momentum-free SGD, same batch schedule (full-batch here)
     ref = LinearStub(w0.copy())
@@ -204,7 +208,7 @@ def test_degenerate_single_task_equals_sgd_trajectory():
             with tape():
                 loss, _ = smoothed_cross_entropy(ref.forward(Tensor(xs[idx], dtype=F64)), ys[idx], 0.0, k)
                 backward(loss)
-            sgd_step(ref.params, state, lr, cfg.inner_opt)
+            sgd_step(ref.params, state, lr, cfg)
     assert (stub.params.snapshot()["w"] == ref.params.snapshot()["w"]).all()
 
 
@@ -215,11 +219,12 @@ def test_identical_tasks_mean_equals_single_delta():
     lr, beta = 0.05, 0.5
 
     twin = LinearStub(w0.copy())
-    cfg = MltpConfig(inner_opt=sgd_only(lr=lr), beta=beta, batch_size=16)
-    mltp_train(twin, [(xs, ys), (xs, ys)], cfg, 0)
+    cfg = sgd_only(lr=lr)
+    mltp_train(twin, OptState.create(twin.params), cfg, [(xs, ys), (xs, ys)], 16, 0.0, beta, 0)
 
     single = LinearStub(w0.copy())
-    adapted, _ = inner_loop(single, xs, ys, cfg, shuffle_seed=1000)
+    adapted, _ = inner_loop(single, OptState.create(single.params), cfg, xs, ys, 16, 0.0,
+                            shuffle_seed=1000, epoch=0)
     expected = w0 + beta * (adapted["w"] - w0)
     np.testing.assert_allclose(twin.params.snapshot()["w"], expected, rtol=1e-12)
 
@@ -233,10 +238,10 @@ def test_two_round_trajectory_matches_reference_script():
     inner_steps = 3  # one epoch: 24 images in batches of 8
 
     stub = LinearStub(w0.copy())
-    cfg = MltpConfig(inner_opt=sgd_only(lr=lr), beta=beta, batch_size=bs)
+    state = OptState.create(stub.params)
     traj = [stub.params.snapshot()["w"]]
     for rnd in range(rounds):
-        mltp_train(stub, [t0, t1], cfg, rnd)
+        mltp_train(stub, state, sgd_only(lr=lr), [t0, t1], bs, 0.0, beta, rnd)
         traj.append(stub.params.snapshot()["w"])
 
     ref = oracles.reptile_reference(w0, [t0, t1], lr, beta, rounds, inner_steps, bs, 0.0, k)
@@ -245,8 +250,37 @@ def test_two_round_trajectory_matches_reference_script():
         np.testing.assert_allclose(a, b, rtol=1e-6)
 
 
+def test_round_shares_the_optimizer_state(monkeypatch):
+    # Two identical tasks under momentum and a one-cycle. Every sample is the
+    # same, so each task's shuffle draws the same batches. Each task must start
+    # at the round's first step with zero velocity, so both adapt to the same
+    # bits as a fresh state would, and the round moves the counter one epoch.
+    k, d, n, bs, start = 10, 5, 24, 8, 5
+    xs = np.tile(np.random.default_rng(16).normal(size=d), (n, 1))
+    ys = np.full(n, 3)
+    w0 = np.random.default_rng(17).normal(size=(k, d))
+    cfg = OptConfig(lr_peak=0.1, momentum=0.9, schedule="onecycle", total_steps=20)
+    seen = []
+    monkeypatch.setattr(M, "meta_update", lambda params, adapted, beta: seen.extend(adapted))
+
+    stub = LinearStub(w0.copy())
+    state = OptState.create(stub.params)
+    state.step_index = start
+    state.velocity["w"][...] = 1.0  # left over from earlier steps
+    mltp_train(stub, state, cfg, [(xs, ys), (xs, ys)], bs, 0.0, 0.5, 0)
+
+    assert len(seen) == 2
+    assert (seen[0]["w"] == seen[1]["w"]).all()
+    assert state.step_index == start + math.ceil(n / bs)
+    single = LinearStub(w0.copy())
+    fresh = OptState.create(single.params)
+    fresh.step_index = start
+    alone, _ = inner_loop(single, fresh, cfg, xs, ys, bs, 0.0, shuffle_seed=1000, epoch=0)
+    assert (seen[0]["w"] == alone["w"]).all()
+    assert (seen[0]["w"] != w0).all()
+
+
 def test_mltp_config_validation():
-    with pytest.raises(ConfigError):
-        MltpConfig(inner_opt=sgd_only(), beta=0.0)
-    with pytest.raises(ConfigError):
-        MltpConfig(inner_opt=sgd_only(), beta=1.5)
+    for beta in (0.0, 1.5, float("nan")):
+        with pytest.raises(ConfigError, match="beta"):
+            RunConfig(beta=beta)
