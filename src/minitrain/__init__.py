@@ -18,4 +18,4 @@ from .optim import OptConfig, OptState, centralize_gradients, sam_step, schedule
 from .data import Dataset, NormStats, WhiteningFilters, fit_whitening, load_cifar_binary, sample_subset  # noqa: F401
 from .mltp import meta_update, mltp_train, split_tasks  # noqa: F401
 from .harness import MetricsRecord, RunConfig, RunResult, recipe_matrix, run_training, write_metrics  # noqa: F401
-from .train import BudgetClock, evaluate  # noqa: F401
+from .train import evaluate  # noqa: F401

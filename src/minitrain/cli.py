@@ -25,8 +25,6 @@ from .data import DataFormatError
 from .harness import RECIPES, RunConfig, recipe_matrix, run_training
 from .tensor import ConfigError
 
-log = logging.getLogger("minitrain")
-
 _SPELLING = {"decay": "lambda"}  # `lambda` is a Python keyword, so the field is `decay`
 
 _HELP = {
@@ -126,9 +124,6 @@ def parse_config(argv, env: Optional[dict] = None):
     if "data_dir" not in merged and env.get("CIFAR_DIR"):
         merged["data_dir"] = env["CIFAR_DIR"]
     cfg = RunConfig(**merged)
-
-    if cfg.mltp and cfg.budget_seconds < 60:
-        log.warning("budget of %.1fs may be too small for a single meta-round", cfg.budget_seconds)
 
     provenance = {"config_file": args.config, "file_values": file_values,
                   "flag_values": {k: list(v) if isinstance(v, tuple) else v

@@ -43,9 +43,6 @@ class Dataset:
     def __len__(self):
         return int(self.labels.shape[0])
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=NUM_CLASSES)
-
 
 def load_cifar_binary(paths: Sequence, split: str = "train") -> Dataset:
     """Parse one or more CIFAR-10 binary batch files into a Dataset."""
@@ -98,8 +95,8 @@ def sample_subset(ds: Dataset, per_class: int, seed: int) -> Dataset:
     idx = np.concatenate(picked)
     rng.shuffle(idx)
     return Dataset(
-        images=ds.images[idx].copy(),
-        labels=ds.labels[idx].copy(),
+        images=ds.images[idx],  # fancy indexing already copies
+        labels=ds.labels[idx],
         split=ds.split,
         source_digest=ds.source_digest,
     )

@@ -28,7 +28,7 @@ from .mltp import mltp_train, split_tasks
 from .models import ModelSpec, build_resnet9, save_checkpoint
 from .optim import OptConfig, OptState, schedule_lr
 from .tensor import ConfigError
-from .train import BudgetClock, calibrate_batchnorm, evaluate, run_epoch
+from .train import calibrate_batchnorm, evaluate, run_epoch
 
 IP_LS_ALPHA = 0.1
 IP_CELU_ALPHA = 0.3
@@ -219,67 +219,72 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
     batchnorm calibration. Both kinds step one ``OptState``, and every block
     ends with the test pass and one metrics record, whose ``lr`` is the
     schedule at the state's step counter. The clock starts before data
-    loading; a block only starts if the longest block so far, timed on
-    ``clock`` through its evaluation, still fits in the remaining budget, so
-    total time never exceeds budget + one block. If a block raises, even on
-    an interrupt, the metrics of the completed blocks and a manifest naming
-    the error are written before the exception propagates.
+    loading; a block only starts if the budget left is more than the longest
+    block so far, timed on ``clock`` through its evaluation, so total time
+    never exceeds budget + one block. If no block fits, one epoch-0 record
+    reports the untrained model. Bad settings and unwritable output paths
+    raise before any file is written. Anything that raises after that, from
+    data loading on and even an interrupt, still leaves the metrics of the
+    completed blocks and a manifest naming the error before it propagates.
     """
-    budget = BudgetClock(cfg.budget_seconds, clock=clock)
+    start = clock()
+
+    def elapsed() -> float:
+        return clock() - start
+
     dtype = np.float32 if cfg.precision == 32 else np.float64
     spec, opt_cfg = _settings(cfg)  # every setting is checked before any file is touched
     check_writable(cfg.metrics_out)
     if cfg.checkpoint_out:
         check_writable(cfg.checkpoint_out)
     seeds = _derived_seeds(cfg.seed)
-
-    train_files, test_files = find_data_files(cfg.data_dir)
-    full_train = load_cifar_binary(train_files, split="train")
-    test_ds = load_cifar_binary(test_files, split="test")
-    subset = sample_subset(full_train, cfg.per_class, seeds["subset"])
-    stats = NormStats.fit(subset)
-    train_x = normalize(subset.images, stats, dtype=dtype)
-    test_x = normalize(test_ds.images, stats, dtype=dtype)
-
-    whitening = None
-    if cfg.ip:
-        whitening = fit_whitening(train_x, seed=seeds["whitening"])
-    model, _ = build_resnet9(
-        spec, seeds["init"],
-        whitening_filters=whitening.filters if whitening else None,
-        dtype=dtype,
-    )
-
-    manifest = {
-        "config": asdict(cfg),
-        "recipe": cfg.recipe,
-        "version": __version__,
-        "seeds": seeds,
-        "source_digest": full_train.source_digest,
-        "subset_size": len(subset),
-        "subset_digest": _dataset_digest(subset),
-        "norm_stats": stats.to_dict(),
-        "whitening": {"fit_digest": whitening.fit_digest, "eps": whitening.eps} if whitening else None,
-        "param_count": model.params.num_elements(),
-    }
-    if extra_manifest:
-        manifest.update(extra_manifest)
-
+    manifest = {"config": asdict(cfg), "recipe": cfg.recipe, "version": __version__, "seeds": seeds,
+                **(extra_manifest or {})}
     records: list[MetricsRecord] = []
-    augment_rng = np.random.default_rng(seeds["augment"]) if cfg.augment else None
 
-    state = OptState.create(model.params)
-    blocks = cfg.max_epochs
-    if cfg.mltp:
-        tasks = [(train_x[idx], subset.labels[idx]) for idx in split_tasks(subset.labels, seeds["subset"])]
-        blocks = cfg.meta_iterations or cfg.max_epochs
-
-    longest_block = 0.0
     try:
+        train_files, test_files = find_data_files(cfg.data_dir)
+        full_train = load_cifar_binary(train_files, split="train")
+        test_ds = load_cifar_binary(test_files, split="test")
+        subset = sample_subset(full_train, cfg.per_class, seeds["subset"])
+        stats = NormStats.fit(subset)
+        train_x = normalize(subset.images, stats, dtype=dtype)
+        test_x = normalize(test_ds.images, stats, dtype=dtype)
+
+        whitening = None
+        if cfg.ip:
+            whitening = fit_whitening(train_x, seed=seeds["whitening"])
+        model, _ = build_resnet9(
+            spec, seeds["init"],
+            whitening_filters=whitening.filters if whitening else None,
+            dtype=dtype,
+        )
+        manifest.update({
+            "source_digest": full_train.source_digest,
+            "subset_size": len(subset),
+            "subset_digest": _dataset_digest(subset),
+            "norm_stats": stats.to_dict(),
+            "whitening": {"fit_digest": whitening.fit_digest, "eps": whitening.eps} if whitening else None,
+            "param_count": model.params.num_elements(),
+        })
+
+        augment_rng = np.random.default_rng(seeds["augment"]) if cfg.augment else None
+        state = OptState.create(model.params)
+        blocks = cfg.max_epochs
+        if cfg.mltp:
+            tasks = [(train_x[idx], subset.labels[idx]) for idx in split_tasks(subset.labels, seeds["subset"])]
+            blocks = cfg.meta_iterations or cfg.max_epochs
+
+        def record(epoch: int, loss: float) -> None:
+            acc = evaluate(model, test_x, test_ds.labels, cfg.batch_size)
+            records.append(MetricsRecord(epoch=epoch, wall_seconds=elapsed(), train_loss=loss, test_accuracy=acc,
+                                         lr=schedule_lr(opt_cfg, state.step_index), recipe=cfg.recipe))
+
+        longest_block = 0.0
         for b in range(1, blocks + 1):
-            if not budget.should_start(longest_block):
+            if not cfg.budget_seconds - elapsed() > longest_block:
                 break
-            t0 = budget.elapsed()
+            t0 = elapsed()
             if cfg.mltp:
                 loss = float(np.mean(mltp_train(model, state, opt_cfg, tasks, cfg.batch_size,
                                                 cfg.ls_alpha(), cfg.beta, b - 1)))
@@ -291,17 +296,10 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
                     shuffle_seed=cfg.seed, epoch=b,
                     augment_rng=augment_rng,
                 )
-            acc = evaluate(model, test_x, test_ds.labels, cfg.batch_size)
-            wall = budget.elapsed()
-            longest_block = max(longest_block, wall - t0)
-            records.append(MetricsRecord(epoch=b, wall_seconds=wall, train_loss=loss, test_accuracy=acc,
-                                         lr=schedule_lr(opt_cfg, state.step_index), recipe=cfg.recipe))
+            record(b, loss)
+            longest_block = max(longest_block, records[-1].wall_seconds - t0)
         if not records:
-            # Nothing fit in the budget; still report where the model stands.
-            acc = evaluate(model, test_x, test_ds.labels, cfg.batch_size)
-            records.append(MetricsRecord(epoch=0, wall_seconds=budget.elapsed(), train_loss=float("nan"),
-                                         test_accuracy=acc, lr=schedule_lr(opt_cfg, state.step_index),
-                                         recipe=cfg.recipe))
+            record(0, float("nan"))  # nothing fit in the budget; still report where the model stands
         manifest["final_accuracy"] = records[-1].test_accuracy
     except BaseException as e:
         # a failed run still leaves its completed blocks and the reason on disk
@@ -309,7 +307,7 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
         raise
     finally:
         manifest["epochs_completed"] = records[-1].epoch if records else 0
-        manifest["total_wall_seconds"] = budget.elapsed()
+        manifest["total_wall_seconds"] = elapsed()
         write_metrics(records, manifest, cfg.metrics_out)
 
     if cfg.checkpoint_out:

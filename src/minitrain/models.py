@@ -94,18 +94,12 @@ class ParamSet:
     def __iter__(self) -> Iterator[ParamEntry]:
         return iter(self._entries)
 
-    def __len__(self):
-        return len(self._entries)
-
     def __getitem__(self, name: str) -> ParamEntry:
         return self._by_name[name]
 
-    def names(self) -> list[str]:
-        return [e.name for e in self._entries]
-
     def zero_grads(self) -> None:
         for e in self._entries:
-            e.tensor.zero_grad()
+            e.tensor.grad = None
 
     def num_elements(self) -> int:
         return sum(e.tensor.size for e in self._entries)

@@ -96,9 +96,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray) -> None:
         """Add ``g`` into ``grad``, adopting it as ``grad`` when it is the first.
 
@@ -234,10 +231,6 @@ def tsum(x: Tensor) -> Tensor:
 
     _record(out, (x,), bwd)
     return out
-
-
-def tmean(x: Tensor) -> Tensor:
-    return mul(tsum(x), 1.0 / x.size)
 
 
 # ---------------------------------------------------------------------------

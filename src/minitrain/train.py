@@ -1,10 +1,10 @@
-"""Shared training-loop machinery: batch closures, epoch runner, evaluation,
-the wall-clock budget guard, and batchnorm recalibration."""
+"""Shared training-loop machinery: batch closures, epoch runner, evaluation
+and batchnorm recalibration. The wall-clock budget is kept by
+``harness.run_training``."""
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -12,31 +12,6 @@ from .data import augment, batch_iterator
 from .models import Model
 from .optim import OptConfig, OptState, schedule_lr, train_step
 from .tensor import Tensor, backward, smoothed_cross_entropy, tape
-
-
-class BudgetClock:
-    """End-to-end wall-clock guard, started at run begin (loading included).
-
-    ``should_start(estimate)`` is the pre-block check: it refuses to start a
-    work block whose predicted duration would overshoot the budget. The clock
-    function is injectable so tests can drive time deterministically.
-    """
-
-    def __init__(self, budget_seconds: float, clock: Callable[[], float] = time.monotonic):
-        if not budget_seconds > 0:  # NaN fails too
-            raise ValueError(f"budget_seconds must be positive, got {budget_seconds}")
-        self.budget = float(budget_seconds)
-        self._clock = clock
-        self._start = clock()
-
-    def elapsed(self) -> float:
-        return self._clock() - self._start
-
-    def remaining(self) -> float:
-        return self.budget - self.elapsed()
-
-    def should_start(self, estimate: float) -> bool:
-        return self.remaining() > estimate
 
 
 def make_closure(model: Model, xb: np.ndarray, yb: np.ndarray, ls_alpha: float):

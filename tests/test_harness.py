@@ -23,7 +23,7 @@ from minitrain.harness import (
 from minitrain.models import ModelSpec, build_resnet9, load_checkpoint
 from minitrain.optim import OptConfig, OptimizerAbort, schedule_lr
 from minitrain.tensor import ConfigError, Tensor
-from minitrain.train import BudgetClock, evaluate
+from minitrain.train import evaluate
 
 TINY = dict(widths=(8, 16, 16, 16), per_class=4, max_epochs=2,
             batch_size=20, budget_seconds=120.0, augment=False)
@@ -344,6 +344,26 @@ def test_block_time_includes_calibration_and_eval(synth_data_dir, tmp_path, monk
     assert result.manifest["total_wall_seconds"] == 80.0
 
 
+@pytest.mark.parametrize("spare", [0.0, 1.0], ids=["exactly_one_block_left", "one_block_and_1s_left"])
+def test_block_starts_only_if_more_than_the_longest_block_is_left(synth_data_dir, tmp_path, monkeypatch,
+                                                                  spare):
+    # Only evaluation moves the clock, so block 1 takes L seconds. Block 2
+    # then has L + spare seconds left, and starts only if that is more than L.
+    import minitrain.harness as H
+
+    L, now = 40.0, [0.0]
+
+    def timed_evaluate(*args, **kwargs):
+        now[0] += L
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(H, "evaluate", timed_evaluate)
+    cfg = tiny_cfg(synth_data_dir, tmp_path / "edge.csv", max_epochs=3, budget_seconds=2 * L + spare)
+    result = run_training(cfg, clock=lambda: now[0])
+    expected = [(1, L)] if spare == 0.0 else [(1, L), (2, 2 * L)]
+    assert [(r.epoch, r.wall_seconds) for r in result.records] == expected
+
+
 def test_mltp_lr_column_follows_inner_schedule(synth_data_dir, tmp_path):
     cfg = tiny_cfg(synth_data_dir, tmp_path / "lr.csv", mltp=True, max_epochs=4)
     result = run_training(cfg)
@@ -557,6 +577,9 @@ def test_cli_main_per_class_above_the_data_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "per_class 6" in err and "5 images of class 0" in err
+    assert read_metrics(tmp_path / "m.csv") == []
+    manifest = json.loads(manifest_path(tmp_path / "m.csv").read_text())
+    assert manifest["error"]["type"] == "ConfigError" and manifest["epochs_completed"] == 0
 
 
 def test_cli_main_malformed_data_file_exits_2(tmp_path, capsys):
@@ -566,6 +589,9 @@ def test_cli_main_malformed_data_file_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "3073" in err and err.count("\n") == 1
+    assert read_metrics(tmp_path / "m.csv") == []
+    manifest = json.loads(manifest_path(tmp_path / "m.csv").read_text())
+    assert manifest["error"]["type"] == "DataFormatError" and manifest["epochs_completed"] == 0
 
 
 def test_cli_main_recipe_matrix_manifests_hold_cli_provenance(synth_data_dir, tmp_path, capsys):
@@ -578,11 +604,3 @@ def test_cli_main_recipe_matrix_manifests_hold_cli_provenance(synth_data_dir, tm
         assert man["cli"]["flag_values"]["per_class"] == 4
         assert man["cli"]["flag_values"]["widths"] == [8, 16, 16, 16]
 
-
-def test_budget_clock_contract():
-    vals = iter([10.0, 11.0, 14.0, 21.0])
-    clk = lambda: next(vals)
-    b = BudgetClock(10.0, clock=clk)
-    assert b.elapsed() == 1.0
-    assert b.should_start(5.0)  # remaining 6 >= 5
-    assert not b.should_start(5.0)  # remaining -1

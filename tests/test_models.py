@@ -105,7 +105,7 @@ def test_param_classification_partition():
     sgd_step(params, OptState.create(params), 1.0, OptConfig(momentum=0.0, decay=0.1))
     moved = {e.name for e in params if not np.array_equal(e.tensor.data, before[e.name])}
     assert moved == {e.name for e in params if e.tensor.ndim >= 2}
-    names = params.names()
+    names = [e.name for e in params]
     assert len(names) == len(set(names))
     assert "__stem.filters" not in names
     assert model.stem_filters is not None
