@@ -76,6 +76,8 @@ class RunConfig:
         if self.mltp and self.per_class < 2:
             raise ConfigError(f"mltp splits every class over two tasks, so per_class must be >= 2, "
                               f"got {self.per_class}")
+        if not self.rho >= 0:  # checked for every optimizer, though only sam passes it on
+            raise ConfigError(f"rho must be >= 0, got {self.rho}")
         if self.decay is not None and not self.decay >= 0:
             raise ConfigError(f"decay must be >= 0, got {self.decay}")
         if not 0.0 < self.beta <= 1.0:  # NaN fails too
@@ -203,10 +205,8 @@ def _settings(cfg: RunConfig) -> tuple[ModelSpec, OptConfig]:
         lr_peak=cfg.lr_peak,
         momentum=cfg.momentum,
         decay=cfg.resolved_decay(),
-        rho=cfg.rho,
+        rho=cfg.rho if cfg.optimizer == "sam" else 0.0,  # SGD is the SAM step at rho 0
         gc_enabled=cfg.gc,
-        sam_enabled=cfg.optimizer == "sam",
-        schedule="onecycle",
         total_steps=cfg.max_epochs * steps_per_epoch,
     )
     return spec, opt_cfg
@@ -235,6 +235,7 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
     dtype = np.float32 if cfg.precision == 32 else np.float64
     spec, opt_cfg = _settings(cfg)  # every setting is checked before any file is touched
     check_writable(cfg.metrics_out)
+    check_writable(manifest_path(cfg.metrics_out))
     if cfg.checkpoint_out:
         check_writable(cfg.checkpoint_out)
     seeds = _derived_seeds(cfg.seed)

@@ -136,7 +136,7 @@ class _ConvBlock:
         self.spec = spec
 
     def __call__(self, x: Tensor, mode: str, bn_momentum: float = 0.1) -> Tensor:
-        h = conv2d(x, self.w, stride=1, pad=self.pad)
+        h = conv2d(x, self.w, pad=self.pad)
         h = batchnorm2d(h, self.gamma, self.beta, self.bn_state, mode=mode, momentum=bn_momentum)
         # the batchnorm output feeds only the activation, so it is overwritten
         if self.spec.activation == "celu":
@@ -197,7 +197,7 @@ class Model:
         if x.ndim != 4 or x.shape[1] != self.spec.in_channels or x.shape[2:] != (32, 32):
             raise ShapeError(f"expected input [N,{self.spec.in_channels},32,32], got {x.shape}")
         if self.stem_filters is not None:
-            x = conv2d(x, self.stem_filters, stride=1, pad=1)
+            x = conv2d(x, self.stem_filters, pad=1)
         h = self.prep(x, mode, bn_momentum)
         h = maxpool2d(self.stage1(h, mode, bn_momentum), 2)
         h = self.res1(h, mode, bn_momentum)

@@ -1,18 +1,19 @@
-"""Parameter updates: momentum SGD with coupled weight decay, gradient
-centralization, the sharpness-aware two-step wrapper, and the LR schedule.
+"""Parameter updates: the sharpness-aware step (momentum SGD with coupled
+weight decay, optional gradient centralization) and the one-cycle LR schedule.
+Plain SGD is the sharpness-aware step at rho = 0.
 
-Per-step flow is fixed: backward -> (centralize) -> (ascend, re-backward,
-centralize) -> decay -> momentum -> update. Weight decay enters the gradient
-as +2*lambda*w (the quadratic penalty added to the loss, differentiated).
-Shape decides a parameter's role: centralization and decay apply to tensors
-with two or more axes (conv kernels, linear weights), never to single-axis
-ones (batchnorm scales and shifts, biases).
+Per-step flow is fixed: backward -> (centralize) -> (if rho > 0: ascend,
+re-backward, centralize) -> decay -> momentum -> update. Weight decay enters
+the gradient as +2*lambda*w (the quadratic penalty added to the loss,
+differentiated). Shape decides a parameter's role: centralization and decay
+apply to tensors with two or more axes (conv kernels, linear weights), never
+to single-axis ones (batchnorm scales and shifts, biases).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -31,10 +32,8 @@ class OptConfig:
     lr_peak: float = 0.4
     momentum: float = 0.9
     decay: float = 0.0  # lambda in the quadratic weight penalty
-    rho: float = 0.05  # sharpness neighborhood radius
+    rho: float = 0.0  # sharpness neighborhood radius; 0 is plain SGD
     gc_enabled: bool = False
-    sam_enabled: bool = False
-    schedule: str = "onecycle"  # "onecycle" | "constant"
     total_steps: int = 1
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class OptConfig:
             raise ConfigError(f"rho must be >= 0, got {self.rho}")
         if self.total_steps < 1:
             raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
-        if self.schedule not in ("onecycle", "constant"):
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
 
 
 @dataclass
@@ -121,8 +118,8 @@ def sam_step(
     parameters, runs backward, and returns the loss value. The step ascends by
     rho * g / ||g||2 (one global norm over all trainable gradients), re-runs
     the closure at the perturbed point, restores the saved parameters exactly,
-    and descends with the perturbed-point gradients. With a zero gradient or
-    rho == 0 it degenerates to a plain sgd_step.
+    and descends with the perturbed-point gradients. With rho == 0 (plain
+    SGD: the norm is not computed) or a zero gradient it is one sgd_step.
 
     Returns (loss at the original point, loss at the perturbed point).
     """
@@ -130,8 +127,8 @@ def sam_step(
     if cfg.gc_enabled:
         centralize_gradients(params)
 
-    gnorm = _global_grad_norm(params)
-    if cfg.rho == 0.0 or gnorm == 0.0:
+    gnorm = _global_grad_norm(params) if cfg.rho > 0 else 0.0
+    if gnorm == 0.0:
         sgd_step(params, state, lr, cfg)
         return loss0, loss0
 
@@ -153,9 +150,7 @@ def sam_step(
 
 
 def schedule_lr(cfg: OptConfig, step: int) -> float:
-    """Learning rate at a given step; out-of-range steps clamp to endpoints."""
-    if cfg.schedule == "constant":
-        return cfg.lr_peak
+    """One-cycle learning rate at a given step; out-of-range steps clamp to endpoints."""
     step = min(max(step, 0), cfg.total_steps)
     peak_at = WARMUP_FRACTION * cfg.total_steps
     if step <= peak_at:
@@ -170,12 +165,5 @@ def train_step(
     cfg: OptConfig,
     closure: Callable[[], float],
 ) -> float:
-    """Dispatch one update through SAM or plain SGD; returns the batch loss."""
-    if cfg.sam_enabled:
-        loss0, _ = sam_step(params, state, lr, cfg, closure)
-        return loss0
-    loss = closure()
-    if cfg.gc_enabled:
-        centralize_gradients(params)
-    sgd_step(params, state, lr, cfg)
-    return loss
+    """One update, a ``sam_step`` (plain SGD at rho = 0); returns the batch loss."""
+    return sam_step(params, state, lr, cfg, closure)[0]

@@ -6,6 +6,11 @@ order, the operator set needed by ResNet-9 (convolution, pooling, batchnorm,
 activations, linear, smoothed cross-entropy), and a central-finite-difference
 gradient checker used as the independent oracle for the whole engine.
 
+The ops take only what ResNet-9 passes: convolution is stride-1 and bias-free,
+k x k max pooling has stride k, and linear always has a bias. ``tsum`` and
+tensor-by-tensor ``mul`` serve ``grad_check``, which projects an op's output
+to a scalar as ``tsum(mul(op(x), c))``; the model calls neither.
+
 The active tape is a context variable, so each thread records on its own:
 one active tape per training thread. Tensors built without an explicit dtype
 are float32. Kernels are plain numpy and deterministic for a fixed input.
@@ -251,30 +256,28 @@ def tsum(x: Tensor) -> Tensor:
 _COL_BUDGET_BYTES = 8 << 20
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+def _im2col(x: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
     """[N,C,H,W] -> columns [C·kh·kw, N·Ho·Wo]; row (c, i, j) holds tap (i, j) of channel c."""
     n, c, h, w = x.shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
     xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     xp[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
     cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+            cols[:, i, j] = xp[:, :, i : i + ho, j : j + wo]
     return cols.reshape(c * kh * kw, n * ho * wo)
 
 
-def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, pad: int) -> np.ndarray:
     """Adjoint of ``_im2col``: sum columns back into an [N,C,H,W] view."""
     n, c, h, w = x_shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
     xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
     cols6 = cols.reshape(c, kh, kw, n, ho, wo)
     for i in range(kh):
         for j in range(kw):
-            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols6[:, i, j]
+            xp[:, :, i : i + ho, j : j + wo] += cols6[:, i, j]
     return xp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
 
 
@@ -283,8 +286,8 @@ def _conv_chunk(c: int, k2: int, l: int, itemsize: int) -> int:
     return max(1, _COL_BUDGET_BYTES // max(1, per_image))
 
 
-def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pad: int = 0) -> Tensor:
-    """2D cross-correlation with zero padding, NCHW layout.
+def conv2d(x: Tensor, w: Tensor, pad: int = 0) -> Tensor:
+    """Stride-1 2D cross-correlation with zero padding and no bias, NCHW layout.
 
     Each chunk of the batch is lowered to columns [Cin·kh·kw, chunk·Ho·Wo], so
     every product is one GEMM per chunk: the forward ``w2d @ cols``, the
@@ -302,25 +305,18 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
         )
     if kh > h + 2 * pad or kw > wd + 2 * pad:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds padded input {h + 2 * pad}x{wd + 2 * pad}")
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (wd + 2 * pad - kw) // stride + 1
+    ho, wo = h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1
     w2d = w.data.reshape(cout, cw * kh * kw)
     chunk = _conv_chunk(cin, kh * kw, ho * wo, x.data.dtype.itemsize)
 
     out = np.empty((n, cout, ho, wo), dtype=x.dtype)
     for n0 in range(0, n, chunk):
-        cols = _im2col(x.data[n0 : n0 + chunk], kh, kw, stride, pad)
+        cols = _im2col(x.data[n0 : n0 + chunk], kh, kw, pad)
         out[n0 : n0 + chunk] = (w2d @ cols).reshape(cout, -1, ho, wo).transpose(1, 0, 2, 3)
         del cols  # free before the next chunk allocates its columns
-    if b is not None:
-        if b.shape != (cout,):
-            raise ShapeError(f"conv2d: bias shape {b.shape} != ({cout},)")
-        out += b.data.reshape(1, cout, 1, 1)
     res = Tensor._wrap(out)
 
     def bwd(g):
-        if b is not None and b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 2, 3)))
         need_x, need_w = x.requires_grad, w.requires_grad
         if not (need_x or need_w):
             return
@@ -330,15 +326,15 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
             n1 = min(n0 + chunk, n)
             g_t = g[n0:n1].transpose(1, 0, 2, 3).reshape(cout, -1)
             if need_w:
-                gw += g_t @ _im2col(x.data[n0:n1], kh, kw, stride, pad).T
+                gw += g_t @ _im2col(x.data[n0:n1], kh, kw, pad).T
             if need_x:
-                gx[n0:n1] = _col2im(w2d.T @ g_t, (n1 - n0, cin, h, wd), kh, kw, stride, pad)
+                gx[n0:n1] = _col2im(w2d.T @ g_t, (n1 - n0, cin, h, wd), kh, kw, pad)
         if need_w:
             w._accumulate(gw.reshape(w.shape))
         if need_x:
             x._accumulate(gx)
 
-    _record(res, (x, w, b), bwd)
+    _record(res, (x, w), bwd)
     return res
 
 
@@ -346,24 +342,22 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
 # pooling
 
 
-def _pool_views(a: np.ndarray, k: int, stride: int, ho: int, wo: int):
-    """The k*k strided [N,C,Ho,Wo] views of ``a``, one per window tap, row-major."""
+def _pool_views(a: np.ndarray, k: int, ho: int, wo: int):
+    """The k*k stride-k [N,C,Ho,Wo] views of ``a``, one per window tap, row-major."""
     for i in range(k):
         for j in range(k):
-            yield a[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+            yield a[:, :, i : i + k * ho : k, j : j + k * wo : k]
 
 
-def maxpool2d(x: Tensor, k: int, stride: Optional[int] = None) -> Tensor:
-    """k x k max pooling; gradient flows to each window's first (row-major) argmax."""
+def maxpool2d(x: Tensor, k: int) -> Tensor:
+    """k x k max pooling with stride k; gradient flows to each window's first (row-major) argmax."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d expects 4D input, got {x.shape}")
     n, c, h, w = x.shape
     if k > h or k > w:
         raise ShapeError(f"maxpool2d: window {k} exceeds input {h}x{w}")
-    stride = stride or k
-    ho = (h - k) // stride + 1
-    wo = (w - k) // stride + 1
-    taps = _pool_views(x.data, k, stride, ho, wo)
+    ho, wo = h // k, w // k
+    taps = _pool_views(x.data, k, ho, wo)
     out = next(taps).copy()
     for v in taps:
         np.maximum(out, v, out=out)
@@ -374,7 +368,7 @@ def maxpool2d(x: Tensor, k: int, stride: Optional[int] = None) -> Tensor:
             return
         gx = np.zeros_like(x.data)
         taken = np.zeros(out.shape, dtype=bool)
-        for v, gv in zip(_pool_views(x.data, k, stride, ho, wo), _pool_views(gx, k, stride, ho, wo)):
+        for v, gv in zip(_pool_views(x.data, k, ho, wo), _pool_views(gx, k, ho, wo)):
             hit = (v == out) & ~taken
             gv += g * hit
             taken |= hit
@@ -409,25 +403,22 @@ def global_maxpool(x: Tensor) -> Tensor:
 # linear
 
 
-def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x[N,D] @ w[K,D]^T + b[K]."""
     if x.ndim != 2 or w.ndim != 2:
         raise ShapeError(f"linear expects 2D x and w, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear: inner dims differ (x {x.shape}, w {w.shape})")
-    out = x.data @ w.data.T
-    if b is not None:
-        if b.shape != (w.shape[0],):
-            raise ShapeError(f"linear: bias shape {b.shape} != ({w.shape[0]},)")
-        out = out + b.data
-    res = Tensor._wrap(out)
+    if b.shape != (w.shape[0],):
+        raise ShapeError(f"linear: bias shape {b.shape} != ({w.shape[0]},)")
+    res = Tensor._wrap(x.data @ w.data.T + b.data)
 
     def bwd(g):
         if x.requires_grad:
             x._accumulate(g @ w.data)
         if w.requires_grad:
             w._accumulate(g.T @ x.data)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b._accumulate(g.sum(axis=0))
 
     _record(res, (x, w, b), bwd)

@@ -4,7 +4,7 @@ Usage: python tests/same_numbers.py <checkout> <out-dir>
 
 Writes the synthetic train/test files that the test suite uses (40 images per
 class to train from, 15 per class to test on) under ``<out-dir>``, then runs
-``minitrain.cli.main`` from ``<checkout>/src`` over five recipes, each at
+``minitrain.cli.main`` from ``<checkout>/src`` over six recipes, each at
 fp32 and fp64: seed 3, widths 8/16/16/16, 4 images per class, batch 20,
 3 epochs. For each run it prints one line: the sha256 of the metrics CSV rows
 without the ``wall_seconds`` column, and the sha256 of the checkpoint file.
@@ -23,6 +23,7 @@ from pathlib import Path
 
 RUNS = {
     "baseline": [],
+    "gc": ["--gc"],
     "sam_ip_gc": ["--optimizer", "sam", "--ip", "--gc"],
     "mltp": ["--mltp"],
     "mltp_sam_gc": ["--mltp", "--optimizer", "sam", "--gc"],

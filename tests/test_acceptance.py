@@ -60,7 +60,7 @@ def test_criterion_1_gradient_oracle_suite():
     run(lambda t: tsum(mul(linear(t, wl, bl), cl)), rng.normal(size=(2, 6)), 1e-6)
     wc = Tensor(rng.normal(size=(3, 2, 3, 3)), dtype=F64)
     cc = rng.normal(size=(2, 3, 5, 5))
-    run(lambda t: tsum(mul(T.conv2d(t, wc, stride=1, pad=1), Tensor(cc, dtype=F64))),
+    run(lambda t: tsum(mul(T.conv2d(t, wc, pad=1), Tensor(cc, dtype=F64))),
         rng.normal(size=(2, 2, 5, 5)), 1e-6)
     gamma = Tensor(rng.normal(size=(3,)) + 1.0, dtype=F64)
     beta = Tensor(rng.normal(size=(3,)), dtype=F64)
@@ -83,7 +83,7 @@ def test_criterion_1_gradient_oracle_suite():
     run(lambda t: tsum(mul(T.relu(t), cr)), x, 1e-4)
     xp = rng.normal(size=(2, 2, 6, 6)) + np.arange(36).reshape(1, 1, 6, 6) * 0.37
     cp = Tensor(rng.normal(size=(2, 2, 3, 3)), dtype=F64)
-    run(lambda t: tsum(mul(T.maxpool2d(t, 2, 2), cp)), xp, 1e-4)
+    run(lambda t: tsum(mul(T.maxpool2d(t, 2), cp)), xp, 1e-4)
     cg = Tensor(rng.normal(size=(2, 2)), dtype=F64)
     run(lambda t: tsum(mul(T.global_maxpool(t), cg)), xp, 1e-4)
 
@@ -127,7 +127,7 @@ def test_criterion_2_optimizer_algebra():
             backward(loss)
         return loss.item()
 
-    cfg = OptConfig(lr_peak=1.0, momentum=0.0, rho=0.05, sam_enabled=True, total_steps=1)
+    cfg = OptConfig(lr_peak=1.0, momentum=0.0, rho=0.05, total_steps=1)
     sam_step(ps2, OptState.create(ps2), 0.1, cfg, closure)
     closed_form = abs(ps2["w"].tensor.data[0] - 0.79) <= 1e-8
 
@@ -136,7 +136,7 @@ def test_criterion_2_optimizer_algebra():
     pa, pb = ParamSet(), ParamSet()
     pa.add("w", Tensor(init.copy(), dtype=F64))
     pb.add("w", Tensor(init.copy(), dtype=F64))
-    ca = OptConfig(lr_peak=1.0, momentum=0.9, decay=0.001, rho=0.0, sam_enabled=True, total_steps=10)
+    ca = OptConfig(lr_peak=1.0, momentum=0.9, decay=0.001, rho=0.0, total_steps=10)
     cb = OptConfig(lr_peak=1.0, momentum=0.9, decay=0.001, total_steps=10)
     sa, sb = OptState.create(pa), OptState.create(pb)
 
@@ -197,7 +197,7 @@ def test_criterion_4_whitening():
     frozen = model.stem_filters.data.copy()
     x = rng.normal(size=(2, 3, 32, 32)).astype(np.float32)
     lab = np.array([0, 1])
-    cfg = OptConfig(lr_peak=0.05, total_steps=100, schedule="constant")
+    cfg = OptConfig(lr_peak=0.05, total_steps=100)
     state = OptState.create(params)
     for _ in range(100):
         params.zero_grads()
@@ -215,11 +215,9 @@ def test_criterion_5_loop_oracles_and_meta_trajectory():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 3, 8, 8))
     w = rng.normal(size=(4, 3, 3, 3))
-    b = rng.normal(size=4)
-    conv_ok = np.allclose(
-        T.conv2d(Tensor(x, dtype=F64), Tensor(w, dtype=F64), Tensor(b, dtype=F64), stride=2, pad=1).data,
-        oracles.conv2d_loops(x, w, b, stride=2, pad=1), rtol=1e-5)
-    pool_ok = np.allclose(T.maxpool2d(Tensor(x, dtype=F64), 2, 2).data,
+    conv_ok = np.allclose(T.conv2d(Tensor(x, dtype=F64), Tensor(w, dtype=F64), pad=1).data,
+                          oracles.conv2d_loops(x, w, pad=1), rtol=1e-5)
+    pool_ok = np.allclose(T.maxpool2d(Tensor(x, dtype=F64), 2).data,
                           oracles.maxpool2d_loops(x, 2, 2), rtol=1e-5)
     gmp_ok = np.allclose(T.global_maxpool(Tensor(x, dtype=F64)).data,
                          oracles.global_maxpool_loops(x), rtol=1e-5)
@@ -230,18 +228,20 @@ def test_criterion_5_loop_oracles_and_meta_trajectory():
                          oracles.linear_loops(xl, wl, bl2), rtol=1e-5)
 
     # 2-round meta trajectory vs. the independent reference script
-    from test_mltp import LinearStub, make_linear_task, sgd_only
+    from test_mltp import LinearStub, ScheduledLR, make_linear_task, reptile_steps, sgd_only
 
     k, d = 10, 6
     tasks = [make_linear_task(24, d, k, seed=s) for s in (7, 8)]
     w0 = np.random.default_rng(9).normal(size=(k, d))
+    cfg = sgd_only(lr=0.08, total=6)
     stub = LinearStub(w0.copy())
     state = OptState.create(stub.params)
     traj = [w0.copy()]
     for rnd in range(2):
-        mltp_train(stub, state, sgd_only(lr=0.08), tasks, 8, 0.0, 0.5, rnd)
+        mltp_train(stub, state, cfg, tasks, 8, 0.0, 0.5, rnd)
         traj.append(stub.params.snapshot()["w"])
-    ref = oracles.reptile_reference(w0, tasks, 0.08, 0.5, 2, 3, 8, 0.0, k)  # 3 steps: one epoch
+    step_lr = ScheduledLR(cfg, reptile_steps(2, 2, 3))  # 3 steps: one epoch
+    ref = oracles.reptile_reference(w0, tasks, step_lr, 0.5, 2, 3, 8, 0.0, k)
     meta_ok = len(traj) == len(ref) and all(
         np.allclose(a, b, rtol=1e-6) for a, b in zip(traj, ref))
 

@@ -441,6 +441,12 @@ def test_unwritable_metrics_path_fails_early(synth_data_dir, tmp_path):
         with pytest.raises(ConfigError, match=f"cannot write {bad}"):
             run_training(cfg)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    manifest = manifest_path(tmp_path / "m.csv")
+    manifest.mkdir()  # the metrics file could be written, its manifest could not
+    with pytest.raises(ConfigError, match=f"cannot write {manifest}"):
+        run_training(tiny_cfg(synth_data_dir, tmp_path / "m.csv"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "m.manifest.json"]
+    assert not any(manifest.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -24,17 +24,35 @@ class LinearStub:
     def __init__(self, w0, classes=10):
         self.params = ParamSet()
         self.w = self.params.add("w", Tensor(np.asarray(w0, dtype=F64), dtype=F64))
+        self.b = Tensor(np.zeros(classes), dtype=F64)  # frozen at zero: no parameter
         self.spec = SimpleNamespace(classes=classes)
 
     def forward(self, x, mode="train", bn_momentum=0.1):
-        return linear(x, self.w)
+        return linear(x, self.w, self.b)
 
     def bn_states(self):
         return []
 
 
 def sgd_only(lr=0.1, total=100):
-    return OptConfig(lr_peak=lr, momentum=0.0, decay=0.0, schedule="constant", total_steps=total)
+    return OptConfig(lr_peak=lr, momentum=0.0, decay=0.0, total_steps=total)
+
+
+class ScheduledLR:
+    """The one-cycle LR of each step, in the order the steps run, standing in for
+    the constant ``lr`` of ``oracles.reptile_reference``: its n-th product with a
+    gradient uses the LR of the n-th step."""
+
+    def __init__(self, cfg, steps):
+        self._lrs = iter([schedule_lr(cfg, s) for s in steps])
+
+    def __mul__(self, grad):
+        return next(self._lrs) * grad
+
+
+def reptile_steps(rounds, num_tasks, inner_steps):
+    """The ``step_index`` of each inner step of ``mltp_train``, in run order."""
+    return [r * inner_steps + i for r in range(rounds) for _ in range(num_tasks) for i in range(inner_steps)]
 
 
 def make_linear_task(n, d, k, seed):
@@ -98,7 +116,7 @@ def test_inner_loop_zero_lr_is_identity():
     xs, ys = make_linear_task(20, 5, 10, seed=0)
     stub = LinearStub(np.random.default_rng(1).normal(size=(10, 5)))
     # one step at step 0 of a one-cycle, where the lr is exactly 0
-    onecycle = OptConfig(lr_peak=0.1, momentum=0.0, schedule="onecycle", total_steps=10)
+    onecycle = OptConfig(lr_peak=0.1, momentum=0.0, total_steps=10)
     assert schedule_lr(onecycle, 0) == 0.0
     before = stub.params.snapshot()
     adapted, _ = inner_loop(stub, OptState.create(stub.params), onecycle, xs, ys, 20, 0.0,
@@ -111,12 +129,13 @@ def test_inner_loop_single_sgd_step_hand_computed():
     xs, ys = make_linear_task(8, d, k, seed=2)
     w0 = np.random.default_rng(3).normal(size=(k, d))
     stub = LinearStub(w0.copy())
-    lr = 0.05
-    adapted, loss = inner_loop(stub, OptState.create(stub.params), sgd_only(lr=lr), xs, ys, 8, 0.0,
-                               shuffle_seed=77, epoch=0)
+    cfg, step = sgd_only(lr=0.05), 7  # a step where the one-cycle LR is not 0
+    state = OptState.create(stub.params)
+    state.step_index = step
+    adapted, loss = inner_loop(stub, state, cfg, xs, ys, 8, 0.0, shuffle_seed=77, epoch=0)
 
     # manual: one full-batch softmax CE gradient step (batch is the whole task)
-    expected = w0 - lr * oracles.softmax_ce_grad(w0, xs, ys, 0.0, k)
+    expected = w0 - schedule_lr(cfg, step) * oracles.softmax_ce_grad(w0, xs, ys, 0.0, k)
     np.testing.assert_allclose(adapted["w"], expected, rtol=1e-10)
     assert np.isfinite(loss)
     # shared weights restored bit-exactly
@@ -194,7 +213,7 @@ def test_degenerate_single_task_equals_sgd_trajectory():
     lr = 0.05
 
     stub = LinearStub(w0.copy())
-    cfg = sgd_only(lr=lr)
+    cfg = sgd_only(lr=lr, total=5)
     meta_state = OptState.create(stub.params)
     for rnd in range(5):
         mltp_train(stub, meta_state, cfg, [(xs, ys)], 30, 0.0, 1.0, rnd)
@@ -208,7 +227,7 @@ def test_degenerate_single_task_equals_sgd_trajectory():
             with tape():
                 loss, _ = smoothed_cross_entropy(ref.forward(Tensor(xs[idx], dtype=F64)), ys[idx], 0.0, k)
                 backward(loss)
-            sgd_step(ref.params, state, lr, cfg)
+            sgd_step(ref.params, state, schedule_lr(cfg, state.step_index), cfg)
     assert (stub.params.snapshot()["w"] == ref.params.snapshot()["w"]).all()
 
 
@@ -218,13 +237,16 @@ def test_identical_tasks_mean_equals_single_delta():
     w0 = np.random.default_rng(12).normal(size=(k, d))
     lr, beta = 0.05, 0.5
 
+    cfg, step = sgd_only(lr=lr), 7  # a step where the one-cycle LR is not 0
     twin = LinearStub(w0.copy())
-    cfg = sgd_only(lr=lr)
-    mltp_train(twin, OptState.create(twin.params), cfg, [(xs, ys), (xs, ys)], 16, 0.0, beta, 0)
+    twin_state = OptState.create(twin.params)
+    twin_state.step_index = step
+    mltp_train(twin, twin_state, cfg, [(xs, ys), (xs, ys)], 16, 0.0, beta, 0)
 
     single = LinearStub(w0.copy())
-    adapted, _ = inner_loop(single, OptState.create(single.params), cfg, xs, ys, 16, 0.0,
-                            shuffle_seed=1000, epoch=0)
+    single_state = OptState.create(single.params)
+    single_state.step_index = step
+    adapted, _ = inner_loop(single, single_state, cfg, xs, ys, 16, 0.0, shuffle_seed=1000, epoch=0)
     expected = w0 + beta * (adapted["w"] - w0)
     np.testing.assert_allclose(twin.params.snapshot()["w"], expected, rtol=1e-12)
 
@@ -237,14 +259,17 @@ def test_two_round_trajectory_matches_reference_script():
     lr, beta, rounds, bs = 0.08, 0.5, 2, 8
     inner_steps = 3  # one epoch: 24 images in batches of 8
 
+    cfg = sgd_only(lr=lr, total=rounds * inner_steps)
+
     stub = LinearStub(w0.copy())
     state = OptState.create(stub.params)
     traj = [stub.params.snapshot()["w"]]
     for rnd in range(rounds):
-        mltp_train(stub, state, sgd_only(lr=lr), [t0, t1], bs, 0.0, beta, rnd)
+        mltp_train(stub, state, cfg, [t0, t1], bs, 0.0, beta, rnd)
         traj.append(stub.params.snapshot()["w"])
 
-    ref = oracles.reptile_reference(w0, [t0, t1], lr, beta, rounds, inner_steps, bs, 0.0, k)
+    step_lr = ScheduledLR(cfg, reptile_steps(rounds, 2, inner_steps))
+    ref = oracles.reptile_reference(w0, [t0, t1], step_lr, beta, rounds, inner_steps, bs, 0.0, k)
     assert len(traj) == len(ref)
     for a, b in zip(traj, ref):
         np.testing.assert_allclose(a, b, rtol=1e-6)
@@ -259,7 +284,7 @@ def test_round_shares_the_optimizer_state(monkeypatch):
     xs = np.tile(np.random.default_rng(16).normal(size=d), (n, 1))
     ys = np.full(n, 3)
     w0 = np.random.default_rng(17).normal(size=(k, d))
-    cfg = OptConfig(lr_peak=0.1, momentum=0.9, schedule="onecycle", total_steps=20)
+    cfg = OptConfig(lr_peak=0.1, momentum=0.9, total_steps=20)
     seen = []
     monkeypatch.setattr(M, "meta_update", lambda params, adapted, beta: seen.extend(adapted))
 

@@ -118,7 +118,7 @@ def test_whitened_stem_frozen_through_optimizer_steps():
     before = model.stem_filters.data.copy()
     x = np.random.default_rng(3).normal(size=(4, 3, 32, 32)).astype(np.float32)
     labels = np.array([0, 1, 2, 3])
-    cfg = OptConfig(lr_peak=0.1, total_steps=10, schedule="constant")
+    cfg = OptConfig(lr_peak=0.1, total_steps=10)
     state = OptState.create(params)
     for _ in range(5):
         params.zero_grads()

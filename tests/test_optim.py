@@ -10,6 +10,7 @@ from minitrain.optim import (
     sam_step,
     schedule_lr,
     sgd_step,
+    train_step,
 )
 from minitrain.tensor import ConfigError, Tensor, backward, mul, tape, tsum
 
@@ -158,7 +159,7 @@ def test_sgd_abort_on_later_parameter_moves_nothing():
 def test_sam_scalar_quadratic_closed_form():
     # L(w) = 0.5*a*w^2, a=2, w=1, rho=0.05, lr=0.1 -> w' = 1 - 0.1*2*1.05 = 0.79
     ps = param_set(w=[1.0])
-    cfg = OptConfig(lr_peak=1.0, momentum=0.0, decay=0.0, rho=0.05, sam_enabled=True, total_steps=1)
+    cfg = OptConfig(lr_peak=1.0, momentum=0.0, decay=0.0, rho=0.05, total_steps=1)
     closure = quadratic_closure(ps, {"w": 2.0})
     loss0, loss1 = sam_step(ps, OptState.create(ps), 0.1, cfg, closure)
     assert ps["w"].tensor.data[0] == pytest.approx(0.79, abs=1e-8)
@@ -166,33 +167,36 @@ def test_sam_scalar_quadratic_closed_form():
     assert loss1 == pytest.approx(0.5 * 2 * 1.05**2, abs=1e-10)
 
 
-def test_sam_rho_zero_identical_to_sgd_bit_for_bit():
+@pytest.mark.parametrize("gc_enabled", [False, True])
+def test_sam_rho_zero_identical_to_sgd_bit_for_bit(gc_enabled):
+    # train_step at rho=0 against the plain SGD sequence spelled out
     rng = np.random.default_rng(3)
     init = rng.normal(size=(3, 2))
     coeffs = {"w": 1.7}
     ps_a = param_set(w=init.copy())
     ps_b = param_set(w=init.copy())
-    cfg_sam = OptConfig(lr_peak=1.0, momentum=0.9, decay=0.001, rho=0.0, sam_enabled=True, total_steps=10)
-    cfg_sgd = OptConfig(lr_peak=1.0, momentum=0.9, decay=0.001, rho=0.0, total_steps=10)
+    cfg = OptConfig(lr_peak=1.0, momentum=0.9, decay=0.001, rho=0.0, gc_enabled=gc_enabled, total_steps=10)
     sa, sb = OptState.create(ps_a), OptState.create(ps_b)
     for _ in range(10):
-        sam_step(ps_a, sa, 0.05, cfg_sam, quadratic_closure(ps_a, coeffs))
+        train_step(ps_a, sa, 0.05, cfg, quadratic_closure(ps_a, coeffs))
         quadratic_closure(ps_b, coeffs)()
-        sgd_step(ps_b, sb, 0.05, cfg_sgd)
+        if gc_enabled:
+            centralize_gradients(ps_b)
+        sgd_step(ps_b, sb, 0.05, cfg)
         assert (ps_a["w"].tensor.data == ps_b["w"].tensor.data).all()
 
 
 def test_sam_lr_zero_restores_bit_identical():
     ps = param_set(w=np.random.default_rng(4).normal(size=(2, 3)))
     before = ps["w"].tensor.data.copy()
-    cfg = OptConfig(lr_peak=1.0, momentum=0.9, rho=0.5, sam_enabled=True, total_steps=1)
+    cfg = OptConfig(lr_peak=1.0, momentum=0.9, rho=0.5, total_steps=1)
     sam_step(ps, OptState.create(ps), 0.0, cfg, quadratic_closure(ps, {"w": 2.0}))
     assert (ps["w"].tensor.data == before).all()
 
 
 def test_sam_zero_gradient_skips_perturbation():
     ps = param_set(w=[0.0])  # gradient of 0.5*a*w^2 is 0 at w=0
-    cfg = OptConfig(lr_peak=1.0, momentum=0.0, rho=0.1, sam_enabled=True, total_steps=1)
+    cfg = OptConfig(lr_peak=1.0, momentum=0.0, rho=0.1, total_steps=1)
     loss0, loss1 = sam_step(ps, OptState.create(ps), 0.1, cfg, quadratic_closure(ps, {"w": 2.0}))
     assert loss0 == loss1 == 0.0
     assert ps["w"].tensor.data[0] == 0.0
@@ -206,7 +210,7 @@ def test_sam_two_parameter_quadratic_matches_reference():
     mu, lam, rho, lr = 0.9, 0.001, 0.05, 0.1
 
     ps = param_set(w=w0.reshape(1, 2).copy())
-    cfg = OptConfig(lr_peak=1.0, momentum=mu, decay=lam, rho=rho, sam_enabled=True, total_steps=5)
+    cfg = OptConfig(lr_peak=1.0, momentum=mu, decay=lam, rho=rho, total_steps=5)
     state = OptState.create(ps)
 
     def closure():
@@ -227,7 +231,7 @@ def test_sam_two_parameter_quadratic_matches_reference():
 
 def test_sam_nonfinite_perturbed_loss_aborts():
     ps = param_set(w=[[1.0]])
-    cfg = OptConfig(lr_peak=1.0, momentum=0.0, rho=0.05, sam_enabled=True, total_steps=1)
+    cfg = OptConfig(lr_peak=1.0, momentum=0.0, rho=0.05, total_steps=1)
     calls = {"n": 0}
 
     def closure():
@@ -262,11 +266,6 @@ def test_schedule_clamps_out_of_range():
     cfg = OptConfig(lr_peak=0.4, total_steps=100)
     assert schedule_lr(cfg, -5) == 0.0
     assert schedule_lr(cfg, 400) == 0.0
-
-
-def test_schedule_constant():
-    cfg = OptConfig(lr_peak=0.3, total_steps=10, schedule="constant")
-    assert all(schedule_lr(cfg, s) == 0.3 for s in range(10))
 
 
 def test_opt_config_validation():

@@ -66,16 +66,6 @@ def test_conv_matches_loop_oracle():
     np.testing.assert_allclose(out.data, ref, rtol=1e-5)
 
 
-def test_conv_strided_with_bias_matches_oracle():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(2, 2, 7, 6))
-    w = rng.normal(size=(3, 2, 3, 3))
-    b = rng.normal(size=3)
-    out = conv2d(t64(x), t64(w), t64(b), stride=2, pad=1)
-    ref = oracles.conv2d_loops(x, w, b, stride=2, pad=1)
-    np.testing.assert_allclose(out.data, ref, rtol=1e-5)
-
-
 def test_conv_channel_mismatch_rejected():
     with pytest.raises(ShapeError, match="channels"):
         conv2d(t64(np.zeros((1, 3, 4, 4))), t64(np.zeros((2, 4, 3, 3))))
@@ -108,7 +98,7 @@ def test_maxpool_tie_routes_to_first_element():
 def test_maxpool_matches_loop_oracle():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(1, 2, 4, 4))
-    out = maxpool2d(t64(x), k=2, stride=2)
+    out = maxpool2d(t64(x), k=2)
     np.testing.assert_allclose(out.data, oracles.maxpool2d_loops(x, 2, 2), rtol=1e-12)
 
 
@@ -163,7 +153,7 @@ def test_linear_matches_loop_oracle():
 
 def test_linear_shape_mismatch():
     with pytest.raises(ShapeError):
-        linear(t64(np.zeros((2, 3))), t64(np.zeros((4, 5))))
+        linear(t64(np.zeros((2, 3))), t64(np.zeros((4, 5))), t64(np.zeros(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +546,7 @@ def test_grad_check_kinked_ops(trial):
     assert rep.passed, f"relu inplace: {rep}"
 
     xp = rng.normal(size=(1, 2, 4, 4))
-    rep = grad_check(lambda t: tsum(T.mul(maxpool2d(t, 2, 2), maxpool2d(t, 2, 2))), t64(xp), step=1e-5, tol=1e-4)
+    rep = grad_check(lambda t: tsum(T.mul(maxpool2d(t, 2), maxpool2d(t, 2))), t64(xp), step=1e-5, tol=1e-4)
     assert rep.passed, f"maxpool: {rep}"
 
     xg = rng.normal(size=(2, 2, 3, 3))
@@ -594,64 +584,57 @@ def conv_cases(draw):
     cin, cout = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     h, w = draw(_odd), draw(_odd)
     kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    pad = draw(st.integers(0, 2))
     assume(kh <= h + 2 * pad and kw <= w + 2 * pad)
-    with_bias = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=(n, cin, h, w))
     wt = rng.normal(size=(cout, cin, kh, kw))
-    b = rng.normal(size=cout) if with_bias else None
-    return x, wt, b, stride, pad
+    return x, wt, pad
 
 
 @given(conv_cases())
 def test_conv_property_forward_matches_oracle(case):
-    x, w, b, stride, pad = case
-    out = conv2d(t64(x), t64(w), None if b is None else t64(b), stride=stride, pad=pad)
-    np.testing.assert_allclose(out.data, oracles.conv2d_loops(x, w, b, stride, pad), rtol=1e-10, atol=1e-12)
+    x, w, pad = case
+    out = conv2d(t64(x), t64(w), pad=pad)
+    np.testing.assert_allclose(out.data, oracles.conv2d_loops(x, w, pad=pad), rtol=1e-10, atol=1e-12)
 
 
 @given(conv_cases())
 def test_conv_property_backward_grad_check(case):
-    x, w, b, stride, pad = case
-    out_shape = conv2d(t64(x), t64(w), stride=stride, pad=pad).shape
+    x, w, pad = case
+    out_shape = conv2d(t64(x), t64(w), pad=pad).shape
     # random linear functional, so every output coordinate carries gradient
     c = t64(np.random.default_rng(0).normal(size=out_shape))
-    bt = None if b is None else t64(b)
 
-    def loss(xt, wt, btt):
-        return tsum(T.mul(conv2d(xt, wt, btt, stride=stride, pad=pad), c))
+    def loss(xt, wt):
+        return tsum(T.mul(conv2d(xt, wt, pad=pad), c))
 
-    rep = grad_check(lambda t: loss(t, t64(w), bt), t64(x), max_coords=40)
+    rep = grad_check(lambda t: loss(t, t64(w)), t64(x), max_coords=40)
     assert rep.passed, f"dx: {rep}"
-    rep = grad_check(lambda t: loss(t64(x), t, bt), t64(w), max_coords=40)
+    rep = grad_check(lambda t: loss(t64(x), t), t64(w), max_coords=40)
     assert rep.passed, f"dw: {rep}"
-    if b is not None:
-        rep = grad_check(lambda t: loss(t64(x), t64(w), t), t64(b))
-        assert rep.passed, f"db: {rep}"
 
 
 @st.composite
 def pool_cases(draw):
-    k, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
     h, w = draw(st.integers(k, 7)), draw(st.integers(k, 7))
     shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)), h, w)
     # a handful of integer levels, so windows often hold tied maxima
     x = draw(hnp.arrays(F64, shape, elements=st.sampled_from([-1.0, 0.0, 1.0, 2.0])))
-    return x, k, stride
+    return x, k
 
 
 @given(pool_cases())
 def test_maxpool_property_matches_oracles(case):
-    x, k, stride = case
+    x, k = case
     xt = t64(x, rg=True)
     with tape():
-        out = maxpool2d(xt, k, stride)
-        # integer upstream gradients keep overlapping sums exact
+        out = maxpool2d(xt, k)
         g = np.arange(out.size, dtype=F64).reshape(out.shape) % 7 + 1
         backward(tsum(T.mul(out, t64(g))))
-    np.testing.assert_array_equal(out.data, oracles.maxpool2d_loops(x, k, stride))
-    np.testing.assert_array_equal(xt.grad, oracles.maxpool2d_grad_loops(x, g, k, stride))
+    np.testing.assert_array_equal(out.data, oracles.maxpool2d_loops(x, k, k))
+    np.testing.assert_array_equal(xt.grad, oracles.maxpool2d_grad_loops(x, g, k, k))
 
 
 @st.composite
@@ -773,22 +756,22 @@ def test_inplace_activation_is_bit_identical(name, dtype, data):
                                atol=1e-7 if dtype == np.float32 else 1e-15)
 
 
-@pytest.mark.parametrize("stride,pad,bias", [(1, 1, False), (2, 1, True)])
-def test_conv_chunked_matches_single_chunk(monkeypatch, stride, pad, bias):
+# a 3x3 trunk conv, and the 1x1 pad-0 prep conv that follows the whitened stem
+@pytest.mark.parametrize("k,pad", [(3, 1), (1, 0)])
+def test_conv_chunked_matches_single_chunk(monkeypatch, k, pad):
     rng = np.random.default_rng(21)
     x = rng.normal(size=(7, 3, 5, 5))
-    w = rng.normal(size=(4, 3, 3, 3))
-    b = rng.normal(size=4) if bias else None
-    ho = (5 + 2 * pad - 3) // stride + 1
+    w = rng.normal(size=(4, 3, k, k))
+    ho = 5 + 2 * pad - k + 1
     c = np.random.default_rng(22).normal(size=(7, 4, ho, ho))
 
     def run(dtype, images_per_chunk):
-        per_image = 3 * 9 * ho * ho * np.dtype(dtype).itemsize
+        per_image = 3 * k * k * ho * ho * np.dtype(dtype).itemsize
         monkeypatch.setattr(T, "_COL_BUDGET_BYTES", images_per_chunk * per_image)
-        assert T._conv_chunk(3, 9, ho * ho, np.dtype(dtype).itemsize) == images_per_chunk
+        assert T._conv_chunk(3, k * k, ho * ho, np.dtype(dtype).itemsize) == images_per_chunk
         xt, wt = Tensor(x, requires_grad=True, dtype=dtype), Tensor(w, requires_grad=True, dtype=dtype)
         with tape():
-            out = conv2d(xt, wt, None if b is None else Tensor(b, dtype=dtype), stride=stride, pad=pad)
+            out = conv2d(xt, wt, pad=pad)
             backward(tsum(T.mul(out, Tensor(c, dtype=dtype))))
         return out.data, wt.grad, xt.grad
 
