@@ -9,6 +9,7 @@ global max pool and a scaled linear head. The whitened stem replaces the prep
 
 from __future__ import annotations
 
+import contextlib
 import json
 import zipfile
 from dataclasses import asdict, dataclass
@@ -25,10 +26,12 @@ from .tensor import (
     batchnorm2d,
     celu,
     conv2d,
+    conv_block_epilogue,
     global_maxpool,
     linear,
     maxpool2d,
     mul,
+    no_tape,
     relu,
 )
 
@@ -123,7 +126,12 @@ def _normal(rng: Optional[np.random.Generator], std: float, shape: tuple, dtype)
 
 
 class _ConvBlock:
-    """conv -> batchnorm -> activation. Convs carry no bias (batchnorm follows)."""
+    """conv -> batchnorm -> activation. Convs carry no bias (batchnorm follows).
+
+    In eval mode the batchnorm and the activation are the conv's epilogue:
+    they run on each chunk of the conv output while it is in cache, with the
+    same rounding as the separate ops, and nothing is recorded for backward.
+    """
 
     def __init__(self, params: ParamSet, name: str, cin: int, cout: int, k: int, pad: int,
                  spec: ModelSpec, rng: Optional[np.random.Generator], dtype):
@@ -136,6 +144,10 @@ class _ConvBlock:
         self.spec = spec
 
     def __call__(self, x: Tensor, mode: str, bn_momentum: float = 0.1) -> Tensor:
+        if mode == "eval":
+            epilogue = conv_block_epilogue(self.gamma, self.beta, self.bn_state,
+                                           self.spec.activation, self.spec.celu_alpha)
+            return conv2d(x, self.w, pad=self.pad, epilogue=epilogue)
         h = conv2d(x, self.w, pad=self.pad)
         h = batchnorm2d(h, self.gamma, self.beta, self.bn_state, mode=mode, momentum=bn_momentum)
         # the batchnorm output feeds only the activation, so it is overwritten
@@ -194,19 +206,27 @@ class Model:
         return [b.bn_state for b in blocks]
 
     def forward(self, x: Tensor, mode: str = "train", bn_momentum: float = 0.1) -> Tensor:
+        """Logits [N, classes] of ``x`` [N, C, 32, 32].
+
+        Train mode normalizes by batch statistics, updates the running ones
+        with ``bn_momentum`` and records on the active tape. Eval mode uses
+        the running statistics and records no tape, even under an active one.
+        """
         if x.ndim != 4 or x.shape[1] != self.spec.in_channels or x.shape[2:] != (32, 32):
             raise ShapeError(f"expected input [N,{self.spec.in_channels},32,32], got {x.shape}")
-        if self.stem_filters is not None:
-            x = conv2d(x, self.stem_filters, pad=1)
-        h = self.prep(x, mode, bn_momentum)
-        h = maxpool2d(self.stage1(h, mode, bn_momentum), 2)
-        h = self.res1(h, mode, bn_momentum)
-        h = maxpool2d(self.stage2(h, mode, bn_momentum), 2)
-        h = maxpool2d(self.stage3(h, mode, bn_momentum), 2)
-        h = self.res2(h, mode, bn_momentum)
-        h = global_maxpool(h)
-        logits = linear(h, self.head_w, self.head_b)
-        return mul(logits, self.spec.head_scale)
+        # eval convs record no backward rule, so nothing after them may record either
+        with no_tape() if mode == "eval" else contextlib.nullcontext():
+            if self.stem_filters is not None:
+                x = conv2d(x, self.stem_filters, pad=1)
+            h = self.prep(x, mode, bn_momentum)
+            h = maxpool2d(self.stage1(h, mode, bn_momentum), 2)
+            h = self.res1(h, mode, bn_momentum)
+            h = maxpool2d(self.stage2(h, mode, bn_momentum), 2)
+            h = maxpool2d(self.stage3(h, mode, bn_momentum), 2)
+            h = self.res2(h, mode, bn_momentum)
+            h = global_maxpool(h)
+            logits = linear(h, self.head_w, self.head_b)
+            return mul(logits, self.spec.head_scale)
 
     __call__ = forward
 

@@ -32,6 +32,13 @@ not read its own output. Batchnorm's rule reads only its own input, so a
 conv block applies its activation in place on the batchnorm output and keeps
 two full-size buffers alive, not three. A graph that fans an activation's
 input out, such as ``add(relu(t), t)``, must use the default.
+
+``conv2d`` takes an optional ``epilogue`` that transforms each chunk of its
+output in place while the chunk is in cache; such a conv records nothing.
+The model's eval forward runs each conv block as one conv whose epilogue,
+``conv_block_epilogue``, applies eval batchnorm and the activation through the
+same arithmetic helpers as ``batchnorm2d`` and ``celu``/``relu``, so the
+logits round exactly as the separate ops would. Eval records no tape.
 """
 
 from __future__ import annotations
@@ -159,14 +166,22 @@ _active_tape: contextvars.ContextVar[Optional[Tape]] = contextvars.ContextVar("a
 
 
 @contextlib.contextmanager
-def tape():
-    """Context manager installing a fresh active tape in this thread's context."""
-    t = Tape()
+def _activate(t: Optional[Tape]):
     token = _active_tape.set(t)
     try:
         yield t
     finally:
         _active_tape.reset(token)
+
+
+def tape():
+    """Context manager installing a fresh active tape in this thread's context."""
+    return _activate(Tape())
+
+
+def no_tape():
+    """Context manager under which ops record on no tape, even inside ``tape()``."""
+    return _activate(None)
 
 
 def backward(loss: Tensor) -> None:
@@ -269,16 +284,22 @@ def _im2col(x: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
     return cols.reshape(c * kh * kw, n * ho * wo)
 
 
-def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, pad: int) -> np.ndarray:
-    """Adjoint of ``_im2col``: sum columns back into an [N,C,H,W] view."""
-    n, c, h, w = x_shape
+def _col2im(cols: np.ndarray, gx: np.ndarray, kh: int, kw: int, pad: int) -> None:
+    """Adjoint of ``_im2col``: add the columns into ``gx``, a zeroed [C,N,H,W] view.
+
+    Taps are added in row-major order, each clipped to the image, so every
+    element receives the same additions in the same order as when summed
+    into a zero-padded buffer and cropped.
+    """
+    c, n, h, w = gx.shape
     ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
-    xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
     cols6 = cols.reshape(c, kh, kw, n, ho, wo)
     for i in range(kh):
+        y0, y1 = max(0, i - pad), min(h, ho + i - pad)
         for j in range(kw):
-            xp[:, :, i : i + ho, j : j + wo] += cols6[:, i, j]
-    return xp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
+            x0, x1 = max(0, j - pad), min(w, wo + j - pad)
+            tap = cols6[:, i, j, :, y0 + pad - i : y1 + pad - i, x0 + pad - j : x1 + pad - j]
+            gx[:, :, y0:y1, x0:x1] += tap
 
 
 def _conv_chunk(c: int, k2: int, l: int, itemsize: int) -> int:
@@ -286,7 +307,8 @@ def _conv_chunk(c: int, k2: int, l: int, itemsize: int) -> int:
     return max(1, _COL_BUDGET_BYTES // max(1, per_image))
 
 
-def conv2d(x: Tensor, w: Tensor, pad: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, pad: int = 0,
+           epilogue: Optional[Callable[[np.ndarray], None]] = None) -> Tensor:
     """Stride-1 2D cross-correlation with zero padding and no bias, NCHW layout.
 
     Each chunk of the batch is lowered to columns [Cin·kh·kw, chunk·Ho·Wo], so
@@ -294,6 +316,11 @@ def conv2d(x: Tensor, w: Tensor, pad: int = 0) -> Tensor:
     weight gradient ``g_t @ cols.T`` and the input gradient ``w2d.T @ g_t``,
     where ``g_t`` is the chunk's output gradient as [Cout, chunk·Ho·Wo].
     Backward rebuilds the columns rather than keeping them alive on the tape.
+
+    ``epilogue``, if given, transforms each chunk's product [Cout, chunk·Ho·Wo]
+    in place, elementwise, before it is written to the output, while the
+    product is still in cache. A conv with an epilogue records nothing on the
+    tape: it has no backward rule.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4D x and w, got {x.shape} and {w.shape}")
@@ -312,23 +339,28 @@ def conv2d(x: Tensor, w: Tensor, pad: int = 0) -> Tensor:
     out = np.empty((n, cout, ho, wo), dtype=x.dtype)
     for n0 in range(0, n, chunk):
         cols = _im2col(x.data[n0 : n0 + chunk], kh, kw, pad)
-        out[n0 : n0 + chunk] = (w2d @ cols).reshape(cout, -1, ho, wo).transpose(1, 0, 2, 3)
-        del cols  # free before the next chunk allocates its columns
+        r = w2d @ cols
+        if epilogue is not None:
+            epilogue(r)
+        out[n0 : n0 + chunk] = r.reshape(cout, -1, ho, wo).transpose(1, 0, 2, 3)
+        del cols, r  # free before the next chunk allocates its own
     res = Tensor._wrap(out)
+    if epilogue is not None:
+        return res
 
     def bwd(g):
         need_x, need_w = x.requires_grad, w.requires_grad
         if not (need_x or need_w):
             return
         gw = np.zeros((cout, cw * kh * kw), dtype=w.dtype) if need_w else None
-        gx = np.empty_like(x.data) if need_x else None
+        gx = np.zeros_like(x.data) if need_x else None
         for n0 in range(0, n, chunk):
             n1 = min(n0 + chunk, n)
             g_t = g[n0:n1].transpose(1, 0, 2, 3).reshape(cout, -1)
             if need_w:
                 gw += g_t @ _im2col(x.data[n0:n1], kh, kw, pad).T
             if need_x:
-                gx[n0:n1] = _col2im(w2d.T @ g_t, (n1 - n0, cin, h, wd), kh, kw, pad)
+                _col2im(w2d.T @ g_t, gx[n0:n1].transpose(1, 0, 2, 3), kh, kw, pad)
         if need_w:
             w._accumulate(gw.reshape(w.shape))
         if need_x:
@@ -366,12 +398,23 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
     def bwd(g):
         if not x.requires_grad:
             return
-        gx = np.zeros_like(x.data)
-        taken = np.zeros(out.shape, dtype=bool)
+        # windows do not overlap, so each tap's view of gx is written once;
+        # rows and columns that no window covers get no gradient
+        gx = np.empty_like(x.data)
+        gx[:, :, k * ho :] = 0.0
+        gx[:, :, :, k * wo :] = 0.0
+        # routed entries get 0.0 + g, as summing into zeros would (-0.0 becomes +0.0);
+        # the rest get +0.0, which g * False would not for negative g, so the mask
+        # multiplies g's bit patterns
+        g += 0.0
+        bits = f"u{g.itemsize}"
+        free = np.ones(out.shape, dtype=bool)  # windows whose argmax is not yet found
+        hit = np.empty(out.shape, dtype=bool)
         for v, gv in zip(_pool_views(x.data, k, ho, wo), _pool_views(gx, k, ho, wo)):
-            hit = (v == out) & ~taken
-            gv += g * hit
-            taken |= hit
+            np.equal(v, out, out=hit)
+            hit &= free
+            free ^= hit
+            np.multiply(g.view(bits), hit, out=gv.view(bits))
         x._accumulate(gx)
 
     _record(res, (x,), bwd)
@@ -446,6 +489,25 @@ class BatchNormState:
         self.running_var[:] = 1.0
 
 
+_BN_EPS = 1e-5
+
+
+def _inv_std(var: np.ndarray, eps: float) -> np.ndarray:
+    return 1.0 / np.sqrt(var + eps)
+
+
+def _scale_shift(xc: np.ndarray, inv_std: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> None:
+    """Finish batchnorm in place on the centred ``xc``: ``xc * inv_std * gamma + beta``.
+
+    The per-channel operands broadcast against ``xc``, and each is applied in
+    its own rounding step, in that order. ``batchnorm2d`` and the eval conv
+    epilogue both finish through here, so they round alike.
+    """
+    xc *= inv_std
+    xc *= gamma
+    xc += beta
+
+
 def batchnorm2d(
     x: Tensor,
     gamma: Tensor,
@@ -453,7 +515,7 @@ def batchnorm2d(
     state: BatchNormState,
     mode: str = "train",
     momentum: float = 0.1,
-    eps: float = 1e-5,
+    eps: float = _BN_EPS,
 ) -> Tensor:
     """Channel-wise batch normalization over (N, H, W).
 
@@ -490,10 +552,9 @@ def batchnorm2d(
         mean, var = state.running_mean.copy(), state.running_var.copy()
         out = x.data - mean.reshape(per_channel)
 
-    inv_std = 1.0 / np.sqrt(var + eps)
-    out *= inv_std.reshape(per_channel)
-    out *= gamma.data.reshape(per_channel)
-    out += beta.data.reshape(per_channel)
+    inv_std = _inv_std(var, eps)
+    _scale_shift(out, inv_std.reshape(per_channel), gamma.data.reshape(per_channel),
+                 beta.data.reshape(per_channel))
     res = Tensor._wrap(out)
 
     def bwd(g):
@@ -524,6 +585,26 @@ def batchnorm2d(
 # activations
 
 
+def _celu(x: np.ndarray, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """CELU's forward arithmetic into ``out``, which may be ``x``.
+
+    ``celu`` and the eval conv epilogue both compute through here.
+    """
+    # alpha * expm1(min(x, 0) / alpha) + max(x, 0); the max goes to the destination
+    neg = np.minimum(x, 0.0)
+    neg /= alpha
+    np.expm1(neg, out=neg)
+    neg *= alpha
+    out = np.maximum(x, 0.0, out=out)
+    out += neg
+    return out
+
+
+def _relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """ReLU's forward arithmetic into ``out``, which may be ``x``; shared as ``_celu`` is."""
+    return np.maximum(x, 0, out=out)
+
+
 def celu(x: Tensor, alpha: float, inplace: bool = False) -> Tensor:
     """x for x >= 0, alpha * (exp(x/alpha) - 1) otherwise. Approaches ReLU as alpha -> 0.
 
@@ -532,13 +613,7 @@ def celu(x: Tensor, alpha: float, inplace: bool = False) -> Tensor:
     """
     if alpha <= 0:
         raise ConfigError(f"celu: alpha must be positive, got {alpha}")
-    # alpha * expm1(min(x, 0) / alpha) + max(x, 0); the max goes to the destination
-    neg = np.minimum(x.data, 0.0)
-    neg /= alpha
-    np.expm1(neg, out=neg)
-    neg *= alpha
-    out = np.maximum(x.data, 0.0, out=x.data if inplace else None)
-    out += neg
+    out = _celu(x.data, alpha, out=x.data if inplace else None)
     res = Tensor._wrap(out)
 
     def bwd(g):
@@ -556,7 +631,7 @@ def celu(x: Tensor, alpha: float, inplace: bool = False) -> Tensor:
 
 def relu(x: Tensor, inplace: bool = False) -> Tensor:
     """max(x, 0); with ``inplace=True`` written into ``x.data``."""
-    out = np.maximum(x.data, 0, out=x.data if inplace else None)
+    out = _relu(x.data, out=x.data if inplace else None)
     res = Tensor._wrap(out)
 
     def bwd(g):
@@ -566,6 +641,32 @@ def relu(x: Tensor, inplace: bool = False) -> Tensor:
 
     _record(res, (x,), bwd)
     return res
+
+
+def conv_block_epilogue(gamma: Tensor, beta: Tensor, state: BatchNormState, activation: str,
+                        celu_alpha: float) -> Callable[[np.ndarray], None]:
+    """A ``conv2d`` epilogue that applies an eval-mode conv block's batchnorm and activation.
+
+    On each conv product [Cout, chunk·Ho·Wo] it centres by the running mean,
+    finishes batchnorm and applies ``activation`` ("relu" or "celu"), all in
+    place. It rounds exactly as ``batchnorm2d(mode="eval")`` followed by
+    ``relu`` or ``celu`` does: the same per-element operations, in the same
+    order, through the same helpers.
+    """
+    rows = (-1, 1)  # one row per output channel
+    mean = state.running_mean.reshape(rows)
+    inv_std = _inv_std(state.running_var, _BN_EPS).reshape(rows)
+    g, b = gamma.data.reshape(rows), beta.data.reshape(rows)
+
+    def epilogue(a: np.ndarray) -> None:
+        a -= mean
+        _scale_shift(a, inv_std, g, b)
+        if activation == "celu":
+            _celu(a, celu_alpha, out=a)
+        else:
+            _relu(a, out=a)
+
+    return epilogue
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,23 @@ def conv2d_loops(x, w, b=None, stride=1, pad=0):
     return out
 
 
+def conv2d_input_grad_loops(g, w, x_shape, pad=0):
+    """Input gradient of the stride-1 ``conv2d_loops``: each output gradient
+    flows back to every input its window read, weighted by the kernel tap."""
+    n, cin, h, wd = x_shape
+    cout, _, kh, kw = w.shape
+    gxp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=np.float64)
+    for ni in range(n):
+        for co in range(cout):
+            for oy in range(g.shape[2]):
+                for ox in range(g.shape[3]):
+                    for ci in range(cin):
+                        for ky in range(kh):
+                            for kx in range(kw):
+                                gxp[ni, ci, oy + ky, ox + kx] += g[ni, co, oy, ox] * w[co, ci, ky, kx]
+    return gxp[:, :, pad : pad + h, pad : pad + wd]
+
+
 def maxpool2d_loops(x, k, stride):
     n, c, h, w = x.shape
     ho = (h - k) // stride + 1

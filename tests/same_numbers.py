@@ -7,11 +7,13 @@ class to train from, 15 per class to test on) under ``<out-dir>``, then runs
 ``minitrain.cli.main`` from ``<checkout>/src`` over six recipes, each at
 fp32 and fp64: seed 3, widths 8/16/16/16, 4 images per class, batch 20,
 3 epochs. For each run it prints one line: the sha256 of the metrics CSV rows
-without the ``wall_seconds`` column, and the sha256 of the checkpoint file.
+without the ``wall_seconds`` column, the sha256 of the checkpoint file, and
+the sha256 of the bytes of the eval-mode logits that the loaded checkpoint
+gives on the test file (normalized by the statistics of the training file).
 
 Run it on two checkouts and diff the output: identical lines mean the same
-metrics (apart from wall time) and byte-identical checkpoints. Not a test
-module, so pytest does not collect it.
+metrics (apart from wall time), byte-identical checkpoints and the same eval
+logits bit for bit. Not a test module, so pytest does not collect it.
 """
 
 import contextlib
@@ -44,7 +46,9 @@ def csv_digest(path: Path) -> str:
 def main(checkout: str, out_dir: str) -> int:
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     from minitrain.cli import main as cli_main
-    from minitrain.data import write_cifar_binary
+    from minitrain.data import NormStats, load_cifar_binary, normalize, write_cifar_binary
+    from minitrain.models import load_checkpoint
+    from minitrain.tensor import Tensor
     from synthetic import make_synthetic_dataset
 
     out = Path(out_dir)
@@ -52,6 +56,14 @@ def main(checkout: str, out_dir: str) -> int:
     data.mkdir(parents=True, exist_ok=True)
     write_cifar_binary(make_synthetic_dataset(per_class=40, seed=0), data / "data_batch_1.bin")
     write_cifar_binary(make_synthetic_dataset(per_class=15, seed=99), data / "test_batch.bin")
+    stats = NormStats.fit(load_cifar_binary([data / "data_batch_1.bin"]))
+    test_images = load_cifar_binary([data / "test_batch.bin"]).images
+
+    def logits_digest(ckpt: Path) -> str:
+        model, params = load_checkpoint(ckpt)
+        x = normalize(test_images, stats, dtype=next(iter(params)).tensor.dtype.type)
+        logits = model.forward(Tensor(x, dtype=x.dtype), mode="eval")
+        return hashlib.sha256(logits.data.tobytes()).hexdigest()
 
     status = 0
     for name, flags in RUNS.items():
@@ -66,7 +78,8 @@ def main(checkout: str, out_dir: str) -> int:
                 print(f"{tag} exit={rc}")
                 status = 1
                 continue
-            print(f"{tag} csv={csv_digest(metrics)} ckpt={hashlib.sha256(ckpt.read_bytes()).hexdigest()}")
+            print(f"{tag} csv={csv_digest(metrics)} ckpt={hashlib.sha256(ckpt.read_bytes()).hexdigest()} "
+                  f"logits={logits_digest(ckpt)}")
     return status
 
 

@@ -166,9 +166,11 @@ def test_residual_block_grad_check():
 @pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("activation", ["relu", "celu"])
 def test_conv_block_activation_overwrites_batchnorm_output(monkeypatch, activation, mode):
+    """Train mode runs conv, batchnorm, then the activation in place on batchnorm's
+    output. Eval mode runs only the conv, whose epilogue does both, and records no tape."""
     import minitrain.models as M
 
-    bn_outs, act_outs = [], []
+    conv_outs, bn_outs, act_outs = [], [], []
 
     def capture(fn, outs):
         def wrapper(*args, **kwargs):
@@ -177,17 +179,84 @@ def test_conv_block_activation_overwrites_batchnorm_output(monkeypatch, activati
             return out
         return wrapper
 
+    monkeypatch.setattr(M, "conv2d", capture(M.conv2d, conv_outs))
     monkeypatch.setattr(M, "batchnorm2d", capture(M.batchnorm2d, bn_outs))
     monkeypatch.setattr(M, activation, capture(getattr(M, activation), act_outs))
     model, params = build_resnet9(ModelSpec(widths=(4, 4, 4, 4), activation=activation), seed=0)
     x = Tensor(np.random.default_rng(7).normal(size=(2, 3, 32, 32)))
-    with tape():
-        loss, _ = smoothed_cross_entropy(model(x, mode=mode), np.array([1, 2]), 0.0, 10)
-        backward(loss)
+    with tape() as t:
+        logits = model(x, mode=mode)
+        if mode == "eval":
+            assert len(t) == 0 and logits.tape is None
+        else:
+            loss, _ = smoothed_cross_entropy(logits, np.array([1, 2]), 0.0, 10)
+            backward(loss)
+    assert len(conv_outs) == len(model.bn_states())
+    if mode == "eval":
+        assert bn_outs == act_outs == []
+        return
     assert len(bn_outs) == len(act_outs) == len(model.bn_states())
     for bn_out, act_out in zip(bn_outs, act_outs):
         assert np.shares_memory(bn_out, act_out)
     assert all(np.isfinite(e.tensor.grad).all() for e in params)
+
+
+def _separate_passes_eval_logits(model, x):
+    """The eval forward as conv, batchnorm and activation in separate full-size
+    passes, with batchnorm and the activation spelled out in numpy."""
+    spec, dtype = model.spec, x.dtype
+    pc = (1, -1, 1, 1)
+
+    def op(f, *args, **kwargs):
+        return f(*(Tensor(a, dtype=dtype) if isinstance(a, np.ndarray) else a for a in args), **kwargs).data
+
+    def block(b, h):
+        h = op(T.conv2d, h, b.w, pad=b.pad)
+        st = b.bn_state
+        inv_std = 1.0 / np.sqrt(st.running_var + 1e-5)
+        mean, gamma, beta = st.running_mean.reshape(pc), b.gamma.data.reshape(pc), b.beta.data.reshape(pc)
+        h = (h - mean) * inv_std.reshape(pc) * gamma + beta
+        if spec.activation == "celu":
+            a = spec.celu_alpha
+            return np.maximum(h, 0.0) + a * np.expm1(np.minimum(h, 0.0) / a)
+        return np.maximum(h, 0)
+
+    def residual(r, h):
+        return h + block(r.b, block(r.a, h))
+
+    if model.stem_filters is not None:
+        x = op(T.conv2d, x, model.stem_filters, pad=1)
+    h = block(model.prep, x)
+    h = op(T.maxpool2d, block(model.stage1, h), 2)
+    h = residual(model.res1, h)
+    h = op(T.maxpool2d, block(model.stage2, h), 2)
+    h = op(T.maxpool2d, block(model.stage3, h), 2)
+    h = residual(model.res2, h)
+    h = op(T.global_maxpool, h)
+    return op(T.mul, op(T.linear, h, model.head_w, model.head_b), spec.head_scale)
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["one_chunk", "partial_chunks"])
+@pytest.mark.parametrize("dtype", [np.float32, F64], ids=["fp32", "fp64"])
+@pytest.mark.parametrize("stem", ["plain", "whitened"])
+@pytest.mark.parametrize("activation", ["relu", "celu"])
+def test_eval_logits_match_separate_passes_bit_for_bit(monkeypatch, activation, stem, dtype, chunked):
+    if chunked:
+        # the 5 images go through prep in chunks of 2, 2 and 1, and through res1 in 3 and 2
+        monkeypatch.setattr(T, "_COL_BUDGET_BYTES", (1 << 16) * np.dtype(dtype).itemsize)
+    rng = np.random.default_rng(31)
+    wf = rng.normal(size=(27, 3, 3, 3)) if stem == "whitened" else None
+    spec = ModelSpec(widths=(4, 8, 8, 16), activation=activation, stem=stem)
+    model, params = build_resnet9(spec, seed=31, whitening_filters=wf, dtype=dtype)
+    for e in params:  # every parameter off its initial value, batchnorm scales and shifts included
+        e.tensor.data += rng.normal(scale=0.3, size=e.tensor.shape).astype(dtype)
+    for _ in range(2):  # running statistics off their initial values
+        model.forward(Tensor(rng.normal(size=(4, 3, 32, 32)), dtype=dtype), mode="train", bn_momentum=0.6)
+    x = rng.normal(size=(5, 3, 32, 32)).astype(dtype)
+    fused = model.forward(Tensor(x, dtype=dtype), mode="eval").data
+    ref = _separate_passes_eval_logits(model, x)
+    assert fused.dtype == ref.dtype == dtype
+    assert fused.tobytes() == ref.tobytes()
 
 
 def test_forward_shape_total_over_batch_sizes():
