@@ -126,30 +126,30 @@ def _normal(rng: Optional[np.random.Generator], std: float, shape: tuple, dtype)
 
 
 class _ConvBlock:
-    """conv -> batchnorm -> activation. Convs carry no bias (batchnorm follows).
+    """same conv -> batchnorm -> activation. Convs carry no bias (batchnorm
+    follows) and keep the map's H x W: a k x k kernel pads by (k - 1) / 2.
 
     In eval mode the batchnorm and the activation are the conv's epilogue:
     they run on each chunk of the conv output while it is in cache, with the
     same rounding as the separate ops, and nothing is recorded for backward.
     """
 
-    def __init__(self, params: ParamSet, name: str, cin: int, cout: int, k: int, pad: int,
+    def __init__(self, params: ParamSet, name: str, cin: int, cout: int, k: int,
                  spec: ModelSpec, rng: Optional[np.random.Generator], dtype):
         kaiming_std = np.sqrt(2.0 / (cin * k * k))
         self.w = params.add(f"{name}.conv.w", _normal(rng, kaiming_std, (cout, cin, k, k), dtype))
         self.gamma = params.add(f"{name}.bn.gamma", Tensor(np.ones(cout), dtype=dtype))
         self.beta = params.add(f"{name}.bn.beta", Tensor(np.zeros(cout), dtype=dtype))
         self.bn_state = BatchNormState.create(cout, dtype=dtype)
-        self.pad = pad
         self.spec = spec
 
     def __call__(self, x: Tensor, mode: str, bn_momentum: float = 0.1) -> Tensor:
         if mode == "eval":
             epilogue = conv_block_epilogue(self.gamma, self.beta, self.bn_state,
                                            self.spec.activation, self.spec.celu_alpha)
-            return conv2d(x, self.w, pad=self.pad, epilogue=epilogue)
-        h = conv2d(x, self.w, pad=self.pad)
-        h = batchnorm2d(h, self.gamma, self.beta, self.bn_state, mode=mode, momentum=bn_momentum)
+            return conv2d(x, self.w, epilogue=epilogue)
+        h = conv2d(x, self.w)
+        h = batchnorm2d(h, self.gamma, self.beta, self.bn_state, momentum=bn_momentum)
         # the batchnorm output feeds only the activation, so it is overwritten
         if self.spec.activation == "celu":
             return celu(h, self.spec.celu_alpha, inplace=True)
@@ -161,8 +161,8 @@ class _ResidualBlock:
 
     def __init__(self, params: ParamSet, name: str, channels: int, spec: ModelSpec,
                  rng: Optional[np.random.Generator], dtype):
-        self.a = _ConvBlock(params, f"{name}.a", channels, channels, 3, 1, spec, rng, dtype)
-        self.b = _ConvBlock(params, f"{name}.b", channels, channels, 3, 1, spec, rng, dtype)
+        self.a = _ConvBlock(params, f"{name}.a", channels, channels, 3, spec, rng, dtype)
+        self.b = _ConvBlock(params, f"{name}.b", channels, channels, 3, spec, rng, dtype)
 
     def __call__(self, x: Tensor, mode: str, bn_momentum: float = 0.1) -> Tensor:
         return add(x, self.b(self.a(x, mode, bn_momentum), mode, bn_momentum))
@@ -187,14 +187,14 @@ class Model:
             if wf.shape != (27, 3, 3, 3):
                 raise ShapeError(f"whitening filters must be [27,3,3,3], got {wf.shape}")
             self.stem_filters = Tensor(wf, requires_grad=False, dtype=dtype)
-            self.prep = _ConvBlock(params, "prep", 27, w1, 1, 0, spec, rng, dtype)
+            self.prep = _ConvBlock(params, "prep", 27, w1, 1, spec, rng, dtype)
         else:
-            self.prep = _ConvBlock(params, "prep", spec.in_channels, w1, 3, 1, spec, rng, dtype)
+            self.prep = _ConvBlock(params, "prep", spec.in_channels, w1, 3, spec, rng, dtype)
 
-        self.stage1 = _ConvBlock(params, "stage1", w1, w2, 3, 1, spec, rng, dtype)
+        self.stage1 = _ConvBlock(params, "stage1", w1, w2, 3, spec, rng, dtype)
         self.res1 = _ResidualBlock(params, "res1", w2, spec, rng, dtype)
-        self.stage2 = _ConvBlock(params, "stage2", w2, w3, 3, 1, spec, rng, dtype)
-        self.stage3 = _ConvBlock(params, "stage3", w3, w4, 3, 1, spec, rng, dtype)
+        self.stage2 = _ConvBlock(params, "stage2", w2, w3, 3, spec, rng, dtype)
+        self.stage3 = _ConvBlock(params, "stage3", w3, w4, 3, spec, rng, dtype)
         self.res2 = _ResidualBlock(params, "res2", w4, spec, rng, dtype)
 
         self.head_w = params.add("head.w", _normal(rng, np.sqrt(1.0 / w4), (spec.classes, w4), dtype))
@@ -217,7 +217,7 @@ class Model:
         # eval convs record no backward rule, so nothing after them may record either
         with no_tape() if mode == "eval" else contextlib.nullcontext():
             if self.stem_filters is not None:
-                x = conv2d(x, self.stem_filters, pad=1)
+                x = conv2d(x, self.stem_filters)
             h = self.prep(x, mode, bn_momentum)
             h = maxpool2d(self.stage1(h, mode, bn_momentum), 2)
             h = self.res1(h, mode, bn_momentum)

@@ -6,10 +6,17 @@ order, the operator set needed by ResNet-9 (convolution, pooling, batchnorm,
 activations, linear, smoothed cross-entropy), and a central-finite-difference
 gradient checker used as the independent oracle for the whole engine.
 
-The ops take only what ResNet-9 passes: convolution is stride-1 and bias-free,
-k x k max pooling has stride k, and linear always has a bias. ``tsum`` and
-tensor-by-tensor ``mul`` serve ``grad_check``, which projects an op's output
-to a scalar as ``tsum(mul(op(x), c))``; the model calls neither.
+The ops take only what ResNet-9 passes: convolution is a bias-free "same"
+conv (stride 1, an odd square k x k kernel, zero padding (k - 1) / 2, so the
+output keeps the input's H x W), k x k max pooling has stride k, and linear
+always has a bias. Because a same conv's output and input share H·W, its
+im2col lowering copies each kernel tap as one flat shifted run of H·W values
+per channel and image, then zeroes the entries that fall outside the image or
+wrap across a row edge; there is no padded copy of the input. The input
+gradient adds the taps back the same way. Batchnorm as an op is train mode
+only; eval mode is the conv epilogue below. ``tsum`` and tensor-by-tensor
+``mul`` serve ``grad_check``, which projects an op's output to a scalar as
+``tsum(mul(op(x), c))``; the model calls neither.
 
 The active tape is a context variable, so each thread records on its own:
 one active tape per training thread. Tensors built without an explicit dtype
@@ -38,7 +45,7 @@ output in place while the chunk is in cache; such a conv records nothing.
 The model's eval forward runs each conv block as one conv whose epilogue,
 ``conv_block_epilogue``, applies eval batchnorm and the activation through the
 same arithmetic helpers as ``batchnorm2d`` and ``celu``/``relu``, so the
-logits round exactly as the separate ops would. Eval records no tape.
+logits round exactly as separate eval-mode ops would. Eval records no tape.
 """
 
 from __future__ import annotations
@@ -257,49 +264,87 @@ def tsum(x: Tensor) -> Tensor:
 # convolution
 
 # Cap on the im2col buffer of one chunk. Conv lowers a chunk of the batch to
-# one column matrix of shape (C·kh·kw, chunk·Ho·Wo), channel-major, and splits
+# one column matrix of shape (C·k·k, chunk·H·W), channel-major, and splits
 # the batch into as many chunks as keep that matrix under the cap.
 #
 # 8 MiB keeps the columns and the dX product of a chunk below glibc's largest
 # mmap threshold (32 MiB), so the allocator reuses their pages instead of
 # mapping and faulting them in again on every call, and keeps them nearer the
-# cache. Measured conv forward/backward ms per SAM closure at the default
-# widths, batch 40, 2 cores with OpenBLAS: 64 MiB 339/736, 8 MiB 301/677,
-# 4 MiB 289/713; 2 MiB and 1 MiB were slower. At fp32 the forward output and
-# dX come out bit-identical for any cap (each element is one dot product over
-# the same K); the weight gradient sums over chunks, so its last bits move.
+# cache. Conv forward/backward ms in one train closure at the default widths
+# (whitened stem, CELU), batch 40, 2 cores with OpenBLAS, medians of 11, in
+# two sweeps: 4 MiB 263/563 and 281/584, 8 MiB 250/529 and 281/578, 16 MiB
+# 259/493 and 305/571. No cap wins both sweeps beyond the host's drift; with
+# the padded lowering, 64 MiB measured 339/736 against 301/677 at 8 MiB, and
+# 2 MiB and 1 MiB were slower. At fp32 the forward output and dX come out
+# bit-identical for any cap (each element is one dot product over the same
+# K); the weight gradient sums over chunks, so its last bits move.
 _COL_BUDGET_BYTES = 8 << 20
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
-    """[N,C,H,W] -> columns [C·kh·kw, N·Ho·Wo]; row (c, i, j) holds tap (i, j) of channel c."""
-    n, c, h, w = x.shape
-    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
-    xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
-    cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, :, i : i + ho, j : j + wo]
-    return cols.reshape(c * kh * kw, n * ho * wo)
+def _taps(k: int, h: int, w: int):
+    """Per tap (i, j) of a same conv on an h x w map, in row-major order: the
+    run of flat output pixels q whose input pixel q + d, d = (i - p)·w + (j - p),
+    lies in the map, as the slices of q and of q + d."""
+    p, hw = (k - 1) // 2, h * w
+    for i in range(k):
+        for j in range(k):
+            d = (i - p) * w + (j - p)
+            if abs(d) < hw:
+                yield i, j, slice(max(0, -d), hw - max(0, d)), slice(max(0, d), hw - max(0, -d))
 
 
-def _col2im(cols: np.ndarray, gx: np.ndarray, kh: int, kw: int, pad: int) -> None:
-    """Adjoint of ``_im2col``: add the columns into ``gx``, a zeroed [C,N,H,W] view.
+def _zero_wrapped(cols6: np.ndarray, k: int) -> None:
+    """Zero the entries of columns [C, k, k, N, H, W] that a flat shift carries
+    across a row edge: output column x of kernel column j where x + j - p
+    leaves [0, W)."""
+    w, p = cols6.shape[-1], (k - 1) // 2
+    for j in range(k):
+        s = j - p
+        if s < 0:
+            cols6[:, :, j, :, :, :-s] = 0.0
+        elif s > 0:
+            cols6[:, :, j, :, :, max(0, w - s) :] = 0.0
 
-    Taps are added in row-major order, each clipped to the image, so every
-    element receives the same additions in the same order as when summed
-    into a zero-padded buffer and cropped.
+
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """[N,C,H,W] -> columns [C·k·k, N·H·W] of a same conv; row (c, i, j) holds tap (i, j) of channel c.
+
+    Each tap is one flat shifted copy of up to H·W values per channel and
+    image, straight from the input. The tap's rows that fall above or below
+    the image and its columns that wrapped across a row edge are then zeroed.
     """
-    c, n, h, w = gx.shape
-    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
-    cols6 = cols.reshape(c, kh, kw, n, ho, wo)
-    for i in range(kh):
-        y0, y1 = max(0, i - pad), min(h, ho + i - pad)
-        for j in range(kw):
-            x0, x1 = max(0, j - pad), min(w, wo + j - pad)
-            tap = cols6[:, i, j, :, y0 + pad - i : y1 + pad - i, x0 + pad - j : x1 + pad - j]
-            gx[:, :, y0:y1, x0:x1] += tap
+    n, c, h, w = x.shape
+    p = (k - 1) // 2
+    src = x.reshape(n, c, h * w).transpose(1, 0, 2)
+    cols = np.empty((c, k, k, n, h * w), dtype=x.dtype)
+    for i, j, q, xq in _taps(k, h, w):
+        cols[:, i, j, :, q] = src[:, :, xq]
+    for i in range(k):
+        s = i - p
+        if s < 0:
+            cols[:, i, :, :, : -s * w] = 0.0
+        elif s > 0:
+            cols[:, i, :, :, max(0, h - s) * w :] = 0.0
+    _zero_wrapped(cols.reshape(c, k, k, n, h, w), k)
+    return cols.reshape(c * k * k, n * h * w)
+
+
+def _col2im(cols: np.ndarray, gx: np.ndarray, k: int) -> None:
+    """Adjoint of ``_im2col``: add the columns into ``gx``, a zeroed [N,C,H,W] array.
+
+    ``cols`` is scratch: its entries that wrapped across a row edge are zeroed
+    first. Then each tap is added into ``gx`` as one flat shifted run, in
+    row-major tap order, so every element receives the same additions in the
+    same order as when summed tap by tap into a zero-padded buffer and
+    cropped. The wrapped +0.0 adds change nothing: a sum that starts at +0.0
+    is never -0.0.
+    """
+    n, c, h, w = gx.shape
+    _zero_wrapped(cols.reshape(c, k, k, n, h, w), k)
+    cols5 = cols.reshape(c, k, k, n, h * w)
+    dst = gx.reshape(n, c, h * w).transpose(1, 0, 2)
+    for i, j, q, xq in _taps(k, h, w):
+        dst[:, :, xq] += cols5[:, i, j, :, q]
 
 
 def _conv_chunk(c: int, k2: int, l: int, itemsize: int) -> int:
@@ -307,17 +352,22 @@ def _conv_chunk(c: int, k2: int, l: int, itemsize: int) -> int:
     return max(1, _COL_BUDGET_BYTES // max(1, per_image))
 
 
-def conv2d(x: Tensor, w: Tensor, pad: int = 0,
-           epilogue: Optional[Callable[[np.ndarray], None]] = None) -> Tensor:
-    """Stride-1 2D cross-correlation with zero padding and no bias, NCHW layout.
+def conv2d(x: Tensor, w: Tensor, epilogue: Optional[Callable[[np.ndarray], None]] = None) -> Tensor:
+    """Same 2D cross-correlation, NCHW layout: stride 1, no bias, and zero
+    padding (k - 1) / 2 for an odd k x k kernel, so the output keeps the input's
+    H x W. An even or non-square kernel raises ``ShapeError``.
 
-    Each chunk of the batch is lowered to columns [Cin·kh·kw, chunk·Ho·Wo], so
+    Each chunk of the batch is lowered to columns [Cin·k·k, chunk·H·W], so
     every product is one GEMM per chunk: the forward ``w2d @ cols``, the
     weight gradient ``g_t @ cols.T`` and the input gradient ``w2d.T @ g_t``,
-    where ``g_t`` is the chunk's output gradient as [Cout, chunk·Ho·Wo].
+    where ``g_t`` is the chunk's output gradient as [Cout, chunk·H·W].
     Backward rebuilds the columns rather than keeping them alive on the tape.
+    Since output and input share H·W, tap (i, j) of output pixel q reads input
+    pixel q + (i - p)·W + (j - p): the lowering copies, and the input gradient
+    adds back, each tap as one flat shifted run per channel and image, with no
+    padded buffer (see ``_im2col`` and ``_col2im``).
 
-    ``epilogue``, if given, transforms each chunk's product [Cout, chunk·Ho·Wo]
+    ``epilogue``, if given, transforms each chunk's product [Cout, chunk·H·W]
     in place, elementwise, before it is written to the output, while the
     product is still in cache. A conv with an epilogue records nothing on the
     tape: it has no backward rule.
@@ -325,24 +375,23 @@ def conv2d(x: Tensor, w: Tensor, pad: int = 0,
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4D x and w, got {x.shape} and {w.shape}")
     n, cin, h, wd = x.shape
-    cout, cw, kh, kw = w.shape
+    cout, cw, k, kw = w.shape
     if cin != cw:
         raise ShapeError(
             f"conv2d: x has {cin} input channels but w expects {cw} (x {x.shape}, w {w.shape})"
         )
-    if kh > h + 2 * pad or kw > wd + 2 * pad:
-        raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds padded input {h + 2 * pad}x{wd + 2 * pad}")
-    ho, wo = h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1
-    w2d = w.data.reshape(cout, cw * kh * kw)
-    chunk = _conv_chunk(cin, kh * kw, ho * wo, x.data.dtype.itemsize)
+    if k != kw or k % 2 == 0:
+        raise ShapeError(f"conv2d: a same conv needs an odd square kernel, got {k}x{kw}")
+    w2d = w.data.reshape(cout, cw * k * k)
+    chunk = _conv_chunk(cin, k * k, h * wd, x.data.dtype.itemsize)
 
-    out = np.empty((n, cout, ho, wo), dtype=x.dtype)
+    out = np.empty((n, cout, h, wd), dtype=x.dtype)
     for n0 in range(0, n, chunk):
-        cols = _im2col(x.data[n0 : n0 + chunk], kh, kw, pad)
+        cols = _im2col(x.data[n0 : n0 + chunk], k)
         r = w2d @ cols
         if epilogue is not None:
             epilogue(r)
-        out[n0 : n0 + chunk] = r.reshape(cout, -1, ho, wo).transpose(1, 0, 2, 3)
+        out[n0 : n0 + chunk] = r.reshape(cout, -1, h, wd).transpose(1, 0, 2, 3)
         del cols, r  # free before the next chunk allocates its own
     res = Tensor._wrap(out)
     if epilogue is not None:
@@ -352,15 +401,15 @@ def conv2d(x: Tensor, w: Tensor, pad: int = 0,
         need_x, need_w = x.requires_grad, w.requires_grad
         if not (need_x or need_w):
             return
-        gw = np.zeros((cout, cw * kh * kw), dtype=w.dtype) if need_w else None
+        gw = np.zeros((cout, cw * k * k), dtype=w.dtype) if need_w else None
         gx = np.zeros_like(x.data) if need_x else None
         for n0 in range(0, n, chunk):
             n1 = min(n0 + chunk, n)
             g_t = g[n0:n1].transpose(1, 0, 2, 3).reshape(cout, -1)
             if need_w:
-                gw += g_t @ _im2col(x.data[n0:n1], kh, kw, pad).T
+                gw += g_t @ _im2col(x.data[n0:n1], k).T
             if need_x:
-                _col2im(w2d.T @ g_t, gx[n0:n1].transpose(1, 0, 2, 3), kh, kw, pad)
+                _col2im(w2d.T @ g_t, gx[n0:n1], k)
         if need_w:
             w._accumulate(gw.reshape(w.shape))
         if need_x:
@@ -513,15 +562,14 @@ def batchnorm2d(
     gamma: Tensor,
     beta: Tensor,
     state: BatchNormState,
-    mode: str = "train",
     momentum: float = 0.1,
     eps: float = _BN_EPS,
 ) -> Tensor:
-    """Channel-wise batch normalization over (N, H, W).
+    """Train-mode channel-wise batch normalization over (N, H, W).
 
-    Train mode normalizes by batch statistics (biased variance) and folds them
-    into the running stats with the given momentum; eval mode uses the running
-    stats. With momentum=1 one train step makes eval reproduce train exactly.
+    Normalizes by the batch statistics (biased variance) and folds them into
+    the running stats with the given momentum. Eval mode, which normalizes by
+    the running stats, is ``conv_block_epilogue``.
 
     The input is centred once into the buffer that becomes the output, and
     1/std, gamma and beta are applied to it in place, in that order, so the
@@ -536,21 +584,14 @@ def batchnorm2d(
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm2d: gamma/beta must have shape ({c},)")
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"batchnorm2d: unknown mode {mode!r}")
 
     axes, per_channel = (0, 2, 3), (1, c, 1, 1)
     m = x.size // c
-    if mode == "train":
-        mean = x.data.mean(axis=axes)
-        out = x.data - mean.reshape(per_channel)
-        var = np.square(out).mean(axis=axes)  # what x.var computes, from the one centring
-        state.running_mean += momentum * (mean - state.running_mean)
-        state.running_var += momentum * (var - state.running_var)
-    else:
-        # copies: backward must see the statistics this forward used
-        mean, var = state.running_mean.copy(), state.running_var.copy()
-        out = x.data - mean.reshape(per_channel)
+    mean = x.data.mean(axis=axes)
+    out = x.data - mean.reshape(per_channel)
+    var = np.square(out).mean(axis=axes)  # what x.var computes, from the one centring
+    state.running_mean += momentum * (mean - state.running_mean)
+    state.running_var += momentum * (var - state.running_var)
 
     inv_std = _inv_std(var, eps)
     _scale_shift(out, inv_std.reshape(per_channel), gamma.data.reshape(per_channel),
@@ -569,13 +610,11 @@ def batchnorm2d(
             return
         scale = gamma.data * inv_std
         g *= scale.reshape(per_channel)
-        if mode == "train":
-            # gx = scale * (g - sum_g / m - xhat * sum_g_xhat / m), built in xc
-            xc *= (-scale * inv_std * sum_g_xhat / m).reshape(per_channel)
-            xc -= (scale * sum_g / m).reshape(per_channel)
-            xc += g
-            g = xc
-        x._accumulate(g)
+        # gx = scale * (g - sum_g / m - xhat * sum_g_xhat / m), built in xc
+        xc *= (-scale * inv_std * sum_g_xhat / m).reshape(per_channel)
+        xc -= (scale * sum_g / m).reshape(per_channel)
+        xc += g
+        x._accumulate(xc)
 
     _record(res, (x, gamma, beta), bwd)
     return res
@@ -647,11 +686,12 @@ def conv_block_epilogue(gamma: Tensor, beta: Tensor, state: BatchNormState, acti
                         celu_alpha: float) -> Callable[[np.ndarray], None]:
     """A ``conv2d`` epilogue that applies an eval-mode conv block's batchnorm and activation.
 
-    On each conv product [Cout, chunk·Ho·Wo] it centres by the running mean,
+    On each conv product [Cout, chunk·H·W] it centres by the running mean,
     finishes batchnorm and applies ``activation`` ("relu" or "celu"), all in
-    place. It rounds exactly as ``batchnorm2d(mode="eval")`` followed by
-    ``relu`` or ``celu`` does: the same per-element operations, in the same
-    order, through the same helpers.
+    place. It rounds exactly as ``gamma * ((x - running_mean) * inv_std) + beta``
+    with ``inv_std = 1 / sqrt(running_var + eps)``, followed by ``relu`` or
+    ``celu``, does: batchnorm finishes through the same helpers as
+    ``batchnorm2d``, and the activation through those of ``relu`` and ``celu``.
     """
     rows = (-1, 1)  # one row per output channel
     mean = state.running_mean.reshape(rows)

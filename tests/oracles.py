@@ -50,6 +50,34 @@ def conv2d_input_grad_loops(g, w, x_shape, pad=0):
     return gxp[:, :, pad : pad + h, pad : pad + wd]
 
 
+def im2col_padded(x, kh, kw, pad):
+    """[N,C,H,W] -> columns [C·kh·kw, N·Ho·Wo] through a zero-padded [C,N,H+2p,W+2p]
+    copy, one short row of Wo values per tap, channel, image and output row: the
+    lowering the library's flat shifted copies must reproduce bit for bit."""
+    n, c, h, w = x.shape
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, :, i : i + ho, j : j + wo]
+    return cols.reshape(c * kh * kw, n * ho * wo)
+
+
+def col2im_padded(cols, x_shape, kh, kw, pad):
+    """Adjoint of ``im2col_padded``: sum the columns tap by tap, row-major, into a
+    zeroed padded [N,C,H+2p,W+2p] buffer and crop it to ``x_shape``."""
+    n, c, h, w = x_shape
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    cols6 = cols.reshape(c, kh, kw, n, ho, wo)
+    gxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i : i + ho, j : j + wo] += cols6[:, i, j]
+    return gxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
+
+
 def maxpool2d_loops(x, k, stride):
     n, c, h, w = x.shape
     ho = (h - k) // stride + 1

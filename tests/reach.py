@@ -4,7 +4,8 @@ Usage: python tests/reach.py <checkout> <out-dir>
 
 Runs, under the stdlib ``trace`` module (no coverage package needed):
 
-- the twelve fixed-seed runs of ``same_numbers.py``;
+- the twelve fixed-seed runs and the two train-mode gradient closures of
+  ``same_numbers.py``;
 - a ``--recipe-matrix`` run over all five recipes, with the same settings;
 - two runs that stop early: one whose budget fits no block, and one whose
   ``--per-class`` is more than the data holds, which fails during setup;

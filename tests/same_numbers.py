@@ -11,9 +11,17 @@ without the ``wall_seconds`` column, the sha256 of the checkpoint file, and
 the sha256 of the bytes of the eval-mode logits that the loaded checkpoint
 gives on the test file (normalized by the statistics of the training file).
 
+Those runs are small enough that every conv fits in one chunk, so two more
+lines exercise chunk tails: one ``grads=`` line per shape in ``GRAD_SHAPES``,
+the sha256 of the loss and of every parameter gradient and batchnorm running
+statistic after one train-mode closure at fp32 on the first 40 training
+images. At the default widths with the whitened stem, ``stage1`` alone splits
+a batch of 40 into 14 chunks.
+
 Run it on two checkouts and diff the output: identical lines mean the same
-metrics (apart from wall time), byte-identical checkpoints and the same eval
-logits bit for bit. Not a test module, so pytest does not collect it.
+metrics (apart from wall time), byte-identical checkpoints, the same eval
+logits and the same gradients, bit for bit. Not a test module, so pytest does
+not collect it.
 """
 
 import contextlib
@@ -33,6 +41,11 @@ RUNS = {
 }
 COMMON = ["--seed", "3", "--widths", "8,16,16,16", "--per-class", "4", "--batch-size", "20",
           "--max-epochs", "3"]
+GRAD_SHAPES = {
+    "default_whitened_celu": {"widths": (64, 128, 256, 512), "stem": "whitened", "activation": "celu"},
+    "narrow_plain_relu": {"widths": (32, 64, 128, 256), "stem": "plain", "activation": "relu"},
+}
+GRAD_BATCH = 40
 
 
 def csv_digest(path: Path) -> str:
@@ -46,9 +59,10 @@ def csv_digest(path: Path) -> str:
 def main(checkout: str, out_dir: str) -> int:
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     from minitrain.cli import main as cli_main
-    from minitrain.data import NormStats, load_cifar_binary, normalize, write_cifar_binary
-    from minitrain.models import load_checkpoint
+    from minitrain.data import NormStats, fit_whitening, load_cifar_binary, normalize, write_cifar_binary
+    from minitrain.models import ModelSpec, build_resnet9, load_checkpoint
     from minitrain.tensor import Tensor
+    from minitrain.train import make_closure
     from synthetic import make_synthetic_dataset
 
     out = Path(out_dir)
@@ -56,7 +70,8 @@ def main(checkout: str, out_dir: str) -> int:
     data.mkdir(parents=True, exist_ok=True)
     write_cifar_binary(make_synthetic_dataset(per_class=40, seed=0), data / "data_batch_1.bin")
     write_cifar_binary(make_synthetic_dataset(per_class=15, seed=99), data / "test_batch.bin")
-    stats = NormStats.fit(load_cifar_binary([data / "data_batch_1.bin"]))
+    train = load_cifar_binary([data / "data_batch_1.bin"])
+    stats = NormStats.fit(train)
     test_images = load_cifar_binary([data / "test_batch.bin"]).images
 
     def logits_digest(ckpt: Path) -> str:
@@ -80,6 +95,19 @@ def main(checkout: str, out_dir: str) -> int:
                 continue
             print(f"{tag} csv={csv_digest(metrics)} ckpt={hashlib.sha256(ckpt.read_bytes()).hexdigest()} "
                   f"logits={logits_digest(ckpt)}")
+
+    train_x = normalize(train.images, stats)
+    xb, yb = train_x[:GRAD_BATCH], train.labels[:GRAD_BATCH]
+    for name, shape in GRAD_SHAPES.items():
+        filters = fit_whitening(train_x).filters if shape["stem"] == "whitened" else None
+        model, params = build_resnet9(ModelSpec(**shape), seed=3, whitening_filters=filters)
+        digest = hashlib.sha256(repr(make_closure(model, xb, yb, 0.2)()).encode())
+        for e in params:
+            digest.update(e.tensor.grad.tobytes())
+        for st in model.bn_states():
+            digest.update(st.running_mean.tobytes())
+            digest.update(st.running_var.tobytes())
+        print(f"{name}_fp32 grads={digest.hexdigest()}")
     return status
 
 

@@ -60,7 +60,7 @@ def test_criterion_1_gradient_oracle_suite():
     run(lambda t: tsum(mul(linear(t, wl, bl), cl)), rng.normal(size=(2, 6)), 1e-6)
     wc = Tensor(rng.normal(size=(3, 2, 3, 3)), dtype=F64)
     cc = rng.normal(size=(2, 3, 5, 5))
-    run(lambda t: tsum(mul(T.conv2d(t, wc, pad=1), Tensor(cc, dtype=F64))),
+    run(lambda t: tsum(mul(T.conv2d(t, wc), Tensor(cc, dtype=F64))),
         rng.normal(size=(2, 2, 5, 5)), 1e-6)
     gamma = Tensor(rng.normal(size=(3,)) + 1.0, dtype=F64)
     beta = Tensor(rng.normal(size=(3,)), dtype=F64)
@@ -68,7 +68,7 @@ def test_criterion_1_gradient_oracle_suite():
 
     def bn_loss(t):
         st = BatchNormState.create(3, dtype=F64)
-        return tsum(mul(T.batchnorm2d(t, gamma, beta, st, mode="train"), Tensor(cb, dtype=F64)))
+        return tsum(mul(T.batchnorm2d(t, gamma, beta, st), Tensor(cb, dtype=F64)))
 
     run(bn_loss, rng.normal(size=(2, 3, 4, 4)), 1e-6)
     ce = Tensor(rng.normal(size=(4, 4)), dtype=F64)
@@ -215,7 +215,7 @@ def test_criterion_5_loop_oracles_and_meta_trajectory():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 3, 8, 8))
     w = rng.normal(size=(4, 3, 3, 3))
-    conv_ok = np.allclose(T.conv2d(Tensor(x, dtype=F64), Tensor(w, dtype=F64), pad=1).data,
+    conv_ok = np.allclose(T.conv2d(Tensor(x, dtype=F64), Tensor(w, dtype=F64)).data,
                           oracles.conv2d_loops(x, w, pad=1), rtol=1e-5)
     pool_ok = np.allclose(T.maxpool2d(Tensor(x, dtype=F64), 2).data,
                           oracles.maxpool2d_loops(x, 2, 2), rtol=1e-5)

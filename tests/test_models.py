@@ -211,7 +211,7 @@ def _separate_passes_eval_logits(model, x):
         return f(*(Tensor(a, dtype=dtype) if isinstance(a, np.ndarray) else a for a in args), **kwargs).data
 
     def block(b, h):
-        h = op(T.conv2d, h, b.w, pad=b.pad)
+        h = op(T.conv2d, h, b.w)
         st = b.bn_state
         inv_std = 1.0 / np.sqrt(st.running_var + 1e-5)
         mean, gamma, beta = st.running_mean.reshape(pc), b.gamma.data.reshape(pc), b.beta.data.reshape(pc)
@@ -225,7 +225,7 @@ def _separate_passes_eval_logits(model, x):
         return h + block(r.b, block(r.a, h))
 
     if model.stem_filters is not None:
-        x = op(T.conv2d, x, model.stem_filters, pad=1)
+        x = op(T.conv2d, x, model.stem_filters)
     h = block(model.prep, x)
     h = op(T.maxpool2d, block(model.stage1, h), 2)
     h = residual(model.res1, h)
@@ -438,6 +438,6 @@ def test_calibrate_batchnorm_sets_dataset_stats():
     calibrate_batchnorm(model, x, batch_size=8)
     # prep-layer stats should match the conv output statistics of the data
     st = model.prep.bn_state
-    h = T.conv2d(Tensor(x, dtype=F64), model.prep.w, pad=model.prep.pad)
+    h = T.conv2d(Tensor(x, dtype=F64), model.prep.w)
     per_batch_means = [h.data[i : i + 8].mean(axis=(0, 2, 3)) for i in (0, 8)]
     np.testing.assert_allclose(st.running_mean, np.mean(per_batch_means, axis=0), rtol=1e-6)
