@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
 from .data import DataFormatError
-from .harness import RECIPES, RunConfig, recipe_matrix, run_training
+from .harness import DEFAULT_MATRIX, RECIPE_GRAMMAR, RunConfig, recipe_matrix, run_training
 from .tensor import ConfigError
 
 _SPELLING = {"decay": "lambda"}  # `lambda` is a Python keyword, so the field is `decay`
@@ -98,8 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     for f in fields(RunConfig):
         switch = dict(action=argparse.BooleanOptionalAction, default=None) if _TYPES[f.name] is bool else {}
         p.add_argument(_flag(f.name), dest=f.name, help=_HELP.get(f.name), **switch)
-    p.add_argument("--recipe-matrix", nargs="?", const=",".join(RECIPES), metavar="RECIPES",
-                   help="run a comma-separated recipe list (default: all five) and print a table")
+    p.add_argument("--recipe-matrix", nargs="?", const=",".join(DEFAULT_MATRIX), metavar="RECIPES",
+                   help=f"run each recipe of a comma-separated list with its own budget and print a table; "
+                        f"a recipe is {RECIPE_GRAMMAR} (default: {', '.join(DEFAULT_MATRIX)})")
     return p
 
 
@@ -128,18 +129,16 @@ def parse_config(argv, env: Optional[dict] = None):
     provenance = {"config_file": args.config, "file_values": file_values,
                   "flag_values": {k: list(v) if isinstance(v, tuple) else v
                                   for k, v in flag_values.items()}}
-    matrix = args.recipe_matrix.split(",") if args.recipe_matrix else None
+    matrix = args.recipe_matrix.split(",") if args.recipe_matrix is not None else None
     return cfg, provenance, matrix
 
 
 def _print_matrix(rows) -> None:
-    print(f"{'recipe':<10} {'status':<12} {'accuracy':>9} {'epochs':>7} {'wall(s)':>9}")
+    w = max(len(name) for name in ["recipe", *(r["recipe"] for r in rows)])
+    print(f"{'recipe':<{w}} {'accuracy':>9} {'epochs':>7} {'wall(s)':>9} status")
     for r in rows:
-        status = r["status"] if len(r["status"]) <= 12 else r["status"][:12]
-        print(f"{r['recipe']:<10} {status:<12} {r['final_accuracy']:>9.2f} "
-              f"{r['epochs']:>7} {r['wall_seconds']:>9.1f}")
-        if r["status"] != "ok":
-            print(f"  -> {r['status']}")
+        print(f"{r['recipe']:<{w}} {r['final_accuracy']:>9.2f} {r['epochs']:>7} {r['wall_seconds']:>9.1f} "
+              f"{r['status']}")
 
 
 def main(argv=None) -> int:
@@ -149,7 +148,7 @@ def main(argv=None) -> int:
         if not cfg.data_dir:
             print("error: no data directory (use --data-dir or CIFAR_DIR)", file=sys.stderr)
             return 2
-        if matrix:
+        if matrix is not None:
             rows = recipe_matrix(cfg, matrix, extra_manifest={"cli": provenance})
             _print_matrix(rows)
             return 0 if all(r["status"] == "ok" for r in rows) else 1

@@ -33,6 +33,9 @@ from .train import calibrate_batchnorm, evaluate, run_epoch
 IP_LS_ALPHA = 0.1
 IP_CELU_ALPHA = 0.3
 IP_DECAY = 0.0005
+# A recipe name joins the switches it turns on, in this order. "sam" is optimizer="sam"; the others
+# are the boolean RunConfig fields of the same name.
+SWITCHES = ("sam", "ip", "gc", "mltp")
 
 
 @dataclass
@@ -88,16 +91,8 @@ class RunConfig:
 
     @property
     def recipe(self) -> str:
-        parts = []
-        if self.optimizer == "sam":
-            parts.append("sam")
-        if self.ip:
-            parts.append("ip")
-        if self.gc:
-            parts.append("gc")
-        if self.mltp:
-            parts.append("mltp")
-        return "+".join(parts) if parts else "baseline"
+        on = (self.optimizer == "sam", self.ip, self.gc, self.mltp)
+        return "+".join(s for s, o in zip(SWITCHES, on) if o) or "baseline"
 
     def resolved_decay(self) -> float:
         if self.decay is not None:
@@ -331,37 +326,50 @@ def _dataset_digest(ds: Dataset) -> str:
     return h.hexdigest()
 
 
-RECIPES = {
-    "baseline": {"optimizer": "sgd", "gc": False, "ip": False, "mltp": False},
-    "sam": {"optimizer": "sam", "gc": False, "ip": False, "mltp": False},
-    "sam+ip": {"optimizer": "sam", "gc": False, "ip": True, "mltp": False},
-    "sam+gc": {"optimizer": "sam", "gc": True, "ip": False, "mltp": False},
-    "mltp": {"optimizer": "sgd", "gc": False, "ip": False, "mltp": True},
-}
+RECIPE_GRAMMAR = f"baseline, or a +-joined subset of {', '.join(SWITCHES)} in that order"
+# the full recipe, the recipes that each leave one switch out of it, and the baseline
+DEFAULT_MATRIX = ("+".join(SWITCHES), *("+".join(s for s in SWITCHES if s != out) for out in SWITCHES), "baseline")
+
+
+def recipe_switches(name: str) -> dict:
+    """The switch fields of recipe ``name``: the inverse of ``RunConfig.recipe``."""
+    on = name.split("+")
+    switches = {"optimizer": "sam" if "sam" in on else "sgd", **{s: s in on for s in SWITCHES[1:]}}
+    if RunConfig(**switches).recipe != name:
+        raise ConfigError(f"unknown recipe {name!r}; a recipe is {RECIPE_GRAMMAR}")
+    return switches
 
 
 def recipe_matrix(base: RunConfig, recipes: Optional[list[str]] = None,
                   extra_manifest: Optional[dict] = None) -> list[dict]:
     """Run each recipe with its own budget and collect a comparison table.
 
-    Each recipe writes its metrics to ``<metrics stem>_<tag>.csv`` and, when
-    ``checkpoint_out`` is set, its model to ``<checkpoint stem>_<tag><suffix>``,
-    where the tag is the recipe name with ``+`` as ``_``. Every recipe's
-    configuration is checked before the first one runs. A recipe that fails
-    while running is recorded and the rest still run. ``extra_manifest`` goes
-    into every recipe's manifest, as in ``run_training``.
+    ``recipes`` defaults to ``DEFAULT_MATRIX``: the full recipe, the four
+    recipes that each leave one switch out of it, and the baseline; each name
+    is read by ``recipe_switches``. Each recipe writes its metrics to
+    ``<metrics stem>_<tag>.csv`` and, when ``checkpoint_out`` is set, its model
+    to ``<checkpoint stem>_<tag><suffix>``, where the tag is the recipe name
+    with ``+`` as ``_``. Every recipe's configuration is checked before the
+    first one runs, so an empty list, or a malformed or repeated name, raises
+    ConfigError before any file is written. A recipe that fails while running
+    is recorded and the rest still run. ``extra_manifest`` goes into every
+    recipe's manifest, as in ``run_training``.
     """
     out_base = Path(base.metrics_out)
     ckpt_base = Path(base.checkpoint_out) if base.checkpoint_out else None
+    names = DEFAULT_MATRIX if recipes is None else recipes
+    if not names:
+        raise ConfigError("the recipe matrix needs at least one recipe")
     configs = []
-    for name in recipes or list(RECIPES):
-        if name not in RECIPES:
-            raise ConfigError(f"unknown recipe {name!r}; choose from {sorted(RECIPES)}")
+    for name in names:
+        switches = recipe_switches(name)
+        if name in (n for n, _ in configs):
+            raise ConfigError(f"recipe {name!r} is listed twice")
         tag = name.replace("+", "_")
         ckpt = (None if ckpt_base is None
                 else str(ckpt_base.with_name(f"{ckpt_base.stem}_{tag}{ckpt_base.suffix}")))
         cfg = replace(base, metrics_out=str(out_base.with_name(f"{out_base.stem}_{tag}.csv")),
-                      checkpoint_out=ckpt, **RECIPES[name])
+                      checkpoint_out=ckpt, **switches)
         _settings(cfg)
         configs.append((name, cfg))
     rows = []

@@ -6,7 +6,8 @@ Runs, under the stdlib ``trace`` module (no coverage package needed):
 
 - the twelve fixed-seed runs and the two train-mode gradient closures of
   ``same_numbers.py``;
-- a ``--recipe-matrix`` run over all five recipes, with the same settings;
+- a ``--recipe-matrix`` run over the default matrix (the full recipe, its
+  four leave-one-out ablations and the baseline), with the same settings;
 - two runs that stop early: one whose budget fits no block, and one whose
   ``--per-class`` is more than the data holds, which fails during setup;
 - a checkpoint round trip: ``load_checkpoint`` of the fp32 baseline's

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 from dataclasses import fields, replace
@@ -8,15 +9,15 @@ import pytest
 
 from synthetic import make_synthetic_dataset
 
-from minitrain.cli import build_parser, main, parse_config, read_config_file
+from minitrain.cli import _print_matrix, build_parser, main, parse_config, read_config_file
 from minitrain.data import NormStats, normalize, write_cifar_binary
 from minitrain.harness import (
-    RECIPES,
     MetricsRecord,
     RunConfig,
     manifest_path,
     read_metrics,
     recipe_matrix,
+    recipe_switches,
     run_training,
     write_metrics,
 )
@@ -88,12 +89,40 @@ def test_config_file_errors(tmp_path):
         read_config_file(f)
 
 
+# the hand-written recipe table that recipe_switches replaced
+OLD_RECIPES = {
+    "baseline": {"optimizer": "sgd", "gc": False, "ip": False, "mltp": False},
+    "sam": {"optimizer": "sam", "gc": False, "ip": False, "mltp": False},
+    "sam+ip": {"optimizer": "sam", "gc": False, "ip": True, "mltp": False},
+    "sam+gc": {"optimizer": "sam", "gc": True, "ip": False, "mltp": False},
+    "mltp": {"optimizer": "sgd", "gc": False, "ip": False, "mltp": True},
+}
+DEFAULT_MATRIX = ["sam+ip+gc+mltp", "ip+gc+mltp", "sam+gc+mltp", "sam+ip+mltp", "sam+ip+gc", "baseline"]
+
+
 def test_recipe_flag_mapping():
     assert RunConfig(data_dir="x").recipe == "baseline"
     assert RunConfig(data_dir="x", optimizer="sam").recipe == "sam"
     assert RunConfig(data_dir="x", optimizer="sam", ip=True).recipe == "sam+ip"
     assert RunConfig(data_dir="x", optimizer="sam", gc=True).recipe == "sam+gc"
     assert RunConfig(data_dir="x", mltp=True).recipe == "mltp"
+    for name, switches in OLD_RECIPES.items():
+        assert recipe_switches(name) == switches, name
+    names = set()
+    for sam, ip, gc, mltp in itertools.product((False, True), repeat=4):
+        cfg = RunConfig(data_dir="x", optimizer="sam" if sam else "sgd", ip=ip, gc=gc, mltp=mltp)
+        assert recipe_switches(cfg.recipe) == {"optimizer": cfg.optimizer, "ip": ip, "gc": gc, "mltp": mltp}
+        names.add(cfg.recipe)
+    assert len(names) == 16
+
+
+def test_each_leave_one_out_recipe_drops_one_switch():
+    full = recipe_switches(DEFAULT_MATRIX[0])
+    assert full == {"optimizer": "sam", "ip": True, "gc": True, "mltp": True}
+    for name in DEFAULT_MATRIX[1:5]:
+        differ = [k for k, v in recipe_switches(name).items() if v != full[k]]
+        assert len(differ) == 1, name
+    assert [k for k, v in recipe_switches("baseline").items() if v != full[k]] == list(full)
 
 
 def test_ip_implies_smoothing_decay_celu():
@@ -161,7 +190,8 @@ def test_parser_flag_set():
 def test_parser_lists_all_recipes_in_matrix_const():
     parser = build_parser()
     args = parser.parse_args(["--recipe-matrix"])
-    assert set(args.recipe_matrix.split(",")) == set(RECIPES)
+    assert args.recipe_matrix.split(",") == DEFAULT_MATRIX
+    assert f"(default: {', '.join(DEFAULT_MATRIX)})" in " ".join(parser.format_help().split())
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +522,28 @@ def test_recipe_matrix_checks_every_recipe_before_running(synth_data_dir, tmp_pa
 
 def test_recipe_matrix_unknown_recipe(synth_data_dir, tmp_path):
     base = tiny_cfg(synth_data_dir, tmp_path / "m.csv")
-    with pytest.raises(ConfigError, match="unknown recipe"):
-        recipe_matrix(base, ["nope"])
+    for name in ["nope", "", "sam+", "ip+sam", "sam+sam", "baseline+sam", "SAM", "sam+ip+gc+mltp+x"]:
+        with pytest.raises(ConfigError, match="unknown recipe"):
+            recipe_matrix(base, ["baseline", name])
+    with pytest.raises(ConfigError, match="at least one recipe"):
+        recipe_matrix(base, [])
+    with pytest.raises(ConfigError, match="'baseline' is listed twice"):
+        recipe_matrix(base, ["baseline", "sam", "baseline"])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_matrix_table_aligns_at_the_longest_name(capsys):
+    rows = [{"recipe": "sam+ip+gc+mltp", "status": "ok", "final_accuracy": 91.5, "epochs": 3,
+             "wall_seconds": 12.0},
+            {"recipe": "sam", "status": "failed: a message longer than twelve characters",
+             "final_accuracy": float("nan"), "epochs": 0, "wall_seconds": float("nan")}]
+    _print_matrix(rows)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    status = lines[0].index(" status") + 1  # the last column, printed whole
+    assert lines[1][status:] == "ok" and lines[2][status:] == rows[1]["status"]
+    accuracy = lines[0].index("accuracy") + len("accuracy")
+    assert lines[1][:accuracy].endswith(" 91.50") and lines[2][:accuracy].endswith(" nan")
 
 
 def test_cli_main_happy_path(synth_data_dir, tmp_path, capsys):
@@ -537,6 +587,9 @@ def test_cli_main_config_error_exit_code(tmp_path, capsys):
     ["--rho", "-1"],
     ["--mltp", "--beta", "2"],
     ["--recipe-matrix", "baseline,sam", "--lr-peak", "0"],
+    ["--recipe-matrix", ""],
+    ["--recipe-matrix", "baseline,baseline"],
+    ["--recipe-matrix", "baseline,ip+sam"],
     ["--metrics-out", "{tmp}/file/m.csv"],
     ["--checkpoint-out", "{tmp}/file/model.ckpt"],
     ["--per-class", "abc"],
@@ -553,6 +606,7 @@ def test_cli_main_config_error_exit_code(tmp_path, capsys):
     ["--beta", "nan"],
 ], ids=["malformed_widths", "per_class", "batch_size", "max_epochs", "mltp_per_class", "decay",
         "three_widths", "lr_peak", "momentum", "rho", "beta", "matrix_lr_peak",
+        "matrix_empty", "matrix_repeated", "matrix_malformed",
         "metrics_under_file", "checkpoint_under_file",
         "per_class_text", "seed_fraction", "precision", "optimizer", "negative_seed",
         "nan_budget_seconds", "nan_lr_peak", "nan_decay", "nan_rho",
@@ -572,7 +626,7 @@ def test_cli_main_invalid_value_exits_2_before_reading_data(argv, tmp_path, caps
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (tmp_path / "m.csv").exists()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["data_batch_1.bin", "file", "test_batch.bin"]
 
 
 def test_cli_main_per_class_above_the_data_exits_2(tmp_path, capsys):
