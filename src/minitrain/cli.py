@@ -8,7 +8,9 @@ also has a ``--no-`` flag, so a flag can switch off a value the file switched
 on. Precedence: flag > config file > default (``CIFAR_DIR`` fills a missing
 ``data_dir``). File and flag values are both echoed into the run manifest. A
 malformed or invalid value, or an output path that cannot be written, exits
-with code 2 before any data is read.
+with code 2 before any data is read. So does a switch setting (a field in
+``SWITCH_FIELDS``, by flag or by file) given with ``--recipe-matrix``, whose
+recipe names set those fields themselves.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
 from .data import DataFormatError
-from .harness import DEFAULT_MATRIX, RECIPE_GRAMMAR, RunConfig, recipe_matrix, run_training
+from .harness import DEFAULT_MATRIX, RECIPE_GRAMMAR, SWITCH_FIELDS, RunConfig, recipe_matrix, run_training
 from .tensor import ConfigError
 
 _SPELLING = {"decay": "lambda"}  # `lambda` is a Python keyword, so the field is `decay`
@@ -122,6 +124,10 @@ def parse_config(argv, env: Optional[dict] = None):
 
     merged = dict(file_values)
     merged.update(flag_values)
+    owned = [name for name in SWITCH_FIELDS if name in merged]
+    if args.recipe_matrix is not None and owned:
+        raise ConfigError(f"--recipe-matrix sets {', '.join(SWITCH_FIELDS)} from each recipe name, "
+                          f"so they cannot be set; got {', '.join(owned)}")
     if "data_dir" not in merged and env.get("CIFAR_DIR"):
         merged["data_dir"] = env["CIFAR_DIR"]
     cfg = RunConfig(**merged)

@@ -53,9 +53,9 @@ def load_cifar_binary(paths: Sequence, split: str = "train") -> Dataset:
     images, labels = [], []
     for p in paths:
         raw = p.read_bytes()
-        if len(raw) % RECORD_BYTES != 0:
+        if not raw or len(raw) % RECORD_BYTES != 0:
             raise DataFormatError(
-                f"{p}: length {len(raw)} is not a multiple of {RECORD_BYTES}"
+                f"{p}: length {len(raw)} is not a positive multiple of {RECORD_BYTES}"
             )
         digest.update(raw)
         arr = np.frombuffer(raw, dtype=np.uint8).reshape(-1, RECORD_BYTES)

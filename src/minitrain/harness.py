@@ -36,11 +36,13 @@ IP_DECAY = 0.0005
 # A recipe name joins the switches it turns on, in this order. "sam" is optimizer="sam"; the others
 # are the boolean RunConfig fields of the same name.
 SWITCHES = ("sam", "ip", "gc", "mltp")
+SWITCH_FIELDS = ("optimizer", *SWITCHES[1:])  # the RunConfig fields a recipe name sets
 
 
 @dataclass
 class RunConfig:
-    """Full experiment description; flag combinations map onto the recipes."""
+    """Full experiment description; flag combinations map onto the recipes. Building one checks
+    every setting, and builds the ``spec`` and ``opt`` it derives, so a run can start from it."""
 
     data_dir: str = ""
     per_class: int = 500
@@ -79,26 +81,32 @@ class RunConfig:
         if self.mltp and self.per_class < 2:
             raise ConfigError(f"mltp splits every class over two tasks, so per_class must be >= 2, "
                               f"got {self.per_class}")
-        if not self.rho >= 0:  # checked for every optimizer, though only sam passes it on
-            raise ConfigError(f"rho must be >= 0, got {self.rho}")
-        if self.decay is not None and not self.decay >= 0:
-            raise ConfigError(f"decay must be >= 0, got {self.decay}")
         if not 0.0 < self.beta <= 1.0:  # NaN fails too
             raise ConfigError(f"beta must be in (0,1], got {self.beta}")
         if self.meta_iterations is not None and self.meta_iterations < 1:
             raise ConfigError(f"meta_iterations must be >= 1, got {self.meta_iterations}")
         self.widths = tuple(self.widths)
+        self.spec, self.opt  # the model and optimizer settings check the rest
 
     @property
     def recipe(self) -> str:
         on = (self.optimizer == "sam", self.ip, self.gc, self.mltp)
         return "+".join(s for s, o in zip(SWITCHES, on) if o) or "baseline"
 
-    def resolved_decay(self) -> float:
-        if self.decay is not None:
-            return self.decay
-        return IP_DECAY if self.ip else 0.0
+    @property
+    def spec(self) -> ModelSpec:
+        return ModelSpec(widths=self.widths, activation="celu" if self.ip else "relu", celu_alpha=IP_CELU_ALPHA,
+                         stem="whitened" if self.ip else "plain", classes=NUM_CLASSES, head_scale=0.125)
 
+    @property
+    def opt(self) -> OptConfig:
+        steps_per_epoch = math.ceil(NUM_CLASSES * self.per_class / self.batch_size)
+        opt = OptConfig(lr_peak=self.lr_peak, momentum=self.momentum, rho=self.rho,  # rho checked for sgd too
+                        decay=self.decay if self.decay is not None else IP_DECAY if self.ip else 0.0,
+                        gc_enabled=self.gc, total_steps=self.max_epochs * steps_per_epoch)
+        return opt if self.optimizer == "sam" else replace(opt, rho=0.0)  # SGD is the SAM step at rho 0
+
+    @property
     def ls_alpha(self) -> float:
         return IP_LS_ALPHA if self.ip else 0.0
 
@@ -185,28 +193,6 @@ class RunResult:
     model: object = field(repr=False, default=None)
 
 
-def _settings(cfg: RunConfig) -> tuple[ModelSpec, OptConfig]:
-    """The model and optimizer settings of a run; a bad value raises ConfigError."""
-    spec = ModelSpec(
-        widths=cfg.widths,
-        activation="celu" if cfg.ip else "relu",
-        celu_alpha=IP_CELU_ALPHA,
-        stem="whitened" if cfg.ip else "plain",
-        classes=NUM_CLASSES,
-        head_scale=0.125,
-    )
-    steps_per_epoch = math.ceil(NUM_CLASSES * cfg.per_class / cfg.batch_size)
-    opt_cfg = OptConfig(
-        lr_peak=cfg.lr_peak,
-        momentum=cfg.momentum,
-        decay=cfg.resolved_decay(),
-        rho=cfg.rho if cfg.optimizer == "sam" else 0.0,  # SGD is the SAM step at rho 0
-        gc_enabled=cfg.gc,
-        total_steps=cfg.max_epochs * steps_per_epoch,
-    )
-    return spec, opt_cfg
-
-
 def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[dict] = None) -> RunResult:
     """Execute one recipe end to end under the wall-clock budget.
 
@@ -217,10 +203,11 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
     loading; a block only starts if the budget left is more than the longest
     block so far, timed on ``clock`` through its evaluation, so total time
     never exceeds budget + one block. If no block fits, one epoch-0 record
-    reports the untrained model. Bad settings and unwritable output paths
-    raise before any file is written. Anything that raises after that, from
-    data loading on and even an interrupt, still leaves the metrics of the
-    completed blocks and a manifest naming the error before it propagates.
+    reports the untrained model. ``cfg`` checked its settings when it was
+    built, and unwritable output paths raise before any file is written.
+    Anything that raises after that, from data loading on and even an
+    interrupt, still leaves the metrics of the completed blocks and a
+    manifest naming the error before it propagates.
     """
     start = clock()
 
@@ -228,7 +215,7 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
         return clock() - start
 
     dtype = np.float32 if cfg.precision == 32 else np.float64
-    spec, opt_cfg = _settings(cfg)  # every setting is checked before any file is touched
+    opt_cfg = cfg.opt
     check_writable(cfg.metrics_out)
     check_writable(manifest_path(cfg.metrics_out))
     if cfg.checkpoint_out:
@@ -240,23 +227,26 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
 
     try:
         train_files, test_files = find_data_files(cfg.data_dir)
-        full_train = load_cifar_binary(train_files, split="train")
+        # the run keeps only the arrays it reads: the subset, not the whole training file, and
+        # the normalized test images, not their bytes. The test file goes first: read after 50,000
+        # training images, it left glibc holding about 67 MB more of freed buffers resident.
         test_ds = load_cifar_binary(test_files, split="test")
-        subset = sample_subset(full_train, cfg.per_class, seeds["subset"])
+        subset = sample_subset(load_cifar_binary(train_files, split="train"), cfg.per_class, seeds["subset"])
         stats = NormStats.fit(subset)
         train_x = normalize(subset.images, stats, dtype=dtype)
-        test_x = normalize(test_ds.images, stats, dtype=dtype)
+        test_x, test_y = normalize(test_ds.images, stats, dtype=dtype), test_ds.labels
+        del test_ds
 
         whitening = None
         if cfg.ip:
             whitening = fit_whitening(train_x, seed=seeds["whitening"])
         model, _ = build_resnet9(
-            spec, seeds["init"],
+            cfg.spec, seeds["init"],
             whitening_filters=whitening.filters if whitening else None,
             dtype=dtype,
         )
         manifest.update({
-            "source_digest": full_train.source_digest,
+            "source_digest": subset.source_digest,
             "subset_size": len(subset),
             "subset_digest": _dataset_digest(subset),
             "norm_stats": stats.to_dict(),
@@ -268,11 +258,11 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
         state = OptState.create(model.params)
         blocks = cfg.max_epochs
         if cfg.mltp:
-            tasks = [(train_x[idx], subset.labels[idx]) for idx in split_tasks(subset.labels, seeds["subset"])]
+            tasks = split_tasks(subset.labels, seeds["subset"])
             blocks = cfg.meta_iterations or cfg.max_epochs
 
         def record(epoch: int, loss: float) -> None:
-            acc = evaluate(model, test_x, test_ds.labels, cfg.batch_size)
+            acc = evaluate(model, test_x, test_y, cfg.batch_size)
             records.append(MetricsRecord(epoch=epoch, wall_seconds=elapsed(), train_loss=loss, test_accuracy=acc,
                                          lr=schedule_lr(opt_cfg, state.step_index), recipe=cfg.recipe))
 
@@ -282,13 +272,13 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
                 break
             t0 = elapsed()
             if cfg.mltp:
-                loss = float(np.mean(mltp_train(model, state, opt_cfg, tasks, cfg.batch_size,
-                                                cfg.ls_alpha(), cfg.beta, b - 1)))
+                loss = float(np.mean(mltp_train(model, state, opt_cfg, train_x, subset.labels, tasks,
+                                                cfg.batch_size, cfg.ls_alpha, cfg.beta, b - 1)))
                 calibrate_batchnorm(model, train_x, cfg.batch_size)
             else:
                 loss = run_epoch(
                     model, state, opt_cfg,
-                    train_x, subset.labels, cfg.batch_size, cfg.ls_alpha(),
+                    train_x, subset.labels, cfg.batch_size, cfg.ls_alpha,
                     shuffle_seed=cfg.seed, epoch=b,
                     augment_rng=augment_rng,
                 )
@@ -334,7 +324,7 @@ DEFAULT_MATRIX = ("+".join(SWITCHES), *("+".join(s for s in SWITCHES if s != out
 def recipe_switches(name: str) -> dict:
     """The switch fields of recipe ``name``: the inverse of ``RunConfig.recipe``."""
     on = name.split("+")
-    switches = {"optimizer": "sam" if "sam" in on else "sgd", **{s: s in on for s in SWITCHES[1:]}}
+    switches = {"optimizer": "sam" if "sam" in on else "sgd", **{s: s in on for s in SWITCH_FIELDS[1:]}}
     if RunConfig(**switches).recipe != name:
         raise ConfigError(f"unknown recipe {name!r}; a recipe is {RECIPE_GRAMMAR}")
     return switches
@@ -349,11 +339,13 @@ def recipe_matrix(base: RunConfig, recipes: Optional[list[str]] = None,
     is read by ``recipe_switches``. Each recipe writes its metrics to
     ``<metrics stem>_<tag>.csv`` and, when ``checkpoint_out`` is set, its model
     to ``<checkpoint stem>_<tag><suffix>``, where the tag is the recipe name
-    with ``+`` as ``_``. Every recipe's configuration is checked before the
-    first one runs, so an empty list, or a malformed or repeated name, raises
-    ConfigError before any file is written. A recipe that fails while running
-    is recorded and the rest still run. ``extra_manifest`` goes into every
-    recipe's manifest, as in ``run_training``.
+    with ``+`` as ``_``. The recipe sets the ``SWITCH_FIELDS``, whatever
+    ``base`` holds there. Every recipe's ``RunConfig`` is built, and so
+    checked, before the first one runs, so an empty list, a malformed or
+    repeated name, or a setting that some recipe cannot take raises
+    ConfigError before any file is written. A recipe that fails while
+    running is recorded and the rest still run. ``extra_manifest`` goes into
+    every recipe's manifest, as in ``run_training``.
     """
     out_base = Path(base.metrics_out)
     ckpt_base = Path(base.checkpoint_out) if base.checkpoint_out else None
@@ -368,10 +360,8 @@ def recipe_matrix(base: RunConfig, recipes: Optional[list[str]] = None,
         tag = name.replace("+", "_")
         ckpt = (None if ckpt_base is None
                 else str(ckpt_base.with_name(f"{ckpt_base.stem}_{tag}{ckpt_base.suffix}")))
-        cfg = replace(base, metrics_out=str(out_base.with_name(f"{out_base.stem}_{tag}.csv")),
-                      checkpoint_out=ckpt, **switches)
-        _settings(cfg)
-        configs.append((name, cfg))
+        configs.append((name, replace(base, metrics_out=str(out_base.with_name(f"{out_base.stem}_{tag}.csv")),
+                                      checkpoint_out=ckpt, **switches)))
     rows = []
     for name, cfg in configs:
         try:

@@ -4,8 +4,8 @@ run's optimizer state, with its velocity zeroed), and pull the shared weights
 toward the mean of the adapted weights (first-order interpolation, as in
 Reptile).
 
-``split_tasks`` returns one index array per task, with which the caller
-slices its normalized images and labels. ``mltp_train`` runs one meta-round;
+``split_tasks`` returns one index array per task into the normalized images
+and labels. ``mltp_train`` runs one meta-round, slicing one task at a time;
 the budgeted loop over rounds, the batchnorm calibration after each round and
 the evaluation live in ``harness.run_training``, which holds the one
 ``OptState`` that epochs and rounds share.
@@ -105,7 +105,9 @@ def mltp_train(
     model: Model,
     state: OptState,
     cfg: OptConfig,
-    tasks: list[tuple[np.ndarray, np.ndarray]],
+    images: np.ndarray,
+    labels: np.ndarray,
+    tasks: list[np.ndarray],
     batch_size: int,
     ls_alpha: float,
     beta: float,
@@ -113,16 +115,17 @@ def mltp_train(
 ) -> list[float]:
     """Run meta-round ``rnd``: adapt ``model.params`` on each task, then interpolate.
 
-    Every task starts at the round's first ``state.step_index``, and the
-    round leaves the counter one task-epoch on, so the shared schedule moves
-    as it does for an epoch over one task. Returns the mean inner loss of
-    each task.
+    A task is an index array into ``images`` and ``labels``, as ``split_tasks``
+    returns; only the task being adapted on is sliced out. Every task starts
+    at the round's first ``state.step_index``, and the round leaves the
+    counter one task-epoch on, so the shared schedule moves as it does for an
+    epoch over one task. Returns the mean inner loss of each task.
     """
     start = state.step_index
     adapted, task_losses = [], []
-    for t, (imgs, labs) in enumerate(tasks):
+    for t, idx in enumerate(tasks):
         state.step_index = start
-        a, loss = inner_loop(model, state, cfg, imgs, labs, batch_size, ls_alpha,
+        a, loss = inner_loop(model, state, cfg, images[idx], labels[idx], batch_size, ls_alpha,
                              shuffle_seed=1000 + t, epoch=rnd * 1000)
         adapted.append(a)
         task_losses.append(loss)

@@ -211,7 +211,10 @@ class Model:
         Train mode normalizes by batch statistics, updates the running ones
         with ``bn_momentum`` and records on the active tape. Eval mode uses
         the running statistics and records no tape, even under an active one.
+        Any other mode raises ConfigError before any op runs.
         """
+        if mode not in ("train", "eval"):
+            raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
         if x.ndim != 4 or x.shape[1] != self.spec.in_channels or x.shape[2:] != (32, 32):
             raise ShapeError(f"expected input [N,{self.spec.in_channels},32,32], got {x.shape}")
         # eval convs record no backward rule, so nothing after them may record either

@@ -41,6 +41,8 @@ class OptConfig:
             raise ConfigError(f"lr_peak must be positive, got {self.lr_peak}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0,1), got {self.momentum}")
+        if not self.decay >= 0:
+            raise ConfigError(f"decay must be >= 0, got {self.decay}")
         if not self.rho >= 0:
             raise ConfigError(f"rho must be >= 0, got {self.rho}")
         if self.total_steps < 1:

@@ -199,6 +199,8 @@ def backward(loss: Tensor) -> None:
 
 
 def _record(out: Tensor, inputs: tuple, backward_fn: Callable[[np.ndarray], None]) -> None:
+    """Record ``backward_fn`` for ``out`` only if some input needs a gradient, so the
+    rule of a single-input op need not check its input."""
     t = _active_tape.get()
     if t is None:
         return
@@ -253,8 +255,7 @@ def tsum(x: Tensor) -> Tensor:
     out = Tensor._wrap(np.asarray(x.data.sum(), dtype=x.dtype))
 
     def bwd(g):
-        if x.requires_grad:
-            x._accumulate(np.full(x.shape, g, dtype=x.dtype))
+        x._accumulate(np.full(x.shape, g, dtype=x.dtype))
 
     _record(out, (x,), bwd)
     return out
@@ -399,8 +400,6 @@ def conv2d(x: Tensor, w: Tensor, epilogue: Optional[Callable[[np.ndarray], None]
 
     def bwd(g):
         need_x, need_w = x.requires_grad, w.requires_grad
-        if not (need_x or need_w):
-            return
         gw = np.zeros((cout, cw * k * k), dtype=w.dtype) if need_w else None
         gx = np.zeros_like(x.data) if need_x else None
         for n0 in range(0, n, chunk):
@@ -445,8 +444,6 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
     res = Tensor._wrap(out)
 
     def bwd(g):
-        if not x.requires_grad:
-            return
         # windows do not overlap, so each tap's view of gx is written once;
         # rows and columns that no window covers get no gradient
         gx = np.empty_like(x.data)
@@ -481,8 +478,6 @@ def global_maxpool(x: Tensor) -> Tensor:
     res = Tensor._wrap(np.ascontiguousarray(out))
 
     def bwd(g):
-        if not x.requires_grad:
-            return
         gflat = np.zeros((n, c, h * w), dtype=x.dtype)
         np.put_along_axis(gflat, arg[:, :, None], g[:, :, None], axis=2)
         x._accumulate(gflat.reshape(x.shape))
@@ -541,8 +536,8 @@ class BatchNormState:
 _BN_EPS = 1e-5
 
 
-def _inv_std(var: np.ndarray, eps: float) -> np.ndarray:
-    return 1.0 / np.sqrt(var + eps)
+def _inv_std(var: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(var + _BN_EPS)
 
 
 def _scale_shift(xc: np.ndarray, inv_std: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> None:
@@ -563,13 +558,13 @@ def batchnorm2d(
     beta: Tensor,
     state: BatchNormState,
     momentum: float = 0.1,
-    eps: float = _BN_EPS,
 ) -> Tensor:
     """Train-mode channel-wise batch normalization over (N, H, W).
 
     Normalizes by the batch statistics (biased variance) and folds them into
     the running stats with the given momentum. Eval mode, which normalizes by
-    the running stats, is ``conv_block_epilogue``.
+    the running stats, is ``conv_block_epilogue``; both add the one
+    ``eps = _BN_EPS`` to the variance, so train and eval normalize alike.
 
     The input is centred once into the buffer that becomes the output, and
     1/std, gamma and beta are applied to it in place, in that order, so the
@@ -593,7 +588,7 @@ def batchnorm2d(
     state.running_mean += momentum * (mean - state.running_mean)
     state.running_var += momentum * (var - state.running_var)
 
-    inv_std = _inv_std(var, eps)
+    inv_std = _inv_std(var)
     _scale_shift(out, inv_std.reshape(per_channel), gamma.data.reshape(per_channel),
                  beta.data.reshape(per_channel))
     res = Tensor._wrap(out)
@@ -656,13 +651,12 @@ def celu(x: Tensor, alpha: float, inplace: bool = False) -> Tensor:
     res = Tensor._wrap(out)
 
     def bwd(g):
-        if x.requires_grad:
-            # the slope from the output: exp(x / alpha) = out / alpha + 1 below 0
-            slope = np.minimum(out, 0.0)
-            slope /= alpha
-            slope += 1.0
-            g *= slope
-            x._accumulate(g)
+        # the slope from the output: exp(x / alpha) = out / alpha + 1 below 0
+        slope = np.minimum(out, 0.0)
+        slope /= alpha
+        slope += 1.0
+        g *= slope
+        x._accumulate(g)
 
     _record(res, (x,), bwd)
     return res
@@ -674,9 +668,8 @@ def relu(x: Tensor, inplace: bool = False) -> Tensor:
     res = Tensor._wrap(out)
 
     def bwd(g):
-        if x.requires_grad:
-            g *= out > 0
-            x._accumulate(g)
+        g *= out > 0
+        x._accumulate(g)
 
     _record(res, (x,), bwd)
     return res
@@ -695,7 +688,7 @@ def conv_block_epilogue(gamma: Tensor, beta: Tensor, state: BatchNormState, acti
     """
     rows = (-1, 1)  # one row per output channel
     mean = state.running_mean.reshape(rows)
-    inv_std = _inv_std(state.running_var, _BN_EPS).reshape(rows)
+    inv_std = _inv_std(state.running_var).reshape(rows)
     g, b = gamma.data.reshape(rows), beta.data.reshape(rows)
 
     def epilogue(a: np.ndarray) -> None:
@@ -743,9 +736,8 @@ def smoothed_cross_entropy(logits: Tensor, labels: np.ndarray, alpha: float, num
     res = Tensor._wrap(np.asarray(loss_val, dtype=logits.dtype))
 
     def bwd(g):
-        if logits.requires_grad:
-            softmax = np.exp(logp)
-            logits._accumulate((softmax - targets) * (g / n))
+        softmax = np.exp(logp)
+        logits._accumulate((softmax - targets) * (g / n))
 
     _record(res, (logits,), bwd)
     return res, targets

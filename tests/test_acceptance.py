@@ -228,7 +228,7 @@ def test_criterion_5_loop_oracles_and_meta_trajectory():
                          oracles.linear_loops(xl, wl, bl2), rtol=1e-5)
 
     # 2-round meta trajectory vs. the independent reference script
-    from test_mltp import LinearStub, ScheduledLR, make_linear_task, reptile_steps, sgd_only
+    from test_mltp import LinearStub, ScheduledLR, make_linear_task, pooled, reptile_steps, sgd_only
 
     k, d = 10, 6
     tasks = [make_linear_task(24, d, k, seed=s) for s in (7, 8)]
@@ -238,7 +238,7 @@ def test_criterion_5_loop_oracles_and_meta_trajectory():
     state = OptState.create(stub.params)
     traj = [w0.copy()]
     for rnd in range(2):
-        mltp_train(stub, state, cfg, tasks, 8, 0.0, 0.5, rnd)
+        mltp_train(stub, state, cfg, *pooled(tasks), 8, 0.0, 0.5, rnd)
         traj.append(stub.params.snapshot()["w"])
     step_lr = ScheduledLR(cfg, reptile_steps(2, 2, 3))  # 3 steps: one epoch
     ref = oracles.reptile_reference(w0, tasks, step_lr, 0.5, 2, 3, 8, 0.0, k)

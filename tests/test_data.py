@@ -58,6 +58,15 @@ def test_bad_length_rejected(tmp_path):
         load_cifar_binary([p])
 
 
+def test_file_with_no_records_rejected(tmp_path):
+    good, empty = tmp_path / "good.bin", tmp_path / "empty.bin"
+    good.write_bytes(bytes(3073))
+    empty.write_bytes(b"")  # 0 is a multiple of 3073, but the file holds no record
+    for paths in ([empty], [good, empty]):
+        with pytest.raises(DataFormatError, match="empty.bin: length 0 is not a positive multiple of 3073"):
+            load_cifar_binary(paths)
+
+
 def test_bad_label_names_record_index(tmp_path):
     recs = bytearray(3073 * 3)
     recs[3073 * 2] = 11  # third record

@@ -2,6 +2,7 @@ import argparse
 import itertools
 import json
 import math
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -128,9 +129,20 @@ def test_each_leave_one_out_recipe_drops_one_switch():
 def test_ip_implies_smoothing_decay_celu():
     on = RunConfig(data_dir="x", ip=True)
     off = RunConfig(data_dir="x", ip=False)
-    assert on.ls_alpha() == 0.1 and off.ls_alpha() == 0.0
-    assert on.resolved_decay() == 0.0005 and off.resolved_decay() == 0.0
-    assert RunConfig(data_dir="x", ip=True, decay=0.001).resolved_decay() == 0.001
+    assert on.ls_alpha == 0.1 and off.ls_alpha == 0.0
+    assert on.opt.decay == 0.0005 and off.opt.decay == 0.0
+    assert RunConfig(data_dir="x", ip=True, decay=0.001).opt.decay == 0.001
+    assert (on.spec.activation, on.spec.stem) == ("celu", "whitened")
+    assert (off.spec.activation, off.spec.stem) == ("relu", "plain")
+
+
+def test_run_config_derives_the_optimizer_settings():
+    # 10 classes x 30 per class in batches of 64: 5 steps per epoch
+    cfg = RunConfig(data_dir="x", per_class=30, batch_size=64, max_epochs=3, lr_peak=0.2, momentum=0.5,
+                    gc=True, rho=0.07)
+    assert cfg.opt == OptConfig(lr_peak=0.2, momentum=0.5, decay=0.0, rho=0.0, gc_enabled=True, total_steps=15)
+    assert replace(cfg, optimizer="sam").opt.rho == 0.07  # SGD is the SAM step at rho 0
+    assert cfg.spec.widths == (64, 128, 256, 512)
 
 
 def test_invalid_config_rejected():
@@ -144,7 +156,10 @@ def test_invalid_config_rejected():
         RunConfig(data_dir="x", meta_iterations=0)
     for bad, named in [(dict(per_class=0), "per_class"), (dict(batch_size=0), "batch_size"),
                        (dict(max_epochs=0), "max_epochs"), (dict(mltp=True, per_class=1), "per_class"),
-                       (dict(decay=-0.1), "decay")]:
+                       (dict(decay=-0.1), "decay"), (dict(lr_peak=0), "lr_peak"),
+                       (dict(lr_peak=float("nan")), "lr_peak"), (dict(momentum=1.0), "momentum"),
+                       (dict(widths=(8, 8, 8)), "widths"), (dict(rho=-1.0), "rho"),
+                       (dict(rho=-1.0, optimizer="sam"), "rho")]:
         with pytest.raises(ConfigError, match=named):
             RunConfig(data_dir="x", **bad)
     RunConfig(data_dir="x", mltp=True, per_class=2, decay=0.0)  # the smallest valid values
@@ -411,6 +426,29 @@ def test_precision_64_does_not_leak_into_later_tensors(synth_data_dir, tmp_path)
     assert Tensor(np.zeros(2)).dtype == np.float32
 
 
+@pytest.mark.parametrize("mltp", [False, True], ids=["epochs", "mltp"])
+def test_data_files_are_freed_before_the_first_test_pass(synth_data_dir, tmp_path, monkeypatch, mltp):
+    # the run keeps the subset and the normalized test images, not the arrays of the files
+    import minitrain.harness as H
+
+    real_load, real_evaluate = H.load_cifar_binary, H.evaluate
+    images, alive = {}, []
+
+    def load(paths, split="train"):
+        ds = real_load(paths, split=split)
+        images[split] = weakref.ref(ds.images)
+        return ds
+
+    def evaluate(*args, **kwargs):
+        alive.append({split: ref() is not None for split, ref in images.items()})
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(H, "load_cifar_binary", load)
+    monkeypatch.setattr(H, "evaluate", evaluate)
+    run_training(tiny_cfg(synth_data_dir, tmp_path / "m.csv", max_epochs=1, mltp=mltp))
+    assert alive == [{"train": False, "test": False}]
+
+
 @pytest.mark.parametrize("failing_block", [1, 2], ids=["block1", "block2"])
 def test_failed_run_writes_completed_blocks_and_error(synth_data_dir, tmp_path, monkeypatch,
                                                       failing_block):
@@ -590,6 +628,11 @@ def test_cli_main_config_error_exit_code(tmp_path, capsys):
     ["--recipe-matrix", ""],
     ["--recipe-matrix", "baseline,baseline"],
     ["--recipe-matrix", "baseline,ip+sam"],
+    ["--recipe-matrix", "--optimizer", "sam"],
+    ["--recipe-matrix", "--ip"],
+    ["--recipe-matrix", "--no-gc"],
+    ["--recipe-matrix", "baseline,sam", "--mltp"],
+    ["--recipe-matrix", "baseline", "--config", "{tmp}/ip.cfg"],
     ["--metrics-out", "{tmp}/file/m.csv"],
     ["--checkpoint-out", "{tmp}/file/model.ckpt"],
     ["--per-class", "abc"],
@@ -607,6 +650,7 @@ def test_cli_main_config_error_exit_code(tmp_path, capsys):
 ], ids=["malformed_widths", "per_class", "batch_size", "max_epochs", "mltp_per_class", "decay",
         "three_widths", "lr_peak", "momentum", "rho", "beta", "matrix_lr_peak",
         "matrix_empty", "matrix_repeated", "matrix_malformed",
+        "matrix_optimizer", "matrix_ip", "matrix_no_gc", "matrix_mltp", "matrix_ip_in_file",
         "metrics_under_file", "checkpoint_under_file",
         "per_class_text", "seed_fraction", "precision", "optimizer", "negative_seed",
         "nan_budget_seconds", "nan_lr_peak", "nan_decay", "nan_rho",
@@ -621,12 +665,25 @@ def test_cli_main_invalid_value_exits_2_before_reading_data(argv, tmp_path, caps
     for name in ("data_batch_1.bin", "test_batch.bin"):  # found, so only a bad setting can exit 2
         (tmp_path / name).write_bytes(b"")
     (tmp_path / "file").write_text("")  # a regular file, so no path under it can be written
+    (tmp_path / "ip.cfg").write_text("ip = true\n")
     rc = main(["--data-dir", str(tmp_path), "--metrics-out", str(tmp_path / "m.csv")]
               + [a.format(tmp=tmp_path) for a in argv])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["data_batch_1.bin", "file", "test_batch.bin"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["data_batch_1.bin", "file", "ip.cfg", "test_batch.bin"]
+
+
+def test_recipe_matrix_refuses_the_switches_it_sets(tmp_path):
+    (tmp_path / "ip.cfg").write_text("ip = true\n")
+    for argv, named in [(["--optimizer", "sam"], "optimizer"), (["--optimizer", "sgd"], "optimizer"),
+                        (["--ip"], "ip"), (["--no-gc"], "gc"), (["--mltp"], "mltp"),
+                        (["--config", str(tmp_path / "ip.cfg")], "ip"), (["--no-ip", "--gc"], "ip, gc")]:
+        with pytest.raises(ConfigError, match=f"recipe name, so they cannot be set; got {named}$"):
+            parse_config(["--recipe-matrix", "baseline", *argv], env={})
+        parse_config(argv, env={})  # without the matrix the same settings are taken
+    _, _, matrix = parse_config(["--recipe-matrix", "baseline,sam", "--rho", "0.1", "--no-augment"], env={})
+    assert matrix == ["baseline", "sam"]
 
 
 def test_cli_main_per_class_above_the_data_exits_2(tmp_path, capsys):
@@ -649,6 +706,22 @@ def test_cli_main_malformed_data_file_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "3073" in err and err.count("\n") == 1
+    assert read_metrics(tmp_path / "m.csv") == []
+    manifest = json.loads(manifest_path(tmp_path / "m.csv").read_text())
+    assert manifest["error"]["type"] == "DataFormatError" and manifest["epochs_completed"] == 0
+
+
+def test_cli_main_empty_data_file_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    import minitrain.harness as H
+
+    monkeypatch.setattr(H, "run_epoch", lambda *a, **kw: pytest.fail("a block trained"))
+    write_cifar_binary(make_synthetic_dataset(per_class=5, seed=0), tmp_path / "data_batch_1.bin")
+    (tmp_path / "test_batch.bin").write_bytes(b"")  # 0 bytes: a multiple of 3073 with no record
+    rc = main(["--data-dir", str(tmp_path), "--per-class", "2", "--widths", "8,16,16,16",
+               "--metrics-out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "test_batch.bin: length 0" in err and err.count("\n") == 1
     assert read_metrics(tmp_path / "m.csv") == []
     manifest = json.loads(manifest_path(tmp_path / "m.csv").read_text())
     assert manifest["error"]["type"] == "DataFormatError" and manifest["epochs_completed"] == 0

@@ -60,6 +60,13 @@ def make_linear_task(n, d, k, seed):
     return rng.normal(size=(n, d)), rng.integers(0, k, size=n)
 
 
+def pooled(tasks):
+    """``mltp_train``'s (images, labels, task index arrays) for a list of (x, y) tasks."""
+    ends = np.cumsum([len(y) for _, y in tasks])
+    return (np.concatenate([x for x, _ in tasks]), np.concatenate([y for _, y in tasks]),
+            [np.arange(end - len(y), end) for end, (_, y) in zip(ends, tasks)])
+
+
 # ---------------------------------------------------------------------------
 # split_tasks
 
@@ -216,7 +223,7 @@ def test_degenerate_single_task_equals_sgd_trajectory():
     cfg = sgd_only(lr=lr, total=5)
     meta_state = OptState.create(stub.params)
     for rnd in range(5):
-        mltp_train(stub, meta_state, cfg, [(xs, ys)], 30, 0.0, 1.0, rnd)
+        mltp_train(stub, meta_state, cfg, *pooled([(xs, ys)]), 30, 0.0, 1.0, rnd)
 
     # plain momentum-free SGD, same batch schedule (full-batch here)
     ref = LinearStub(w0.copy())
@@ -241,7 +248,7 @@ def test_identical_tasks_mean_equals_single_delta():
     twin = LinearStub(w0.copy())
     twin_state = OptState.create(twin.params)
     twin_state.step_index = step
-    mltp_train(twin, twin_state, cfg, [(xs, ys), (xs, ys)], 16, 0.0, beta, 0)
+    mltp_train(twin, twin_state, cfg, *pooled([(xs, ys), (xs, ys)]), 16, 0.0, beta, 0)
 
     single = LinearStub(w0.copy())
     single_state = OptState.create(single.params)
@@ -265,7 +272,7 @@ def test_two_round_trajectory_matches_reference_script():
     state = OptState.create(stub.params)
     traj = [stub.params.snapshot()["w"]]
     for rnd in range(rounds):
-        mltp_train(stub, state, cfg, [t0, t1], bs, 0.0, beta, rnd)
+        mltp_train(stub, state, cfg, *pooled([t0, t1]), bs, 0.0, beta, rnd)
         traj.append(stub.params.snapshot()["w"])
 
     step_lr = ScheduledLR(cfg, reptile_steps(rounds, 2, inner_steps))
@@ -292,7 +299,7 @@ def test_round_shares_the_optimizer_state(monkeypatch):
     state = OptState.create(stub.params)
     state.step_index = start
     state.velocity["w"][...] = 1.0  # left over from earlier steps
-    mltp_train(stub, state, cfg, [(xs, ys), (xs, ys)], bs, 0.0, 0.5, 0)
+    mltp_train(stub, state, cfg, *pooled([(xs, ys), (xs, ys)]), bs, 0.0, 0.5, 0)
 
     assert len(seen) == 2
     assert (seen[0]["w"] == seen[1]["w"]).all()

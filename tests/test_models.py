@@ -75,6 +75,19 @@ def test_wrong_input_shape_rejected():
         model.forward(Tensor(np.zeros((2, 1, 32, 32))))
 
 
+def test_unknown_mode_rejected_before_any_op():
+    model, _ = build_resnet9(ModelSpec(**SMALL), seed=0)
+    x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 32, 32)))
+    before = [(st.running_mean.copy(), st.running_var.copy()) for st in model.bn_states()]
+    for mode in ("Eval", "TRAIN", "test", ""):
+        with tape() as t:
+            with pytest.raises(ConfigError, match="mode must be 'train' or 'eval'"):
+                model.forward(x, mode=mode)
+        assert len(t) == 0, mode
+    for (mean, var), st in zip(before, model.bn_states()):
+        assert (st.running_mean == mean).all() and (st.running_var == var).all()
+
+
 def test_bn_calibration_makes_eval_match_train():
     model, _ = build_resnet9(ModelSpec(**SMALL), seed=2, dtype=F64)
     x = np.random.default_rng(2).normal(size=(8, 3, 32, 32))
