@@ -27,7 +27,8 @@ class DataFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Raw-byte image store; pixels stay uint8 until normalization."""
+    """Raw-byte image store; pixels stay uint8 until normalization. ``images``
+    may be a strided view of the loaded records; every consumer copies it."""
 
     images: np.ndarray  # uint8 [M, 3, 32, 32]
     labels: np.ndarray  # int64 [M]
@@ -45,33 +46,29 @@ class Dataset:
 
 
 def load_cifar_binary(paths: Sequence, split: str = "train") -> Dataset:
-    """Parse one or more CIFAR-10 binary batch files into a Dataset."""
+    """Parse one or more CIFAR-10 binary batch files into a Dataset.
+
+    Each file is read into its rows of one record array, where its labels are
+    checked and its bytes hashed; ``images`` is a view of that array."""
     paths = [Path(p) for p in paths]
     if not paths:
         raise DataFormatError("no input files given")
-    digest = hashlib.sha256()
-    images, labels = [], []
-    for p in paths:
-        raw = p.read_bytes()
-        if not raw or len(raw) % RECORD_BYTES != 0:
-            raise DataFormatError(
-                f"{p}: length {len(raw)} is not a positive multiple of {RECORD_BYTES}"
-            )
-        digest.update(raw)
-        arr = np.frombuffer(raw, dtype=np.uint8).reshape(-1, RECORD_BYTES)
-        lab = arr[:, 0].astype(np.int64)
-        bad = np.nonzero(lab > 9)[0]
+    sizes = [p.stat().st_size for p in paths]
+    records = np.empty((sum(sizes) // RECORD_BYTES, RECORD_BYTES), dtype=np.uint8)
+    digest, end = hashlib.sha256(), 0
+    for p, size in zip(paths, sizes):
+        if not size or size % RECORD_BYTES:
+            raise DataFormatError(f"{p}: length {size} is not a positive multiple of {RECORD_BYTES}")
+        start, end = end, end + size // RECORD_BYTES
+        rec = records[start:end]
+        with open(p, "rb") as fh:
+            if fh.readinto(rec) != size:
+                raise DataFormatError(f"{p}: file shrank while it was read")
+        bad = np.nonzero(rec[:, 0] > 9)[0]
         if bad.size:
-            idx = int(bad[0])
-            raise DataFormatError(f"{p}: record {idx} has label byte {lab[idx]} > 9")
-        labels.append(lab)
-        images.append(arr[:, 1:].reshape(-1, 3, 32, 32))
-    return Dataset(
-        images=np.concatenate(images),
-        labels=np.concatenate(labels),
-        split=split,
-        source_digest=digest.hexdigest(),
-    )
+            raise DataFormatError(f"{p}: record {bad[0]} has label byte {rec[bad[0], 0]} > 9")
+        digest.update(rec)
+    return Dataset(records[:, 1:].reshape(-1, 3, 32, 32), records[:, 0].astype(np.int64), split, digest.hexdigest())
 
 
 def write_cifar_binary(ds: Dataset, path) -> None:
@@ -111,10 +108,12 @@ class NormStats:
 
     @classmethod
     def fit(cls, ds: Dataset) -> "NormStats":
-        x = ds.images.astype(np.float64) / 255.0
-        mean = x.mean(axis=(0, 2, 3))
-        std = np.maximum(x.std(axis=(0, 2, 3)), _STD_FLOOR)
-        return cls(mean=mean, std=std)
+        x = ds.images.astype(np.float64)
+        x /= 255.0
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        x -= mean  # the steps of x.std, in place: centre, square, mean, root
+        x *= x
+        return cls(mean=mean.reshape(3), std=np.maximum(np.sqrt(x.mean(axis=(0, 2, 3))), _STD_FLOOR))
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
@@ -122,10 +121,11 @@ class NormStats:
 
 def normalize(images: np.ndarray, stats: NormStats, dtype=np.float32) -> np.ndarray:
     """uint8 [.,3,32,32] -> float, per-channel standardized."""
-    x = images.astype(dtype) / dtype(255.0)
-    mean = stats.mean.astype(dtype).reshape(1, 3, 1, 1)
-    std = stats.std.astype(dtype).reshape(1, 3, 1, 1)
-    return (x - mean) / std
+    x = images.astype(dtype)
+    x /= dtype(255.0)
+    x -= stats.mean.astype(dtype).reshape(1, 3, 1, 1)
+    x /= stats.std.astype(dtype).reshape(1, 3, 1, 1)
+    return x
 
 
 def augment(batch: np.ndarray, rng: np.random.Generator, pad: int = 4) -> np.ndarray:
@@ -134,11 +134,9 @@ def augment(batch: np.ndarray, rng: np.random.Generator, pad: int = 4) -> np.nda
     padded = np.pad(batch, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect")
     offs = rng.integers(0, 2 * pad + 1, size=(n, 2))
     flips = rng.random(n) < 0.5
-    out = np.empty_like(batch)
-    for i in range(n):
-        oy, ox = offs[i]
-        img = padded[i, :, oy : oy + h, ox : ox + w]
-        out[i] = img[:, :, ::-1] if flips[i] else img
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(2, 3))  # [n, c, oy, ox, h, w]
+    out = windows[np.arange(n), :, offs[:, 0], offs[:, 1]]
+    out[flips] = out[flips, :, :, ::-1]
     return out
 
 
@@ -180,7 +178,7 @@ def fit_whitening(
     if sample_patches < 27:
         raise ConfigError(f"need at least 27 patches, got {sample_patches}")
     rng = np.random.default_rng(seed)
-    patches = extract_patches(np.asarray(images, dtype=np.float64), sample_patches, rng)
+    patches = extract_patches(images, sample_patches, rng)
     centered = patches - patches.mean(axis=0)
     cov = centered.T @ centered / sample_patches
     if not np.isfinite(cov).all():

@@ -5,6 +5,7 @@ recipe comparison matrix."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import time
@@ -17,7 +18,6 @@ import numpy as np
 from . import __version__
 from .data import (
     NUM_CLASSES,
-    Dataset,
     NormStats,
     fit_whitening,
     load_cifar_binary,
@@ -85,6 +85,10 @@ class RunConfig:
             raise ConfigError(f"beta must be in (0,1], got {self.beta}")
         if self.meta_iterations is not None and self.meta_iterations < 1:
             raise ConfigError(f"meta_iterations must be >= 1, got {self.meta_iterations}")
+        if self.checkpoint_out and Path(self.checkpoint_out).resolve() in (
+                Path(self.metrics_out).resolve(), manifest_path(self.metrics_out).resolve()):
+            raise ConfigError(f"checkpoint_out {self.checkpoint_out} is metrics_out {self.metrics_out} "
+                              f"or its manifest")
         self.widths = tuple(self.widths)
         self.spec, self.opt  # the model and optimizer settings check the rest
 
@@ -206,8 +210,8 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
     reports the untrained model. ``cfg`` checked its settings when it was
     built, and unwritable output paths raise before any file is written.
     Anything that raises after that, from data loading on and even an
-    interrupt, still leaves the metrics of the completed blocks and a
-    manifest naming the error before it propagates.
+    interrupt or a failed checkpoint save, still leaves the metrics of the
+    completed blocks and a manifest naming the error before it propagates.
     """
     start = clock()
 
@@ -228,8 +232,7 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
     try:
         train_files, test_files = find_data_files(cfg.data_dir)
         # the run keeps only the arrays it reads: the subset, not the whole training file, and
-        # the normalized test images, not their bytes. The test file goes first: read after 50,000
-        # training images, it left glibc holding about 67 MB more of freed buffers resident.
+        # the normalized test images, not their bytes
         test_ds = load_cifar_binary(test_files, split="test")
         subset = sample_subset(load_cifar_binary(train_files, split="train"), cfg.per_class, seeds["subset"])
         stats = NormStats.fit(subset)
@@ -248,7 +251,7 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
         manifest.update({
             "source_digest": subset.source_digest,
             "subset_size": len(subset),
-            "subset_digest": _dataset_digest(subset),
+            "subset_digest": hashlib.sha256(b"".join((subset.images, subset.labels))).hexdigest(),
             "norm_stats": stats.to_dict(),
             "whitening": {"fit_digest": whitening.fit_digest, "eps": whitening.eps} if whitening else None,
             "param_count": model.params.num_elements(),
@@ -287,6 +290,8 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
         if not records:
             record(0, float("nan"))  # nothing fit in the budget; still report where the model stands
         manifest["final_accuracy"] = records[-1].test_accuracy
+        if cfg.checkpoint_out:
+            save_checkpoint(model, cfg.checkpoint_out, seed=seeds["init"])
     except BaseException as e:
         # a failed run still leaves its completed blocks and the reason on disk
         manifest["error"] = {"type": type(e).__name__, "message": str(e)}
@@ -295,9 +300,6 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
         manifest["epochs_completed"] = records[-1].epoch if records else 0
         manifest["total_wall_seconds"] = elapsed()
         write_metrics(records, manifest, cfg.metrics_out)
-
-    if cfg.checkpoint_out:
-        save_checkpoint(model, cfg.checkpoint_out, seed=seeds["init"])
     return RunResult(
         records=records,
         manifest=manifest,
@@ -305,15 +307,6 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
         epochs_completed=manifest["epochs_completed"],
         model=model,
     )
-
-
-def _dataset_digest(ds: Dataset) -> str:
-    import hashlib
-
-    h = hashlib.sha256()
-    h.update(ds.images.tobytes())
-    h.update(ds.labels.tobytes())
-    return h.hexdigest()
 
 
 RECIPE_GRAMMAR = f"baseline, or a +-joined subset of {', '.join(SWITCHES)} in that order"
@@ -342,8 +335,9 @@ def recipe_matrix(base: RunConfig, recipes: Optional[list[str]] = None,
     with ``+`` as ``_``. The recipe sets the ``SWITCH_FIELDS``, whatever
     ``base`` holds there. Every recipe's ``RunConfig`` is built, and so
     checked, before the first one runs, so an empty list, a malformed or
-    repeated name, or a setting that some recipe cannot take raises
-    ConfigError before any file is written. A recipe that fails while
+    repeated name, a setting that some recipe cannot take, or two recipes
+    that would write the same file raises ConfigError before any file is
+    written. A recipe that fails while
     running is recorded and the rest still run. ``extra_manifest`` goes into
     every recipe's manifest, as in ``run_training``.
     """
@@ -362,6 +356,10 @@ def recipe_matrix(base: RunConfig, recipes: Optional[list[str]] = None,
                 else str(ckpt_base.with_name(f"{ckpt_base.stem}_{tag}{ckpt_base.suffix}")))
         configs.append((name, replace(base, metrics_out=str(out_base.with_name(f"{out_base.stem}_{tag}.csv")),
                                       checkpoint_out=ckpt, **switches)))
+    written = [Path(p).resolve() for _, cfg in configs
+               for p in (cfg.metrics_out, manifest_path(cfg.metrics_out), cfg.checkpoint_out) if p]
+    if clash := next((p for i, p in enumerate(written) if p in written[:i]), None):
+        raise ConfigError(f"two recipes of the matrix would both write {clash}")
     rows = []
     for name, cfg in configs:
         try:

@@ -12,6 +12,7 @@ to single-axis ones (batchnorm scales and shifts, biases).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -37,14 +38,14 @@ class OptConfig:
     total_steps: int = 1
 
     def __post_init__(self):
-        if not self.lr_peak > 0:  # NaN fails too
-            raise ConfigError(f"lr_peak must be positive, got {self.lr_peak}")
+        if not 0 < self.lr_peak < math.inf:  # NaN fails too
+            raise ConfigError(f"lr_peak must be positive and finite, got {self.lr_peak}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0,1), got {self.momentum}")
-        if not self.decay >= 0:
-            raise ConfigError(f"decay must be >= 0, got {self.decay}")
-        if not self.rho >= 0:
-            raise ConfigError(f"rho must be >= 0, got {self.rho}")
+        if not 0 <= self.decay < math.inf:
+            raise ConfigError(f"decay must be finite and >= 0, got {self.decay}")
+        if not 0 <= self.rho < math.inf:
+            raise ConfigError(f"rho must be finite and >= 0, got {self.rho}")
         if self.total_steps < 1:
             raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
 

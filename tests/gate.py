@@ -8,7 +8,8 @@ under ``<out-dir>/<parent|change>/<script>/`` and its output in
 ``<out-dir>/<parent|change>/<script>.txt``. Prints the unified diff of each
 pair of outputs. The ``reach.py`` lists are diffed without their line
 numbers, since a line that a change deletes or adds moves the numbers of the
-lines after it; the files keep them. Exits 1 if the ``same_numbers.py`` lines
+lines after it; the files keep them. Then prints the line totals of both
+checkouts' ``src/`` Python files, counted as ``wc -l`` counts them. Exits 1 if the ``same_numbers.py`` lines
 differ or a run fails, else 0; the ``reach.py`` diff is for reading. Not a
 test module, so pytest does not collect it.
 """
@@ -37,6 +38,10 @@ def run(script: str, checkout: Path, out: Path) -> tuple[list[str], bool]:
     return lines, proc.returncode == 0
 
 
+def src_lines(checkout: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src").rglob("*.py"))
+
+
 def main(parent: str, change: str, out_dir: str) -> int:
     out = Path(out_dir).resolve()
     sides = {"parent": Path(parent).resolve(), "change": Path(change).resolve()}
@@ -51,6 +56,9 @@ def main(parent: str, change: str, out_dir: str) -> int:
         print(f"== {script}.py: {'differs' if diff else 'same output'}")
         sys.stdout.writelines(diff)
         ok &= not (script == "same_numbers" and diff)
+    totals = {side: src_lines(checkout) for side, checkout in sides.items()}
+    print(f"== src/ lines: parent {totals['parent']}, change {totals['change']} "
+          f"({totals['change'] - totals['parent']:+d})")
     return 0 if ok else 1
 
 

@@ -190,6 +190,20 @@ def extract_patches_loops(images, count, rng):
     return patches
 
 
+def augment_loops(batch, rng, pad=4):
+    """Reflect-pad, then crop and flip one image per loop iteration, drawn in the library's RNG order."""
+    n, c, h, w = batch.shape
+    padded = np.pad(batch, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect")
+    offs = rng.integers(0, 2 * pad + 1, size=(n, 2))
+    flips = rng.random(n) < 0.5
+    out = np.empty_like(batch)
+    for i in range(n):
+        oy, ox = offs[i]
+        img = padded[i, :, oy : oy + h, ox : ox + w]
+        out[i] = img[:, :, ::-1] if flips[i] else img
+    return out
+
+
 def sam_two_step_reference(w, grad_fn, lr, rho, momentum, decay, v):
     """One sharpness-aware update on a flat parameter vector.
 

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -95,6 +98,39 @@ def test_multiple_files_concatenate(tmp_path):
     assert ds.source_digest
 
 
+def test_load_matches_per_file_bytes_reference(tmp_path):
+    # the record array the files are read into gives what parsing each file's bytes gave
+    paths = []
+    for i, per_class in enumerate((2, 5, 1)):
+        paths.append(tmp_path / f"b{i}.bin")
+        write_cifar_binary(make_synthetic_dataset(per_class=per_class, seed=i), paths[-1])
+    digest, images, labels = hashlib.sha256(), [], []
+    for p in paths:
+        raw = p.read_bytes()
+        digest.update(raw)
+        recs = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3073)
+        images.append(recs[:, 1:].reshape(-1, 3, 32, 32))
+        labels.append(recs[:, 0].astype(np.int64))
+    ds = load_cifar_binary(paths)
+    np.testing.assert_array_equal(ds.images, np.concatenate(images))
+    assert ds.labels.dtype == np.int64
+    np.testing.assert_array_equal(ds.labels, np.concatenate(labels))
+    assert ds.source_digest == digest.hexdigest()
+
+
+def test_file_that_shrinks_while_read_rejected(tmp_path, monkeypatch):
+    p = tmp_path / "short.bin"
+    write_cifar_binary(make_synthetic_dataset(per_class=1, seed=0), p)
+    real_stat = Path.stat
+
+    class Grown:  # the size a stat saw before the file lost its last record
+        st_size = real_stat(p).st_size + 3073
+
+    monkeypatch.setattr(Path, "stat", lambda self, **kw: Grown if self == p else real_stat(self, **kw))
+    with pytest.raises(DataFormatError, match="shrank"):
+        load_cifar_binary([p])
+
+
 # ---------------------------------------------------------------------------
 # subsetting
 
@@ -165,6 +201,34 @@ def test_normalize_matches_manual_computation():
         assert stats.std[c] == pytest.approx(np.sqrt(((vals - vals.mean()) ** 2).mean()), abs=1e-6)
 
 
+def test_norm_stats_fit_matches_out_of_place_formula(tmp_path):
+    # the in-place steps give the bits of x.mean and x.std; a strided view of the records fits alike
+    write_cifar_binary(make_synthetic_dataset(per_class=3, seed=11), tmp_path / "d.bin")
+    ds = load_cifar_binary([tmp_path / "d.bin"])
+    assert not ds.images.flags.c_contiguous
+    before = ds.images.copy()
+    x = before.astype(np.float64) / 255.0
+    for images in (ds.images, before):
+        stats = NormStats.fit(Dataset(images=images, labels=ds.labels))
+        np.testing.assert_array_equal(stats.mean, x.mean(axis=(0, 2, 3)))
+        np.testing.assert_array_equal(stats.std, np.maximum(x.std(axis=(0, 2, 3)), 1e-8))
+    np.testing.assert_array_equal(ds.images, before)  # the fit left its input alone
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["fp32", "fp64"])
+def test_normalize_matches_out_of_place_formula(dtype):
+    ds = make_synthetic_dataset(per_class=3, seed=12)
+    stats = NormStats.fit(ds)
+    mean = stats.mean.astype(dtype).reshape(1, 3, 1, 1)
+    std = stats.std.astype(dtype).reshape(1, 3, 1, 1)
+    for images in (ds.images, ds.images.astype(dtype)):
+        before = images.copy()
+        out = normalize(images, stats, dtype=dtype)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, (images.astype(dtype) / dtype(255.0) - mean) / std)
+        np.testing.assert_array_equal(images, before)  # the input is not written to
+
+
 # ---------------------------------------------------------------------------
 # augmentation
 
@@ -197,6 +261,35 @@ def test_center_crop_is_identity():
     x = np.random.default_rng(8).normal(size=(2, 3, 32, 32)).astype(np.float32)
     out = augment(x, ForcedRng(offset=(4, 4), flip=False))
     np.testing.assert_array_equal(out, x)
+
+
+class FlipAll:
+    """A real generator for the crops, with every image flipped or none."""
+
+    def __init__(self, seed, flip):
+        self.rng, self.flip = np.random.default_rng(seed), flip
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, n):
+        return np.full(n, 0.0 if self.flip else 1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["fp32", "fp64"])
+def test_augment_matches_loop_oracle(dtype):
+    x = np.random.default_rng(10).normal(size=(33, 3, 32, 32)).astype(dtype)
+    for n in (1, 2, 7, 33):
+        for seed in range(6):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = augment(x[:n], rng)
+            assert out.dtype == dtype and out.flags.c_contiguous
+            np.testing.assert_array_equal(out, oracles.augment_loops(x[:n], ref_rng))
+            assert rng.random() == ref_rng.random()  # the same draws were taken
+        for flip in (True, False):
+            np.testing.assert_array_equal(augment(x[:n], FlipAll(n, flip)),
+                                          oracles.augment_loops(x[:n], FlipAll(n, flip)))
+    np.testing.assert_array_equal(augment(x, FlipAll(0, True)), augment(x, FlipAll(0, False))[..., ::-1])
 
 
 def test_augment_seeded_determinism():

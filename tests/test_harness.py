@@ -159,10 +159,36 @@ def test_invalid_config_rejected():
                        (dict(decay=-0.1), "decay"), (dict(lr_peak=0), "lr_peak"),
                        (dict(lr_peak=float("nan")), "lr_peak"), (dict(momentum=1.0), "momentum"),
                        (dict(widths=(8, 8, 8)), "widths"), (dict(rho=-1.0), "rho"),
-                       (dict(rho=-1.0, optimizer="sam"), "rho")]:
+                       (dict(rho=-1.0, optimizer="sam"), "rho"), (dict(lr_peak=math.inf), "lr_peak"),
+                       (dict(decay=math.inf), "decay"), (dict(rho=math.inf), "rho"),
+                       (dict(rho=math.inf, optimizer="sam"), "rho")]:
         with pytest.raises(ConfigError, match=named):
             RunConfig(data_dir="x", **bad)
     RunConfig(data_dir="x", mltp=True, per_class=2, decay=0.0)  # the smallest valid values
+    assert RunConfig(data_dir="x", budget_seconds=math.inf).budget_seconds == math.inf  # no budget
+
+
+def test_checkpoint_path_must_not_be_an_output_of_the_run(synth_data_dir, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for metrics, ckpt in [("a.csv", "a.csv"), ("a.csv", "a.manifest.json"), ("./a.csv", "a.csv"),
+                          ("a.csv", "./a.csv"), ("a.csv", str(tmp_path / "a.csv")),
+                          ("runs/a.csv", "runs/../runs/a.manifest.json")]:
+        with pytest.raises(ConfigError, match="checkpoint_out .* is metrics_out .* or its manifest"):
+            RunConfig(data_dir="x", metrics_out=metrics, checkpoint_out=ckpt)
+    for ckpt in ("a.npz", "b/a.csv", "a.manifest.npz"):
+        RunConfig(data_dir="x", metrics_out="a.csv", checkpoint_out=ckpt)
+    # a config that no longer holds once its fields are changed is refused by the matrix, which
+    # builds every recipe's config before the first recipe runs
+    base = tiny_cfg(synth_data_dir, tmp_path / "m.csv", checkpoint_out=str(tmp_path / "model.npz"))
+    base.checkpoint_out = base.metrics_out
+    with pytest.raises(ConfigError, match="is metrics_out"):
+        recipe_matrix(base, ["baseline", "sam"])
+    assert list(tmp_path.iterdir()) == []
+    # nor may one recipe's checkpoint be another's metrics: "ip" would save m_sam_ip.csv, which "sam+ip" writes
+    base = tiny_cfg(synth_data_dir, tmp_path / "m.csv", checkpoint_out=str(tmp_path / "m_sam.csv"))
+    with pytest.raises(ConfigError, match="two recipes of the matrix would both write .*m_sam_ip.csv"):
+        recipe_matrix(base, ["ip", "sam+ip"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_flag_and_config_key_parse_alike(tmp_path):
@@ -479,6 +505,24 @@ def test_failed_run_writes_completed_blocks_and_error(synth_data_dir, tmp_path, 
     assert "final_accuracy" not in manifest
 
 
+def test_failed_checkpoint_save_names_the_error(synth_data_dir, tmp_path, monkeypatch):
+    import minitrain.harness as H
+
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(H, "save_checkpoint", disk_full)
+    out = tmp_path / "ckpt.csv"
+    with pytest.raises(OSError, match="No space left"):
+        run_training(tiny_cfg(synth_data_dir, out, max_epochs=1, checkpoint_out=str(tmp_path / "model.npz")))
+    assert [r.epoch for r in read_metrics(out)] == [1]
+    manifest = json.loads(manifest_path(out).read_text())
+    assert manifest["error"] == {"type": "OSError", "message": "[Errno 28] No space left on device"}
+    assert manifest["epochs_completed"] == 1
+    assert manifest["final_accuracy"] == pytest.approx(read_metrics(out)[-1].test_accuracy, abs=1e-6)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.csv", "ckpt.manifest.json"]
+
+
 def test_interrupted_run_names_the_interrupt(synth_data_dir, tmp_path, monkeypatch):
     import minitrain.harness as H
 
@@ -598,6 +642,15 @@ def test_cli_main_happy_path(synth_data_dir, tmp_path, capsys):
     assert man["cli"]["flag_values"]["per_class"] == 4
 
 
+def test_cli_main_budget_seconds_inf_means_no_budget(synth_data_dir, tmp_path, capsys):
+    out = tmp_path / "inf.csv"
+    rc = main(["--data-dir", str(synth_data_dir), "--per-class", "4", "--budget-seconds", "inf",
+               "--max-epochs", "2", "--batch-size", "20", "--widths", "8,16,16,16",
+               "--no-augment", "--metrics-out", str(out)])
+    assert rc == 0 and "epochs=2" in capsys.readouterr().out
+    assert json.loads(manifest_path(out).read_text())["config"]["budget_seconds"] == math.inf
+
+
 def test_cli_main_no_data_dir_is_error(capsys):
     rc = main([])
     assert rc == 2
@@ -647,6 +700,14 @@ def test_cli_main_config_error_exit_code(tmp_path, capsys):
     ["--beta", "0"],
     ["--beta", "2"],
     ["--beta", "nan"],
+    ["--lr-peak", "inf"],
+    ["--lambda", "inf"],
+    ["--rho", "inf", "--optimizer", "sam"],
+    ["--checkpoint-out", "{tmp}/m.csv"],
+    ["--checkpoint-out", "{tmp}/m.manifest.json"],
+    ["--checkpoint-out", "{tmp}/./m.csv"],
+    ["--recipe-matrix", "baseline,sam", "--checkpoint-out", "{tmp}/m.csv"],
+    ["--recipe-matrix", "ip,sam+ip", "--checkpoint-out", "{tmp}/m_sam.csv"],
 ], ids=["malformed_widths", "per_class", "batch_size", "max_epochs", "mltp_per_class", "decay",
         "three_widths", "lr_peak", "momentum", "rho", "beta", "matrix_lr_peak",
         "matrix_empty", "matrix_repeated", "matrix_malformed",
@@ -654,7 +715,9 @@ def test_cli_main_config_error_exit_code(tmp_path, capsys):
         "metrics_under_file", "checkpoint_under_file",
         "per_class_text", "seed_fraction", "precision", "optimizer", "negative_seed",
         "nan_budget_seconds", "nan_lr_peak", "nan_decay", "nan_rho",
-        "beta_zero_without_mltp", "beta_above_one_without_mltp", "nan_beta_without_mltp"])
+        "beta_zero_without_mltp", "beta_above_one_without_mltp", "nan_beta_without_mltp",
+        "inf_lr_peak", "inf_decay", "inf_rho_sam", "checkpoint_is_metrics", "checkpoint_is_manifest",
+        "checkpoint_is_metrics_dotted", "matrix_checkpoint_is_metrics", "matrix_checkpoint_is_other_metrics"])
 def test_cli_main_invalid_value_exits_2_before_reading_data(argv, tmp_path, capsys, monkeypatch):
     import minitrain.harness as H
 
