@@ -37,6 +37,7 @@ IP_DECAY = 0.0005
 # are the boolean RunConfig fields of the same name.
 SWITCHES = ("sam", "ip", "gc", "mltp")
 SWITCH_FIELDS = ("optimizer", *SWITCHES[1:])  # the RunConfig fields a recipe name sets
+DATA_FILES = {"train": "data_batch*.bin", "test": "test_batch*.bin"}  # the files a run reads from data_dir
 
 
 @dataclass
@@ -89,6 +90,11 @@ class RunConfig:
                 Path(self.metrics_out).resolve(), manifest_path(self.metrics_out).resolve()):
             raise ConfigError(f"checkpoint_out {self.checkpoint_out} is metrics_out {self.metrics_out} "
                               f"or its manifest")
+        data_dir = Path(self.data_dir).resolve()
+        for out in (self.metrics_out, manifest_path(self.metrics_out), self.checkpoint_out):
+            p = Path(out).resolve() if out else None
+            if p and p.parent == data_dir and any(p.match(g) for g in DATA_FILES.values()):
+                raise ConfigError(f"output {out} would be a data file of data_dir {self.data_dir}")
         self.widths = tuple(self.widths)
         self.spec, self.opt  # the model and optimizer settings check the rest
 
@@ -173,8 +179,8 @@ def find_data_files(data_dir) -> tuple[list[Path], list[Path]]:
     d = Path(data_dir)
     if not d.is_dir():
         raise FileNotFoundError(f"data directory {d} does not exist")
-    train = sorted(d.glob("data_batch*.bin"))
-    test = sorted(d.glob("test_batch*.bin"))
+    train = sorted(d.glob(DATA_FILES["train"]))
+    test = sorted(d.glob(DATA_FILES["test"]))
     if not train:
         raise FileNotFoundError(f"no data_batch*.bin files under {d}")
     if not test:

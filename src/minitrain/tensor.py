@@ -1,22 +1,30 @@
 """Dense tensors with taped reverse-mode differentiation.
 
 Everything in the trainer runs through this module: a ``Tensor`` wrapping a
-contiguous numpy buffer, a ``Tape`` that records backward rules in execution
-order, the operator set needed by ResNet-9 (convolution, pooling, batchnorm,
+numpy buffer, a ``Tape`` that records backward rules in execution order, the
+operator set needed by ResNet-9 (convolution, pooling, batchnorm,
 activations, linear, smoothed cross-entropy), and a central-finite-difference
 gradient checker used as the independent oracle for the whole engine.
 
 The ops take only what ResNet-9 passes: convolution is a bias-free "same"
 conv (stride 1, an odd square k x k kernel, zero padding (k - 1) / 2, so the
 output keeps the input's H x W), k x k max pooling has stride k, and linear
-always has a bias. Because a same conv's output and input share H·W, its
-im2col lowering copies each kernel tap as one flat shifted run of H·W values
-per channel and image, then zeroes the entries that fall outside the image or
-wrap across a row edge; there is no padded copy of the input. The input
-gradient adds the taps back the same way. Batchnorm as an op is train mode
-only; eval mode is the conv epilogue below. ``tsum`` and tensor-by-tensor
-``mul`` serve ``grad_check``, which projects an op's output to a scalar as
+always has a bias. Batchnorm as an op is train mode only; eval mode is the
+conv epilogue below. ``tsum`` and tensor-by-tensor ``mul`` serve
+``grad_check``, which projects an op's output to a scalar as
 ``tsum(mul(op(x), c))``; the model calls neither.
+
+Activations are shaped [N, C, H, W] but laid out channel-major: every 4-D
+array an op returns, and every gradient of one, is a transposed view of a
+C-contiguous [C, N, H, W] buffer, so a channel's values for the whole batch
+are one row of N·H·W. Conv's GEMMs read and write those rows in place, with
+no transposed copy, and each batchnorm reduction runs along a row. The shapes
+stay [N, C, H, W] so that callers index images first. Elementwise ops and max
+pooling keep the memory order they are given; conv, batchnorm and the global
+pool also accept a C-contiguous input, which they read through one
+channel-major copy. The layout changes no number: batchnorm sums each
+(channel, image) block and then adds those sums image after image, as numpy
+reduces a C-contiguous [N, C, H, W] array over (0, 2, 3).
 
 The active tape is a context variable, so each thread records on its own:
 one active tape per training thread. Tensors built without an explicit dtype
@@ -28,7 +36,8 @@ no op produced, such as parameters) keep a ``.grad``; intermediate gradients
 and the arrays their rules captured are freed as backward proceeds. A rule
 may therefore overwrite the gradient it is handed, and it passes
 ``Tensor._accumulate`` only arrays that nothing else holds, which lets the
-first gradient a tensor receives become its ``.grad`` without a copy.
+first gradient a tensor receives become its ``.grad`` without a copy. A
+gradient is laid out as its tensor's ``data`` is.
 
 ``celu`` and ``relu`` take ``inplace=True`` to write their output into their
 input's buffer instead of a new one. The input tensor then holds the
@@ -73,9 +82,11 @@ class TapeError(RuntimeError):
 class Tensor:
     """Dense n-dimensional array with an optional gradient slot.
 
-    ``data`` is always a contiguous numpy array. ``grad`` is lazily allocated
-    with the same shape during backward. ``tape`` links an op output back to
-    the tape it was recorded on.
+    ``data`` is a numpy array: C-contiguous when the tensor is built from
+    values, and for a 4-D op output the [N, C, H, W] view of channel-major
+    memory (see the module docstring). ``grad`` is lazily allocated with the
+    shape and memory order of ``data`` during backward. ``tape`` links an op
+    output back to the tape it was recorded on.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "tape")
@@ -119,17 +130,18 @@ class Tensor:
         """Add ``g`` into ``grad``, adopting it as ``grad`` when it is the first.
 
         The caller hands over ``g``: nothing else may hold it. It is adopted
-        only if it matches ``data`` in dtype and shape and is writeable and
-        C-contiguous; otherwise it is added into a zeroed buffer.
+        only if it is writeable and matches ``data`` in dtype, shape and
+        layout (the strides of every axis longer than 1); otherwise it is
+        copied, bit for bit, into a buffer laid out as ``data`` is.
         """
         if self.grad is not None:
             self.grad += g
-        elif (g.dtype == self.data.dtype and g.shape == self.data.shape
-              and g.flags.writeable and g.flags.c_contiguous):
+        elif (g.dtype == self.data.dtype and g.shape == self.data.shape and g.flags.writeable
+              and all(a == b for a, b, d in zip(g.strides, self.data.strides, g.shape) if d > 1)):
             self.grad = g
         else:
-            self.grad = np.zeros_like(self.data)
-            self.grad += g
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -226,7 +238,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(g.copy() if a.requires_grad else g)
+            b._accumulate(g.copy(order="K") if a.requires_grad else g)
 
     _record(out, (a, b), bwd)
     return out
@@ -266,7 +278,8 @@ def tsum(x: Tensor) -> Tensor:
 
 # Cap on the im2col buffer of one chunk. Conv lowers a chunk of the batch to
 # one column matrix of shape (C·k·k, chunk·H·W), channel-major, and splits
-# the batch into as many chunks as keep that matrix under the cap.
+# the batch into as many chunks as keep that matrix under the cap. A 1 x 1
+# conv reads its columns straight from the input's rows, but chunks alike.
 #
 # 8 MiB keeps the columns and the dX product of a chunk below glibc's largest
 # mmap threshold (32 MiB), so the allocator reuses their pages instead of
@@ -282,70 +295,87 @@ def tsum(x: Tensor) -> Tensor:
 _COL_BUDGET_BYTES = 8 << 20
 
 
-def _taps(k: int, h: int, w: int):
-    """Per tap (i, j) of a same conv on an h x w map, in row-major order: the
-    run of flat output pixels q whose input pixel q + d, d = (i - p)·w + (j - p),
-    lies in the map, as the slices of q and of q + d."""
-    p, hw = (k - 1) // 2, h * w
+def _channel_rows(a: np.ndarray) -> np.ndarray:
+    """The [C, N·H·W] rows of an [N, C, H, W] array: a view when its memory is
+    channel-major, otherwise a channel-major copy."""
+    n, c, h, w = a.shape
+    return a.transpose(1, 0, 2, 3).reshape(c, n * h * w)
+
+
+def _as_nchw(rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """The [N, C, H, W] view, of the given shape, of C-contiguous channel rows."""
+    n, c, h, w = shape
+    return rows.reshape(c, n, h, w).transpose(1, 0, 2, 3)
+
+
+def _taps(k: int, w: int, length: int):
+    """Every tap (i, j) of a same conv on maps of width w, in row-major order,
+    with its run over a channel's rows of ``length`` values: the slice of
+    positions t whose source t + d, d = (i - p)·w + (j - p), is also in the
+    rows, and the slice of those sources. The run crosses image boundaries,
+    and may be empty; ``_zero_outside`` clears what it must not carry."""
+    p = (k - 1) // 2
     for i in range(k):
         for j in range(k):
             d = (i - p) * w + (j - p)
-            if abs(d) < hw:
-                yield i, j, slice(max(0, -d), hw - max(0, d)), slice(max(0, d), hw - max(0, -d))
+            lo, run = max(0, -d), max(0, length - abs(d))
+            yield i, j, slice(lo, lo + run), slice(lo + d, lo + d + run)
 
 
-def _zero_wrapped(cols6: np.ndarray, k: int) -> None:
-    """Zero the entries of columns [C, k, k, N, H, W] that a flat shift carries
-    across a row edge: output column x of kernel column j where x + j - p
-    leaves [0, W)."""
-    w, p = cols6.shape[-1], (k - 1) // 2
-    for j in range(k):
-        s = j - p
-        if s < 0:
-            cols6[:, :, j, :, :, :-s] = 0.0
-        elif s > 0:
-            cols6[:, :, j, :, :, max(0, w - s) :] = 0.0
+def _zero_outside(tap: np.ndarray, i: int, j: int, k: int) -> None:
+    """Zero the entries of tap (i, j)'s columns, as [C, N, H, W], whose source
+    pixel lies outside the image: output row y where y + i - p leaves [0, H),
+    and output column x where x + j - p leaves [0, W). A flat shift fills the
+    first kind from the neighbouring image, or not at all at the ends of the
+    rows, and the second across a row edge."""
+    h, w = tap.shape[2:]
+    s, t = i - (k - 1) // 2, j - (k - 1) // 2
+    if s < 0:
+        tap[:, :, :-s] = 0.0
+    elif s > 0:
+        tap[:, :, max(0, h - s) :] = 0.0
+    if t < 0:
+        tap[:, :, :, :-t] = 0.0
+    elif t > 0:
+        tap[:, :, :, max(0, w - t) :] = 0.0
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """[N,C,H,W] -> columns [C·k·k, N·H·W] of a same conv; row (c, i, j) holds tap (i, j) of channel c.
 
-    Each tap is one flat shifted copy of up to H·W values per channel and
-    image, straight from the input. The tap's rows that fall above or below
-    the image and its columns that wrapped across a row edge are then zeroed.
+    ``x`` is read as its channel rows (a view when it is channel-major), and
+    those rows are a 1 x 1 conv's columns. For a larger kernel each tap is
+    one flat shifted copy per channel, across all N images at once, after
+    which ``_zero_outside`` zeroes the tap's entries whose source lies outside
+    the image while they are still in cache.
     """
     n, c, h, w = x.shape
-    p = (k - 1) // 2
-    src = x.reshape(n, c, h * w).transpose(1, 0, 2)
-    cols = np.empty((c, k, k, n, h * w), dtype=x.dtype)
-    for i, j, q, xq in _taps(k, h, w):
-        cols[:, i, j, :, q] = src[:, :, xq]
-    for i in range(k):
-        s = i - p
-        if s < 0:
-            cols[:, i, :, :, : -s * w] = 0.0
-        elif s > 0:
-            cols[:, i, :, :, max(0, h - s) * w :] = 0.0
-    _zero_wrapped(cols.reshape(c, k, k, n, h, w), k)
-    return cols.reshape(c * k * k, n * h * w)
+    src = _channel_rows(x)
+    if k == 1:
+        return src
+    cols = np.empty((c, k, k, src.shape[1]), dtype=x.dtype)
+    for i, j, t, st in _taps(k, w, src.shape[1]):
+        cols[:, i, j, t] = src[:, st]
+        _zero_outside(cols[:, i, j].reshape(c, n, h, w), i, j, k)
+    return cols.reshape(c * k * k, -1)
 
 
 def _col2im(cols: np.ndarray, gx: np.ndarray, k: int) -> None:
-    """Adjoint of ``_im2col``: add the columns into ``gx``, a zeroed [N,C,H,W] array.
+    """Adjoint of ``_im2col``: add the columns into ``gx``, a zeroed [N,C,H,W] view of channel-major memory.
 
-    ``cols`` is scratch: its entries that wrapped across a row edge are zeroed
-    first. Then each tap is added into ``gx`` as one flat shifted run, in
-    row-major tap order, so every element receives the same additions in the
-    same order as when summed tap by tap into a zero-padded buffer and
-    cropped. The wrapped +0.0 adds change nothing: a sum that starts at +0.0
-    is never -0.0.
+    ``cols`` is scratch. Tap by tap, in row-major order, ``_zero_outside``
+    zeroes the entries whose source lies outside the image, and the tap is
+    added into gx's channel rows as one flat shifted run across the images.
+    So every element receives the same additions in the same order as when
+    summed tap by tap into a zero-padded buffer and cropped. The zeroed +0.0
+    adds change nothing: a sum that starts at +0.0 is never -0.0.
     """
     n, c, h, w = gx.shape
-    _zero_wrapped(cols.reshape(c, k, k, n, h, w), k)
-    cols5 = cols.reshape(c, k, k, n, h * w)
-    dst = gx.reshape(n, c, h * w).transpose(1, 0, 2)
-    for i, j, q, xq in _taps(k, h, w):
-        dst[:, :, xq] += cols5[:, i, j, :, q]
+    dst = np.reshape(gx.transpose(1, 0, 2, 3), (c, n * h * w), copy=False)  # raises unless channel-major
+    cols = cols.reshape(c, k, k, -1)
+    for i, j, t, st in _taps(k, w, dst.shape[1]):
+        _zero_outside(cols[:, i, j].reshape(c, n, h, w), i, j, k)
+        dst[:, st] += cols[:, i, j, t]
 
 
 def _conv_chunk(c: int, k2: int, l: int, itemsize: int) -> int:
@@ -354,24 +384,27 @@ def _conv_chunk(c: int, k2: int, l: int, itemsize: int) -> int:
 
 
 def conv2d(x: Tensor, w: Tensor, epilogue: Optional[Callable[[np.ndarray], None]] = None) -> Tensor:
-    """Same 2D cross-correlation, NCHW layout: stride 1, no bias, and zero
-    padding (k - 1) / 2 for an odd k x k kernel, so the output keeps the input's
-    H x W. An even or non-square kernel raises ``ShapeError``.
+    """Same 2D cross-correlation of an [N,C,H,W] input: stride 1, no bias, and
+    zero padding (k - 1) / 2 for an odd k x k kernel, so the output keeps the
+    input's H x W. An even or non-square kernel raises ``ShapeError``.
 
-    Each chunk of the batch is lowered to columns [Cin·k·k, chunk·H·W], so
-    every product is one GEMM per chunk: the forward ``w2d @ cols``, the
-    weight gradient ``g_t @ cols.T`` and the input gradient ``w2d.T @ g_t``,
-    where ``g_t`` is the chunk's output gradient as [Cout, chunk·H·W].
-    Backward rebuilds the columns rather than keeping them alive on the tape.
-    Since output and input share H·W, tap (i, j) of output pixel q reads input
-    pixel q + (i - p)·W + (j - p): the lowering copies, and the input gradient
-    adds back, each tap as one flat shifted run per channel and image, with no
-    padded buffer (see ``_im2col`` and ``_col2im``).
+    The input is read, and the output written, as channel rows [C, N·H·W]
+    (see the module docstring); an input that is not channel-major is copied
+    to that layout once. Each chunk of the batch is lowered to columns
+    [Cin·k·k, chunk·H·W], so every product is one GEMM per chunk on those
+    rows: the forward ``w2d @ cols`` writes the chunk's block of the output
+    rows, and backward takes the weight gradient ``g @ cols.T`` and the input
+    gradient ``w2d.T @ g`` from the chunk's block of the output gradient's
+    rows, in place. Backward rebuilds the columns rather than keeping them
+    alive on the tape. Since output and input share H·W, tap (i, j) of output
+    pixel q reads input pixel q + (i - p)·W + (j - p): the lowering copies,
+    and the input gradient adds back, each tap as one flat shifted run per
+    channel, with no padded buffer (see ``_im2col`` and ``_col2im``).
 
     ``epilogue``, if given, transforms each chunk's product [Cout, chunk·H·W]
-    in place, elementwise, before it is written to the output, while the
-    product is still in cache. A conv with an epilogue records nothing on the
-    tape: it has no backward rule.
+    in place, elementwise, in the output, while the product is still in
+    cache. A conv with an epilogue records nothing on the tape: it has no
+    backward rule.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4D x and w, got {x.shape} and {w.shape}")
@@ -384,31 +417,31 @@ def conv2d(x: Tensor, w: Tensor, epilogue: Optional[Callable[[np.ndarray], None]
     if k != kw or k % 2 == 0:
         raise ShapeError(f"conv2d: a same conv needs an odd square kernel, got {k}x{kw}")
     w2d = w.data.reshape(cout, cw * k * k)
-    chunk = _conv_chunk(cin, k * k, h * wd, x.data.dtype.itemsize)
+    hw = h * wd
+    chunk = _conv_chunk(cin, k * k, hw, x.data.dtype.itemsize)
+    xs = _as_nchw(_channel_rows(x.data), x.shape)
 
-    out = np.empty((n, cout, h, wd), dtype=x.dtype)
+    out = np.empty((cout, n * hw), dtype=x.dtype)
     for n0 in range(0, n, chunk):
-        cols = _im2col(x.data[n0 : n0 + chunk], k)
-        r = w2d @ cols
+        r = out[:, n0 * hw : (n0 + chunk) * hw]
+        np.matmul(w2d, _im2col(xs[n0 : n0 + chunk], k), out=r)
         if epilogue is not None:
             epilogue(r)
-        out[n0 : n0 + chunk] = r.reshape(cout, -1, h, wd).transpose(1, 0, 2, 3)
-        del cols, r  # free before the next chunk allocates its own
-    res = Tensor._wrap(out)
+    res = Tensor._wrap(_as_nchw(out, (n, cout, h, wd)))
     if epilogue is not None:
         return res
 
     def bwd(g):
         need_x, need_w = x.requires_grad, w.requires_grad
+        g = _channel_rows(g)
         gw = np.zeros((cout, cw * k * k), dtype=w.dtype) if need_w else None
-        gx = np.zeros_like(x.data) if need_x else None
+        gx = _as_nchw(np.zeros((cin, n * hw), dtype=x.dtype), x.shape) if need_x else None
         for n0 in range(0, n, chunk):
-            n1 = min(n0 + chunk, n)
-            g_t = g[n0:n1].transpose(1, 0, 2, 3).reshape(cout, -1)
+            gb = g[:, n0 * hw : (n0 + chunk) * hw]
             if need_w:
-                gw += g_t @ _im2col(x.data[n0:n1], k).T
+                gw += gb @ _im2col(xs[n0 : n0 + chunk], k).T
             if need_x:
-                _col2im(w2d.T @ g_t, gx[n0:n1], k)
+                _col2im(w2d.T @ gb, gx[n0 : n0 + chunk], k)
         if need_w:
             w._accumulate(gw.reshape(w.shape))
         if need_x:
@@ -430,7 +463,10 @@ def _pool_views(a: np.ndarray, k: int, ho: int, wo: int):
 
 
 def maxpool2d(x: Tensor, k: int) -> Tensor:
-    """k x k max pooling with stride k; gradient flows to each window's first (row-major) argmax."""
+    """k x k max pooling with stride k; gradient flows to each window's first (row-major) argmax.
+
+    The output and the input gradient keep the input's memory order.
+    """
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d expects 4D input, got {x.shape}")
     n, c, h, w = x.shape
@@ -438,7 +474,7 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
         raise ShapeError(f"maxpool2d: window {k} exceeds input {h}x{w}")
     ho, wo = h // k, w // k
     taps = _pool_views(x.data, k, ho, wo)
-    out = next(taps).copy()
+    out = next(taps).copy(order="K")
     for v in taps:
         np.maximum(out, v, out=out)
     res = Tensor._wrap(out)
@@ -454,8 +490,8 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
         # multiplies g's bit patterns
         g += 0.0
         bits = f"u{g.itemsize}"
-        free = np.ones(out.shape, dtype=bool)  # windows whose argmax is not yet found
-        hit = np.empty(out.shape, dtype=bool)
+        free = np.ones_like(out, dtype=bool)  # windows whose argmax is not yet found
+        hit = np.empty_like(out, dtype=bool)
         for v, gv in zip(_pool_views(x.data, k, ho, wo), _pool_views(gx, k, ho, wo)):
             np.equal(v, out, out=hit)
             hit &= free
@@ -472,15 +508,15 @@ def global_maxpool(x: Tensor) -> Tensor:
     if x.ndim != 4:
         raise ShapeError(f"global_maxpool expects 4D input, got {x.shape}")
     n, c, h, w = x.shape
-    flat = x.data.reshape(n, c, h * w)
-    arg = flat.argmax(axis=2)
-    out = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
-    res = Tensor._wrap(np.ascontiguousarray(out))
+    maps = _channel_rows(x.data).reshape(c, n, h * w)
+    arg = maps.argmax(axis=2)[:, :, None]
+    out = np.take_along_axis(maps, arg, axis=2)[:, :, 0]
+    res = Tensor._wrap(np.ascontiguousarray(out.T))
 
     def bwd(g):
-        gflat = np.zeros((n, c, h * w), dtype=x.dtype)
-        np.put_along_axis(gflat, arg[:, :, None], g[:, :, None], axis=2)
-        x._accumulate(gflat.reshape(x.shape))
+        gmaps = np.zeros((c, n, h * w), dtype=x.dtype)
+        np.put_along_axis(gmaps, arg, g.T[:, :, None], axis=2)
+        x._accumulate(_as_nchw(gmaps, x.shape))
 
     _record(res, (x,), bwd)
     return res
@@ -540,6 +576,27 @@ def _inv_std(var: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(var + _BN_EPS)
 
 
+def _channel_sum(a: np.ndarray, n: int, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-channel sum of channel rows ``a`` [C, N·H·W], or of ``a * b``.
+
+    Bit for bit what ``x.sum(axis=(0, 2, 3))``, or ``np.einsum("nchw,nchw->c",
+    x, y)``, gives for the same values as C-contiguous [N, C, H, W] arrays:
+    numpy reduces those one (image, channel) block of H·W at a time and adds
+    each block's sum into the channel's total, image after image. Here each
+    block of a row is reduced by the same numpy loop into an [N, C] array,
+    whose rows are then added in image order. A single channel's N·H·W
+    values are contiguous in both layouts, and numpy reduces them as one block.
+    """
+    c = a.shape[0]
+    n = n if c > 1 else 1
+    blocks = np.empty((n, c), dtype=a.dtype)
+    if b is None:
+        np.add.reduce(a.reshape(c, n, -1), axis=2, out=blocks.T)
+    else:
+        np.einsum("cnk,cnk->cn", a.reshape(c, n, -1), b.reshape(c, n, -1), out=blocks.T)
+    return np.add.reduce(blocks, axis=0)
+
+
 def _scale_shift(xc: np.ndarray, inv_std: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> None:
     """Finish batchnorm in place on the centred ``xc``: ``xc * inv_std * gamma + beta``.
 
@@ -570,9 +627,15 @@ def batchnorm2d(
     1/std, gamma and beta are applied to it in place, in that order, so the
     output rounds exactly as ``gamma * ((x - mean) * inv_std) + beta`` with
     ``inv_std = 1 / sqrt(x.var + eps)`` does (fixed-seed fp32 training
-    amplifies any last-bit change in the forward pass). Backward centres the input again into the buffer that
-    becomes its gradient, so no normalized copy stays alive on the tape; it
-    needs only the per-channel sums of g and of g * xhat.
+    amplifies any last-bit change in the forward pass). Backward centres the
+    input again into the buffer that becomes its gradient, so no normalized
+    copy stays alive on the tape; it needs only the per-channel sums of g and
+    of g * xhat. All of it runs on the channel rows [C, N·H·W], and the output
+    and the input gradient are channel-major. Each per-channel sum adds the
+    same numbers in the same order as numpy's reduction of an [N, C, H, W]
+    array over (0, 2, 3) (see ``_channel_sum``), so the mean, the variance and
+    both gradient sums equal ``x.mean``, ``np.square(xc).mean``, ``g.sum`` and
+    ``np.einsum("nchw,nchw->c", g, xc)`` bit for bit.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d expects 4D input, got {x.shape}")
@@ -580,23 +643,24 @@ def batchnorm2d(
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm2d: gamma/beta must have shape ({c},)")
 
-    axes, per_channel = (0, 2, 3), (1, c, 1, 1)
-    m = x.size // c
-    mean = x.data.mean(axis=axes)
-    out = x.data - mean.reshape(per_channel)
-    var = np.square(out).mean(axis=axes)  # what x.var computes, from the one centring
+    n, col = x.shape[0], (c, 1)  # per-channel operands broadcast over each row
+    rows = _channel_rows(x.data)
+    m = rows.shape[1]
+    mean = _channel_sum(rows, n) / m
+    out = rows - mean.reshape(col)
+    var = _channel_sum(np.square(out), n) / m  # what x.var computes, from the one centring
     state.running_mean += momentum * (mean - state.running_mean)
     state.running_var += momentum * (var - state.running_var)
 
     inv_std = _inv_std(var)
-    _scale_shift(out, inv_std.reshape(per_channel), gamma.data.reshape(per_channel),
-                 beta.data.reshape(per_channel))
-    res = Tensor._wrap(out)
+    _scale_shift(out, inv_std.reshape(col), gamma.data.reshape(col), beta.data.reshape(col))
+    res = Tensor._wrap(_as_nchw(out, x.shape))
 
     def bwd(g):
-        xc = x.data - mean.reshape(per_channel)
-        sum_g = g.sum(axis=axes)
-        sum_g_xhat = np.einsum("nchw,nchw->c", g, xc) * inv_std
+        g = _channel_rows(g)
+        xc = _channel_rows(x.data) - mean.reshape(col)
+        sum_g = _channel_sum(g, n)
+        sum_g_xhat = _channel_sum(g, n, xc) * inv_std
         if gamma.requires_grad:
             gamma._accumulate(sum_g_xhat)
         if beta.requires_grad:
@@ -604,12 +668,12 @@ def batchnorm2d(
         if not x.requires_grad:
             return
         scale = gamma.data * inv_std
-        g *= scale.reshape(per_channel)
+        g *= scale.reshape(col)
         # gx = scale * (g - sum_g / m - xhat * sum_g_xhat / m), built in xc
-        xc *= (-scale * inv_std * sum_g_xhat / m).reshape(per_channel)
-        xc -= (scale * sum_g / m).reshape(per_channel)
+        xc *= (-scale * inv_std * sum_g_xhat / m).reshape(col)
+        xc -= (scale * sum_g / m).reshape(col)
         xc += g
-        x._accumulate(xc)
+        x._accumulate(_as_nchw(xc, x.shape))
 
     _record(res, (x, gamma, beta), bwd)
     return res

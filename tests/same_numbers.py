@@ -11,12 +11,14 @@ without the ``wall_seconds`` column, the sha256 of the checkpoint file, and
 the sha256 of the bytes of the eval-mode logits that the loaded checkpoint
 gives on the test file (normalized by the statistics of the training file).
 
-Those runs are small enough that every conv fits in one chunk, so two more
-lines exercise chunk tails: one ``grads=`` line per shape in ``GRAD_SHAPES``,
-the sha256 of the loss and of every parameter gradient and batchnorm running
-statistic after one train-mode closure at fp32 on the first 40 training
-images. At the default widths with the whitened stem, ``stage1`` alone splits
-a batch of 40 into 14 chunks.
+Those runs are small enough that every conv fits in one chunk, so four more
+lines exercise chunk tails: one ``grads=`` line per shape in ``GRAD_SHAPES``
+at fp32 and at fp64. Each holds the sha256 of the loss and of every parameter
+gradient and batchnorm running statistic after one train-mode closure on the
+first 40 training images, and the sha256 of the eval-mode logits that the
+closure's model then gives on those 40 images. At the default widths with the
+whitened stem, ``stage1`` alone splits a batch of 40 into 14 chunks at fp32
+and 40 (one image each) at fp64.
 
 Run it on two checkouts and diff the output: identical lines mean the same
 metrics (apart from wall time), byte-identical checkpoints, the same eval
@@ -61,6 +63,8 @@ def main(checkout: str, out_dir: str) -> int:
     from minitrain.cli import main as cli_main
     from minitrain.data import NormStats, fit_whitening, load_cifar_binary, normalize, write_cifar_binary
     from minitrain.models import ModelSpec, build_resnet9, load_checkpoint
+    import numpy as np
+
     from minitrain.tensor import Tensor
     from minitrain.train import make_closure
     from synthetic import make_synthetic_dataset
@@ -96,18 +100,21 @@ def main(checkout: str, out_dir: str) -> int:
             print(f"{tag} csv={csv_digest(metrics)} ckpt={hashlib.sha256(ckpt.read_bytes()).hexdigest()} "
                   f"logits={logits_digest(ckpt)}")
 
-    train_x = normalize(train.images, stats)
-    xb, yb = train_x[:GRAD_BATCH], train.labels[:GRAD_BATCH]
-    for name, shape in GRAD_SHAPES.items():
-        filters = fit_whitening(train_x).filters if shape["stem"] == "whitened" else None
-        model, params = build_resnet9(ModelSpec(**shape), seed=3, whitening_filters=filters)
-        digest = hashlib.sha256(repr(make_closure(model, xb, yb, 0.2)()).encode())
-        for e in params:
-            digest.update(e.tensor.grad.tobytes())
-        for st in model.bn_states():
-            digest.update(st.running_mean.tobytes())
-            digest.update(st.running_var.tobytes())
-        print(f"{name}_fp32 grads={digest.hexdigest()}")
+    for precision, dtype in ((32, np.float32), (64, np.float64)):
+        train_x = normalize(train.images, stats, dtype=dtype)
+        xb, yb = train_x[:GRAD_BATCH], train.labels[:GRAD_BATCH]
+        for name, shape in GRAD_SHAPES.items():
+            filters = fit_whitening(train_x).filters if shape["stem"] == "whitened" else None
+            model, params = build_resnet9(ModelSpec(**shape), seed=3, whitening_filters=filters, dtype=dtype)
+            digest = hashlib.sha256(repr(make_closure(model, xb, yb, 0.2)()).encode())
+            for e in params:
+                digest.update(e.tensor.grad.tobytes())
+            for st in model.bn_states():
+                digest.update(st.running_mean.tobytes())
+                digest.update(st.running_var.tobytes())
+            logits = model.forward(Tensor(xb, dtype=dtype), mode="eval")
+            print(f"{name}_fp{precision} grads={digest.hexdigest()} "
+                  f"logits={hashlib.sha256(logits.data.tobytes()).hexdigest()}")
     return status
 
 

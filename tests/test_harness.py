@@ -708,6 +708,10 @@ def test_cli_main_config_error_exit_code(tmp_path, capsys):
     ["--checkpoint-out", "{tmp}/./m.csv"],
     ["--recipe-matrix", "baseline,sam", "--checkpoint-out", "{tmp}/m.csv"],
     ["--recipe-matrix", "ip,sam+ip", "--checkpoint-out", "{tmp}/m_sam.csv"],
+    ["--metrics-out", "{tmp}/data_batch_1.bin"],
+    ["--checkpoint-out", "{tmp}/test_batch.bin"],
+    ["--checkpoint-out", "{tmp}/./data_batch_2.bin"],
+    ["--recipe-matrix", "baseline,sam", "--checkpoint-out", "{tmp}/test_batch.bin"],
 ], ids=["malformed_widths", "per_class", "batch_size", "max_epochs", "mltp_per_class", "decay",
         "three_widths", "lr_peak", "momentum", "rho", "beta", "matrix_lr_peak",
         "matrix_empty", "matrix_repeated", "matrix_malformed",
@@ -717,7 +721,9 @@ def test_cli_main_config_error_exit_code(tmp_path, capsys):
         "nan_budget_seconds", "nan_lr_peak", "nan_decay", "nan_rho",
         "beta_zero_without_mltp", "beta_above_one_without_mltp", "nan_beta_without_mltp",
         "inf_lr_peak", "inf_decay", "inf_rho_sam", "checkpoint_is_metrics", "checkpoint_is_manifest",
-        "checkpoint_is_metrics_dotted", "matrix_checkpoint_is_metrics", "matrix_checkpoint_is_other_metrics"])
+        "checkpoint_is_metrics_dotted", "matrix_checkpoint_is_metrics", "matrix_checkpoint_is_other_metrics",
+        "metrics_is_train_data", "checkpoint_is_test_data", "checkpoint_would_be_train_data",
+        "matrix_checkpoint_is_test_data"])
 def test_cli_main_invalid_value_exits_2_before_reading_data(argv, tmp_path, capsys, monkeypatch):
     import minitrain.harness as H
 
@@ -725,8 +731,9 @@ def test_cli_main_invalid_value_exits_2_before_reading_data(argv, tmp_path, caps
         raise AssertionError("data was read")
 
     monkeypatch.setattr(H, "load_cifar_binary", no_data)
-    for name in ("data_batch_1.bin", "test_batch.bin"):  # found, so only a bad setting can exit 2
-        (tmp_path / name).write_bytes(b"")
+    data = {name: name.encode() for name in ("data_batch_1.bin", "test_batch.bin")}
+    for name, content in data.items():  # found, so only a bad setting can exit 2
+        (tmp_path / name).write_bytes(content)
     (tmp_path / "file").write_text("")  # a regular file, so no path under it can be written
     (tmp_path / "ip.cfg").write_text("ip = true\n")
     rc = main(["--data-dir", str(tmp_path), "--metrics-out", str(tmp_path / "m.csv")]
@@ -735,6 +742,7 @@ def test_cli_main_invalid_value_exits_2_before_reading_data(argv, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert sorted(f.name for f in tmp_path.iterdir()) == ["data_batch_1.bin", "file", "ip.cfg", "test_batch.bin"]
+    assert all((tmp_path / name).read_bytes() == content for name, content in data.items())
 
 
 def test_recipe_matrix_refuses_the_switches_it_sets(tmp_path):

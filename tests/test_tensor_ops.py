@@ -1,4 +1,5 @@
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -384,6 +385,17 @@ def test_accumulate_adopts_an_owned_array_and_copies_anything_else():
         assert y.grad.dtype == F64 and y.grad.flags.writeable and y.grad.flags.c_contiguous
         np.testing.assert_array_equal(y.grad, other)
 
+    # a copy keeps every bit, signed zeros included
+    y = t64(np.zeros((2, 3)), rg=True)
+    y._accumulate(np.full((2, 6), -0.0)[:, ::2])
+    assert np.signbit(y.grad).all()
+    # the strides of an axis of length 1 are no part of the layout
+    x = Tensor._wrap(np.zeros((2, 1, 3, 3)).transpose(1, 0, 2, 3))  # one image, channel-major
+    g = np.ones((1, 2, 3, 3))
+    assert g.strides != x.data.strides
+    x._accumulate(g)
+    assert x.grad is g
+
 
 _FAN_W = np.random.default_rng(31).normal(size=(2, 2, 3, 3))
 _FAN_C = np.random.default_rng(32).normal(size=(2, 2, 3, 3))
@@ -666,7 +678,7 @@ def test_flat_lowering_matches_padded_reference_bit_for_bit(dtype, data):
     x = data.draw(hnp.arrays(dtype, (n, c, h, w), elements=_signed_values(dtype)), label="x")
     np.testing.assert_array_equal(_bits(T._im2col(x, k)), _bits(oracles.im2col_padded(x, k, k, pad)))
     cols = data.draw(hnp.arrays(dtype, (c * k * k, n * h * w), elements=_signed_values(dtype)), label="cols")
-    gx = np.zeros_like(x)
+    gx = np.zeros((c, n, h, w), dtype=dtype).transpose(1, 0, 2, 3)  # channel-major, as conv2d's
     T._col2im(cols.copy(), gx, k)
     np.testing.assert_array_equal(_bits(gx), _bits(oracles.col2im_padded(cols, x.shape, k, k, pad)))
 
@@ -895,3 +907,172 @@ def test_conv_chunked_matches_single_chunk(monkeypatch, k):
             planted = chunked[1].copy()
             planted.flat[np.argmax(np.abs(planted))] *= 1 + 1e-3
             assert not _within_reordering_bound(planted, whole[1], x, c, k, dtype)
+
+
+# ---------------------------------------------------------------------------
+# channel-major memory: the same bits as [N, C, H, W] order
+
+
+def _channel_major(a):
+    """The same values, shaped [N, C, H, W], in channel-major memory."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+def _is_channel_major(a):
+    return a.ndim == 4 and a.transpose(1, 0, 2, 3).flags.c_contiguous
+
+
+def _leaf(a, dtype):
+    """A tensor that needs a gradient and keeps ``a``'s memory order (``Tensor(a)`` would
+    make it C-contiguous)."""
+    t = Tensor._wrap(a.astype(dtype, copy=False))
+    t.requires_grad = True
+    return t
+
+
+def _run_rule(f, g, *tensors):
+    """``f(*tensors)`` under a tape, then its one recorded rule on a copy of the upstream
+    gradient ``g`` laid out as the output is; returns the output and the inputs' gradients."""
+    with tape() as tp:
+        out = f(*tensors)
+    ((_, rule),) = tp._nodes
+    handed = np.empty_like(out.data)  # keeps the output's memory order
+    handed[...] = g
+    rule(handed)
+    return [out.data] + [t.grad for t in tensors]
+
+
+@st.composite
+def layout_cases(draw, max_map=6):
+    """A dtype, and an [N, C, H, W] array of signed values in which some (image, channel)
+    blocks are all zeros of either sign."""
+    dtype = draw(st.sampled_from([np.float32, F64]), label="dtype")
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 4)),
+             draw(st.integers(1, max_map)), draw(st.integers(1, max_map)))
+    a = draw(hnp.arrays(dtype, shape, elements=_signed_values(dtype)), label="a")
+    zero = draw(hnp.arrays(bool, shape[:2]), label="zero blocks")
+    a[zero] = draw(st.sampled_from([0.0, -0.0]), label="zero")
+    return dtype, a
+
+
+def _same_bits(got, ref, names):
+    for name, a, b in zip(names, got, ref):
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=name)
+
+
+@given(layout_cases(), st.data())
+def test_batchnorm_channel_major_matches_nchw_reference_bit_for_bit(case, data):
+    dtype, x = case
+    _, g = data.draw(layout_cases(), label="g")
+    g = np.resize(g, x.shape).astype(dtype)  # np.resize repeats g's values, signed zeros included
+    n, c = x.shape[:2]
+    gamma = data.draw(hnp.arrays(dtype, c, elements=st.floats(-2, 2, width=np.dtype(dtype).itemsize * 8)))
+    beta = data.draw(hnp.arrays(dtype, c, elements=_signed_values(dtype)))
+    running = (np.zeros(c, dtype), np.ones(c, dtype))
+    # the reference: numpy's reductions over (0, 2, 3) of [N, C, H, W] arrays, then batchnorm2d's
+    # elementwise steps in its order
+    axes, per_channel, m = (0, 2, 3), (1, c, 1, 1), x.size // c
+    mean = x.mean(axis=axes)
+    xc = x - mean.reshape(per_channel)
+    var = np.square(xc).mean(axis=axes)
+    inv_std = 1.0 / np.sqrt(var + T._BN_EPS)
+    out = xc * inv_std.reshape(per_channel)
+    out *= gamma.reshape(per_channel)
+    out += beta.reshape(per_channel)
+    sum_g = g.sum(axis=axes)
+    sum_g_xhat = np.einsum("nchw,nchw->c", g, xc) * inv_std
+    scale = gamma * inv_std
+    gx = xc * (-scale * inv_std * sum_g_xhat / m).reshape(per_channel)
+    gx -= (scale * sum_g / m).reshape(per_channel)
+    gx += g * scale.reshape(per_channel)
+    ref_state = (running[0] + 0.1 * (mean - running[0]), running[1] + 0.1 * (var - running[1]))
+
+    state = _bn_state(running)
+    got = _run_rule(lambda t, gm, bt: batchnorm2d(t, gm, bt, state), g,
+                    _leaf(_channel_major(x), dtype),
+                    Tensor(gamma, requires_grad=True, dtype=dtype), Tensor(beta, requires_grad=True, dtype=dtype))
+    assert _is_channel_major(got[0]) and _is_channel_major(got[1])
+    _same_bits(got + [state.running_mean, state.running_var], [out, gx, sum_g_xhat, sum_g, *ref_state],
+               ["out", "dX", "dgamma", "dbeta", "running_mean", "running_var"])
+
+
+@given(layout_cases(max_map=7), st.data())
+def test_conv_channel_major_matches_nchw_bit_for_bit(case, data):
+    dtype, x = case
+    n, cin, h, w = x.shape
+    k = data.draw(_same_kernel, label="k")
+    cout = data.draw(st.integers(1, 3), label="cout")
+    wk = data.draw(hnp.arrays(dtype, (cout, cin, k, k), elements=_signed_values(dtype)), label="w")
+    g = data.draw(hnp.arrays(dtype, (n, cout, h, w), elements=_signed_values(dtype)), label="g")
+    images = data.draw(st.integers(1, n), label="images per chunk")  # several chunks when below n
+    with mock.patch.object(T, "_COL_BUDGET_BYTES", images * cin * k * k * h * w * np.dtype(dtype).itemsize):
+
+        def run(xa):
+            return _run_rule(conv2d, g, _leaf(xa, dtype),
+                             Tensor(wk, requires_grad=True, dtype=dtype))
+
+        nchw, cm = run(x), run(_channel_major(x))
+    assert _is_channel_major(nchw[0]) and _is_channel_major(cm[0]) and _is_channel_major(cm[1])
+    _same_bits(cm, nchw, ["out", "dX", "dW"])
+
+
+@given(layout_cases(), st.data())
+def test_pooling_channel_major_matches_nchw_bit_for_bit(case, data):
+    dtype, x = case
+    n, c, h, w = x.shape
+    k = data.draw(st.integers(1, min(h, w, 3)), label="k")
+    g = data.draw(hnp.arrays(dtype, (n, c, h // k, w // k), elements=_signed_values(dtype)), label="g")
+    g2 = data.draw(hnp.arrays(dtype, (n, c), elements=_signed_values(dtype)), label="g global")
+    for op, upstream in ((lambda t: maxpool2d(t, k), g), (global_maxpool, g2)):
+        nchw = _run_rule(op, upstream, Tensor(x, requires_grad=True, dtype=dtype))
+        cm = _run_rule(op, upstream, _leaf(_channel_major(x), dtype))
+        assert _is_channel_major(cm[1]) and (cm[0].ndim == 2 or _is_channel_major(cm[0]))
+        _same_bits(cm, nchw, ["out", "dX"])
+
+
+@pytest.mark.parametrize("shape", [{"stem": "plain", "activation": "relu"},
+                                   {"stem": "whitened", "activation": "celu"}], ids=["plain", "whitened"])
+def test_activations_and_their_gradients_stay_channel_major(monkeypatch, shape):
+    # an NCHW copy anywhere in the model is a silent slowdown, so it fails here
+    from minitrain import models
+    from minitrain.train import make_closure
+
+    rng = np.random.default_rng(41)
+    filters = rng.normal(size=(27, 3, 3, 3)) if shape["stem"] == "whitened" else None
+    model, _ = build_resnet9(ModelSpec(widths=(8, 16, 16, 16), **shape), seed=0, whitening_filters=filters)
+    x = rng.normal(size=(6, 3, 32, 32)).astype(np.float32)
+    recorded, handed, accumulated = [], [], []
+    record, accumulate = T.Tape.record, T.Tensor._accumulate
+
+    def spy_record(self, out, fn):
+        def rule(g):
+            handed.append((g, out.data))
+            fn(g)
+
+        recorded.append(out.data)
+        record(self, out, rule)
+
+    def spy_accumulate(self, g):
+        accumulated.append((g, self.data))
+        accumulate(self, g)
+
+    monkeypatch.setattr(T.Tape, "record", spy_record)
+    monkeypatch.setattr(T.Tensor, "_accumulate", spy_accumulate)
+    make_closure(model, x, np.arange(6), 0.2)()
+    maps = [a for a in recorded if a.ndim == 4]
+    assert len(maps) > 20 and all(_is_channel_major(a) for a in maps)
+    # every gradient is made in its tensor's layout, so it is adopted, not copied
+    assert all(g.strides == a.strides for g, a in handed + accumulated if a.ndim == 4)
+
+    convs = []
+    conv = models.conv2d
+
+    def spy_conv(*args, **kwargs):
+        out = conv(*args, **kwargs)
+        convs.append(out.data)
+        return out
+
+    monkeypatch.setattr(models, "conv2d", spy_conv)
+    model.forward(Tensor(x), mode="eval")
+    assert len(convs) == 8 + (filters is not None) and all(_is_channel_major(a) for a in convs)
