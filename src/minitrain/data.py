@@ -18,6 +18,7 @@ from .tensor import ConfigError
 
 RECORD_BYTES = 3073
 NUM_CLASSES = 10
+AUGMENT_PAD = 4  # pixels of reflect padding that a random crop can shift by
 _STD_FLOOR = 1e-8
 
 
@@ -128,11 +129,11 @@ def normalize(images: np.ndarray, stats: NormStats, dtype=np.float32) -> np.ndar
     return x
 
 
-def augment(batch: np.ndarray, rng: np.random.Generator, pad: int = 4) -> np.ndarray:
-    """Reflect-pad, random 32x32 crop, horizontal flip with p=0.5, per image."""
+def augment(batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Reflect-pad by AUGMENT_PAD, random 32x32 crop, horizontal flip with p=0.5, per image."""
     n, c, h, w = batch.shape
-    padded = np.pad(batch, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect")
-    offs = rng.integers(0, 2 * pad + 1, size=(n, 2))
+    padded = np.pad(batch, ((0, 0), (0, 0), (AUGMENT_PAD,) * 2, (AUGMENT_PAD,) * 2), mode="reflect")
+    offs = rng.integers(0, 2 * AUGMENT_PAD + 1, size=(n, 2))
     flips = rng.random(n) < 0.5
     windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(2, 3))  # [n, c, oy, ox, h, w]
     out = windows[np.arange(n), :, offs[:, 0], offs[:, 1]]

@@ -24,7 +24,7 @@ from .data import (
     normalize,
     sample_subset,
 )
-from .mltp import mltp_train, split_tasks
+from .mltp import NUM_TASKS, mltp_train, split_tasks
 from .models import ModelSpec, build_resnet9, save_checkpoint
 from .optim import OptConfig, OptState, schedule_lr
 from .tensor import ConfigError
@@ -79,21 +79,20 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.mltp and self.per_class < 2:
-            raise ConfigError(f"mltp splits every class over two tasks, so per_class must be >= 2, "
-                              f"got {self.per_class}")
+        if self.mltp and self.per_class < NUM_TASKS:
+            raise ConfigError(f"mltp splits every class over {NUM_TASKS} tasks, so per_class must be "
+                              f">= {NUM_TASKS}, got {self.per_class}")
         if not 0.0 < self.beta <= 1.0:  # NaN fails too
             raise ConfigError(f"beta must be in (0,1], got {self.beta}")
         if self.meta_iterations is not None and self.meta_iterations < 1:
             raise ConfigError(f"meta_iterations must be >= 1, got {self.meta_iterations}")
-        if self.checkpoint_out and Path(self.checkpoint_out).resolve() in (
-                Path(self.metrics_out).resolve(), manifest_path(self.metrics_out).resolve()):
+        if _shared_output(self.outputs):  # the metrics file and its manifest never share a name
             raise ConfigError(f"checkpoint_out {self.checkpoint_out} is metrics_out {self.metrics_out} "
                               f"or its manifest")
         data_dir = Path(self.data_dir).resolve()
-        for out in (self.metrics_out, manifest_path(self.metrics_out), self.checkpoint_out):
-            p = Path(out).resolve() if out else None
-            if p and p.parent == data_dir and any(p.match(g) for g in DATA_FILES.values()):
+        for out in self.outputs:
+            p = Path(out).resolve()
+            if p.parent == data_dir and any(p.match(g) for g in DATA_FILES.values()):
                 raise ConfigError(f"output {out} would be a data file of data_dir {self.data_dir}")
         self.widths = tuple(self.widths)
         self.spec, self.opt  # the model and optimizer settings check the rest
@@ -102,6 +101,12 @@ class RunConfig:
     def recipe(self) -> str:
         on = (self.optimizer == "sam", self.ip, self.gc, self.mltp)
         return "+".join(s for s, o in zip(SWITCHES, on) if o) or "baseline"
+
+    @property
+    def outputs(self) -> tuple[str, ...]:
+        """The files a run writes, as given: the metrics CSV, its manifest and the checkpoint if set."""
+        checkpoint = (self.checkpoint_out,) if self.checkpoint_out else ()
+        return (self.metrics_out, str(manifest_path(self.metrics_out)), *checkpoint)
 
     @property
     def spec(self) -> ModelSpec:
@@ -137,6 +142,12 @@ _CSV_TYPES = get_type_hints(MetricsRecord)  # a float column is written with 6 d
 
 def manifest_path(metrics_out) -> Path:
     return Path(metrics_out).with_suffix(".manifest.json")
+
+
+def _shared_output(paths) -> Optional[Path]:
+    """The first of ``paths`` that resolves to the same file as an earlier one, or None."""
+    resolved = [Path(p).resolve() for p in paths]
+    return next((p for i, p in enumerate(resolved) if p in resolved[:i]), None)
 
 
 def check_writable(path) -> None:
@@ -226,10 +237,8 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
 
     dtype = np.float32 if cfg.precision == 32 else np.float64
     opt_cfg = cfg.opt
-    check_writable(cfg.metrics_out)
-    check_writable(manifest_path(cfg.metrics_out))
-    if cfg.checkpoint_out:
-        check_writable(cfg.checkpoint_out)
+    for out in cfg.outputs:
+        check_writable(out)
     seeds = _derived_seeds(cfg.seed)
     manifest = {"config": asdict(cfg), "recipe": cfg.recipe, "version": __version__, "seeds": seeds,
                 **(extra_manifest or {})}
@@ -362,9 +371,7 @@ def recipe_matrix(base: RunConfig, recipes: Optional[list[str]] = None,
                 else str(ckpt_base.with_name(f"{ckpt_base.stem}_{tag}{ckpt_base.suffix}")))
         configs.append((name, replace(base, metrics_out=str(out_base.with_name(f"{out_base.stem}_{tag}.csv")),
                                       checkpoint_out=ckpt, **switches)))
-    written = [Path(p).resolve() for _, cfg in configs
-               for p in (cfg.metrics_out, manifest_path(cfg.metrics_out), cfg.checkpoint_out) if p]
-    if clash := next((p for i, p in enumerate(written) if p in written[:i]), None):
+    if clash := _shared_output(p for _, cfg in configs for p in cfg.outputs):
         raise ConfigError(f"two recipes of the matrix would both write {clash}")
     rows = []
     for name, cfg in configs:

@@ -83,22 +83,16 @@ class ParamSet:
 
     def __init__(self):
         self._entries: list[ParamEntry] = []
-        self._by_name: dict[str, ParamEntry] = {}
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self._by_name:
+        if any(e.name == name for e in self._entries):
             raise ValueError(f"duplicate parameter name {name!r}")
         tensor.requires_grad = True
-        e = ParamEntry(name, tensor)
-        self._entries.append(e)
-        self._by_name[name] = e
+        self._entries.append(ParamEntry(name, tensor))
         return tensor
 
     def __iter__(self) -> Iterator[ParamEntry]:
         return iter(self._entries)
-
-    def __getitem__(self, name: str) -> ParamEntry:
-        return self._by_name[name]
 
     def zero_grads(self) -> None:
         for e in self._entries:
@@ -169,12 +163,12 @@ class _ResidualBlock:
 
 
 class Model:
-    """ResNet-9 with train/eval modes and a frozen optional whitening stem."""
+    """ResNet-9 with train/eval modes and a frozen optional whitening stem; ``params`` holds its weights."""
 
-    def __init__(self, spec: ModelSpec, params: ParamSet, seed: Optional[int],
+    def __init__(self, spec: ModelSpec, seed: Optional[int],
                  whitening_filters: Optional[np.ndarray] = None, dtype=None):
         self.spec = spec
-        self.params = params
+        params = self.params = ParamSet()
         dtype = dtype or np.float32
         rng = None if seed is None else np.random.default_rng(seed)
         w1, w2, w3, w4 = spec.widths
@@ -222,10 +216,10 @@ class Model:
             if self.stem_filters is not None:
                 x = conv2d(x, self.stem_filters)
             h = self.prep(x, mode, bn_momentum)
-            h = maxpool2d(self.stage1(h, mode, bn_momentum), 2)
+            h = maxpool2d(self.stage1(h, mode, bn_momentum))
             h = self.res1(h, mode, bn_momentum)
-            h = maxpool2d(self.stage2(h, mode, bn_momentum), 2)
-            h = maxpool2d(self.stage3(h, mode, bn_momentum), 2)
+            h = maxpool2d(self.stage2(h, mode, bn_momentum))
+            h = maxpool2d(self.stage3(h, mode, bn_momentum))
             h = self.res2(h, mode, bn_momentum)
             h = global_maxpool(h)
             logits = linear(h, self.head_w, self.head_b)
@@ -236,14 +230,13 @@ class Model:
 
 def build_resnet9(spec: ModelSpec, seed: Optional[int],
                   whitening_filters: Optional[np.ndarray] = None, dtype=None):
-    """Construct the network and its parameter registry from a seed.
+    """Construct the network from a seed; returns (model, model.params).
 
     With ``seed=None`` the conv and head weights are zeros, not draws: the
     caller (``load_checkpoint``) overwrites every parameter.
     """
-    params = ParamSet()
-    model = Model(spec, params, seed, whitening_filters=whitening_filters, dtype=dtype)
-    return model, params
+    model = Model(spec, seed, whitening_filters=whitening_filters, dtype=dtype)
+    return model, model.params
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ gradient checker used as the independent oracle for the whole engine.
 
 The ops take only what ResNet-9 passes: convolution is a bias-free "same"
 conv (stride 1, an odd square k x k kernel, zero padding (k - 1) / 2, so the
-output keeps the input's H x W), k x k max pooling has stride k, and linear
-always has a bias. Batchnorm as an op is train mode only; eval mode is the
-conv epilogue below. ``tsum`` and tensor-by-tensor ``mul`` serve
-``grad_check``, which projects an op's output to a scalar as
-``tsum(mul(op(x), c))``; the model calls neither.
+output keeps the input's H x W), max pooling is 2 x 2 with stride 2 on maps
+of even H and W, and linear always has a bias. Batchnorm as an op is train
+mode only; eval mode is the conv epilogue below. ``tsum`` and
+tensor-by-tensor ``mul`` serve ``grad_check``, which projects an op's output
+to a scalar as ``tsum(mul(op(x), c))``; the model calls neither.
 
 Activations are shaped [N, C, H, W] but laid out channel-major: every 4-D
 array an op returns, and every gradient of one, is a transposed view of a
@@ -455,44 +455,39 @@ def conv2d(x: Tensor, w: Tensor, epilogue: Optional[Callable[[np.ndarray], None]
 # pooling
 
 
-def _pool_views(a: np.ndarray, k: int, ho: int, wo: int):
-    """The k*k stride-k [N,C,Ho,Wo] views of ``a``, one per window tap, row-major."""
-    for i in range(k):
-        for j in range(k):
-            yield a[:, :, i : i + k * ho : k, j : j + k * wo : k]
-
-
-def maxpool2d(x: Tensor, k: int) -> Tensor:
-    """k x k max pooling with stride k; gradient flows to each window's first (row-major) argmax.
+def maxpool2d(x: Tensor) -> Tensor:
+    """2 x 2 max pooling with stride 2, the only pool ResNet-9 runs; gradient flows to each
+    window's first (row-major) argmax. An odd H or W raises ``ShapeError``.
 
     The output and the input gradient keep the input's memory order.
     """
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d expects 4D input, got {x.shape}")
     n, c, h, w = x.shape
-    if k > h or k > w:
-        raise ShapeError(f"maxpool2d: window {k} exceeds input {h}x{w}")
-    ho, wo = h // k, w // k
-    taps = _pool_views(x.data, k, ho, wo)
-    out = next(taps).copy(order="K")
-    for v in taps:
+    if h % 2 or w % 2:
+        raise ShapeError(f"maxpool2d: a 2x2 pool needs an even H and W, got {h}x{w}")
+
+    def taps(a: np.ndarray) -> list:  # a's four window-tap views, row-major; copy=False: never a copy
+        windows = np.reshape(a, (n, c, h // 2, 2, w // 2, 2), copy=False)
+        return [windows[:, :, :, i, :, j] for i in (0, 1) for j in (0, 1)]
+
+    x_taps = taps(x.data)
+    out = x_taps[0].copy(order="K")
+    for v in x_taps[1:]:
         np.maximum(out, v, out=out)
     res = Tensor._wrap(out)
 
     def bwd(g):
-        # windows do not overlap, so each tap's view of gx is written once;
-        # rows and columns that no window covers get no gradient
-        gx = np.empty_like(x.data)
-        gx[:, :, k * ho :] = 0.0
-        gx[:, :, :, k * wo :] = 0.0
+        # windows tile the map, so each tap's view of gx is written once and covers a quarter;
         # routed entries get 0.0 + g, as summing into zeros would (-0.0 becomes +0.0);
         # the rest get +0.0, which g * False would not for negative g, so the mask
         # multiplies g's bit patterns
+        gx = np.empty_like(x.data)
         g += 0.0
         bits = f"u{g.itemsize}"
         free = np.ones_like(out, dtype=bool)  # windows whose argmax is not yet found
         hit = np.empty_like(out, dtype=bool)
-        for v, gv in zip(_pool_views(x.data, k, ho, wo), _pool_views(gx, k, ho, wo)):
+        for v, gv in zip(x_taps, taps(gx)):
             np.equal(v, out, out=hit)
             hit &= free
             free ^= hit

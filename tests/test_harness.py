@@ -4,6 +4,7 @@ import json
 import math
 import weakref
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +322,14 @@ def test_run_training_baseline_outputs(synth_data_dir, tmp_path):
     assert set(man["seeds"]) == {"subset", "init", "whitening", "augment"}
     assert man["subset_size"] == 40
     assert man["whitening"] is None
+
+
+def test_run_writes_exactly_the_outputs_its_config_lists(synth_data_dir, tmp_path):
+    # the path checks read cfg.outputs, so a file the run writes without listing it goes unchecked
+    cfg = tiny_cfg(synth_data_dir, tmp_path / "m.csv", checkpoint_out=str(tmp_path / "model.npz"), max_epochs=1)
+    run_training(cfg)
+    assert sorted(p.resolve() for p in tmp_path.iterdir()) == sorted(Path(p).resolve() for p in cfg.outputs)
+    assert len(cfg.outputs) == 3
 
 
 def test_run_training_deterministic_repeat(synth_data_dir, tmp_path):

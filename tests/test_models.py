@@ -240,10 +240,10 @@ def _separate_passes_eval_logits(model, x):
     if model.stem_filters is not None:
         x = op(T.conv2d, x, model.stem_filters)
     h = block(model.prep, x)
-    h = op(T.maxpool2d, block(model.stage1, h), 2)
+    h = op(T.maxpool2d, block(model.stage1, h))
     h = residual(model.res1, h)
-    h = op(T.maxpool2d, block(model.stage2, h), 2)
-    h = op(T.maxpool2d, block(model.stage3, h), 2)
+    h = op(T.maxpool2d, block(model.stage2, h))
+    h = op(T.maxpool2d, block(model.stage3, h))
     h = residual(model.res2, h)
     h = op(T.global_maxpool, h)
     return op(T.mul, op(T.linear, h, model.head_w, model.head_b), spec.head_scale)

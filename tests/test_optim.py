@@ -25,6 +25,11 @@ def param_set(**arrays):
     return ps
 
 
+def param(ps, name):
+    """The tensor that ``ps`` registered under ``name``."""
+    return next(e.tensor for e in ps if e.name == name)
+
+
 def quadratic_closure(ps, coeffs):
     """L(w) = sum_i 0.5 * a_i * w_i^2 over all parameters, elementwise."""
 
@@ -48,35 +53,35 @@ def quadratic_closure(ps, coeffs):
 
 def test_gc_subtracts_slice_mean():
     ps = param_set(w=[[1.0, 2.0, 3.0]])
-    ps["w"].tensor.grad = np.array([[1.0, 2.0, 3.0]])
+    param(ps, "w").grad = np.array([[1.0, 2.0, 3.0]])
     centralize_gradients(ps)
-    np.testing.assert_allclose(ps["w"].tensor.grad, [[-1.0, 0.0, 1.0]], atol=1e-15)
+    np.testing.assert_allclose(param(ps, "w").grad, [[-1.0, 0.0, 1.0]], atol=1e-15)
 
 
 def test_gc_idempotent():
     ps = param_set(w=np.random.default_rng(0).normal(size=(4, 3, 3, 3)))
-    ps["w"].tensor.grad = np.random.default_rng(1).normal(size=(4, 3, 3, 3))
+    param(ps, "w").grad = np.random.default_rng(1).normal(size=(4, 3, 3, 3))
     centralize_gradients(ps)
-    once = ps["w"].tensor.grad.copy()
+    once = param(ps, "w").grad.copy()
     centralize_gradients(ps)
-    np.testing.assert_allclose(ps["w"].tensor.grad, once, atol=1e-12)
+    np.testing.assert_allclose(param(ps, "w").grad, once, atol=1e-12)
 
 
 def test_gc_postcondition_per_output_channel_mean():
     ps = param_set(w=np.zeros((4, 3, 3, 3)))
-    ps["w"].tensor.grad = np.random.default_rng(2).normal(size=(4, 3, 3, 3))
+    param(ps, "w").grad = np.random.default_rng(2).normal(size=(4, 3, 3, 3))
     centralize_gradients(ps)
-    means = ps["w"].tensor.grad.mean(axis=(1, 2, 3))
+    means = param(ps, "w").grad.mean(axis=(1, 2, 3))
     assert np.abs(means).max() <= 1e-12
 
 
 def test_gc_leaves_single_axis_params_untouched():
     ps = param_set(w=np.zeros((2, 2)), b=np.zeros(3))
-    ps["w"].tensor.grad = np.ones((2, 2))
+    param(ps, "w").grad = np.ones((2, 2))
     g = np.array([1.0, 2.0, 3.0])
-    ps["b"].tensor.grad = g.copy()
+    param(ps, "b").grad = g.copy()
     centralize_gradients(ps)
-    np.testing.assert_array_equal(ps["b"].tensor.grad, g)
+    np.testing.assert_array_equal(param(ps, "b").grad, g)
 
 
 def test_gc_missing_grad_rejected():
@@ -91,21 +96,21 @@ def test_gc_missing_grad_rejected():
 
 def test_sgd_plain_gradient_descent():
     ps = param_set(w=[1.0, 2.0])
-    ps["w"].tensor.grad = np.array([0.5, -0.5])
+    param(ps, "w").grad = np.array([0.5, -0.5])
     # single-axis param is decay-exempt; use a no-decay config anyway
     cfg = OptConfig(lr_peak=1.0, momentum=0.0, decay=0.0, total_steps=1)
     state = OptState.create(ps)
     sgd_step(ps, state, 0.1, cfg)
-    np.testing.assert_allclose(ps["w"].tensor.data, [0.95, 2.05], rtol=1e-12)
+    np.testing.assert_allclose(param(ps, "w").data, [0.95, 2.05], rtol=1e-12)
     assert state.step_index == 1
 
 
 def test_sgd_decay_only_step_matches_paper_lambda():
     ps = param_set(w=[[1.0]])
-    ps["w"].tensor.grad = np.zeros((1, 1))
+    param(ps, "w").grad = np.zeros((1, 1))
     cfg = OptConfig(lr_peak=1.0, momentum=0.0, decay=0.0005, total_steps=1)
     sgd_step(ps, OptState.create(ps), 0.1, cfg)
-    assert ps["w"].tensor.data[0, 0] == pytest.approx(0.9999, abs=1e-12)
+    assert param(ps, "w").data[0, 0] == pytest.approx(0.9999, abs=1e-12)
 
 
 def test_sgd_momentum_two_step_hand_expansion():
@@ -115,39 +120,39 @@ def test_sgd_momentum_two_step_hand_expansion():
     cfg = OptConfig(lr_peak=1.0, momentum=mu, decay=0.0, total_steps=2)
     state = OptState.create(ps)
     for _ in range(2):
-        ps["w"].tensor.grad = np.array([g])
+        param(ps, "w").grad = np.array([g])
         sgd_step(ps, state, lr, cfg)
     expected = w0 - lr * g - lr * (mu + 1.0) * g
-    assert ps["w"].tensor.data[0] == pytest.approx(expected, rel=1e-12)
+    assert param(ps, "w").data[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_sgd_decay_exemption():
     ps = param_set(w=np.ones((2, 2)), gamma=np.ones(2))
-    ps["w"].tensor.grad = np.zeros((2, 2))
-    ps["gamma"].tensor.grad = np.zeros(2)
+    param(ps, "w").grad = np.zeros((2, 2))
+    param(ps, "gamma").grad = np.zeros(2)
     cfg = OptConfig(lr_peak=1.0, momentum=0.0, decay=0.01, total_steps=1)
     sgd_step(ps, OptState.create(ps), 0.5, cfg)
-    assert (ps["gamma"].tensor.data == 1.0).all()
-    assert (ps["w"].tensor.data != 1.0).all()
+    assert (param(ps, "gamma").data == 1.0).all()
+    assert (param(ps, "w").data != 1.0).all()
 
 
 def test_sgd_nonfinite_gradient_aborts_with_name():
     ps = param_set(w=np.ones((2, 2)))
-    ps["w"].tensor.grad = np.array([[np.nan, 0.0], [0.0, 0.0]])
+    param(ps, "w").grad = np.array([[np.nan, 0.0], [0.0, 0.0]])
     with pytest.raises(OptimizerAbort, match="w"):
         sgd_step(ps, OptState.create(ps), 0.1, OptConfig(lr_peak=1.0, total_steps=1))
 
 
 def test_sgd_abort_on_later_parameter_moves_nothing():
     ps = param_set(a=np.ones((2, 2)), b=np.ones((2, 2)))
-    ps["a"].tensor.grad = np.full((2, 2), 0.5)
-    ps["b"].tensor.grad = np.array([[0.0, np.inf], [0.0, 0.0]])
+    param(ps, "a").grad = np.full((2, 2), 0.5)
+    param(ps, "b").grad = np.array([[0.0, np.inf], [0.0, 0.0]])
     state = OptState.create(ps)
     state.velocity["a"][...] = 0.25
     state.step_index = 7
     with pytest.raises(OptimizerAbort, match="parameter b"):
         sgd_step(ps, state, 0.1, OptConfig(lr_peak=1.0, momentum=0.9, total_steps=1))
-    assert (ps["a"].tensor.data == 1.0).all()
+    assert (param(ps, "a").data == 1.0).all()
     assert (state.velocity["a"] == 0.25).all()
     assert state.step_index == 7
 
@@ -162,7 +167,7 @@ def test_sam_scalar_quadratic_closed_form():
     cfg = OptConfig(lr_peak=1.0, momentum=0.0, decay=0.0, rho=0.05, total_steps=1)
     closure = quadratic_closure(ps, {"w": 2.0})
     loss0, loss1 = sam_step(ps, OptState.create(ps), 0.1, cfg, closure)
-    assert ps["w"].tensor.data[0] == pytest.approx(0.79, abs=1e-8)
+    assert param(ps, "w").data[0] == pytest.approx(0.79, abs=1e-8)
     assert loss0 == pytest.approx(1.0, abs=1e-12)  # 0.5*2*1
     assert loss1 == pytest.approx(0.5 * 2 * 1.05**2, abs=1e-10)
 
@@ -183,15 +188,15 @@ def test_sam_rho_zero_identical_to_sgd_bit_for_bit(gc_enabled):
         if gc_enabled:
             centralize_gradients(ps_b)
         sgd_step(ps_b, sb, 0.05, cfg)
-        assert (ps_a["w"].tensor.data == ps_b["w"].tensor.data).all()
+        assert (param(ps_a, "w").data == param(ps_b, "w").data).all()
 
 
 def test_sam_lr_zero_restores_bit_identical():
     ps = param_set(w=np.random.default_rng(4).normal(size=(2, 3)))
-    before = ps["w"].tensor.data.copy()
+    before = param(ps, "w").data.copy()
     cfg = OptConfig(lr_peak=1.0, momentum=0.9, rho=0.5, total_steps=1)
     sam_step(ps, OptState.create(ps), 0.0, cfg, quadratic_closure(ps, {"w": 2.0}))
-    assert (ps["w"].tensor.data == before).all()
+    assert (param(ps, "w").data == before).all()
 
 
 def test_sam_zero_gradient_skips_perturbation():
@@ -199,7 +204,7 @@ def test_sam_zero_gradient_skips_perturbation():
     cfg = OptConfig(lr_peak=1.0, momentum=0.0, rho=0.1, total_steps=1)
     loss0, loss1 = sam_step(ps, OptState.create(ps), 0.1, cfg, quadratic_closure(ps, {"w": 2.0}))
     assert loss0 == loss1 == 0.0
-    assert ps["w"].tensor.data[0] == 0.0
+    assert param(ps, "w").data[0] == 0.0
 
 
 def test_sam_two_parameter_quadratic_matches_reference():
@@ -216,7 +221,7 @@ def test_sam_two_parameter_quadratic_matches_reference():
     def closure():
         ps.zero_grads()
         with tape():
-            w = ps["w"].tensor
+            w = param(ps, "w")
             loss = tsum(mul(mul(w, w), Tensor(0.5 * a.reshape(1, 2), dtype=F64)))
             backward(loss)
         return loss.item()
@@ -226,7 +231,7 @@ def test_sam_two_parameter_quadratic_matches_reference():
         sam_step(ps, state, lr, cfg, closure)
         w_ref, v_ref = oracles.sam_two_step_reference(
             w_ref, lambda w: a * w, lr, rho, mu, lam, v_ref)
-        np.testing.assert_allclose(ps["w"].tensor.data.reshape(-1), w_ref, rtol=1e-12)
+        np.testing.assert_allclose(param(ps, "w").data.reshape(-1), w_ref, rtol=1e-12)
 
 
 def test_sam_nonfinite_perturbed_loss_aborts():
@@ -237,13 +242,13 @@ def test_sam_nonfinite_perturbed_loss_aborts():
     def closure():
         calls["n"] += 1
         ps.zero_grads()
-        ps["w"].tensor.grad = np.array([[1.0]])
+        param(ps, "w").grad = np.array([[1.0]])
         return 1.0 if calls["n"] == 1 else float("nan")
 
-    before = ps["w"].tensor.data.copy()
+    before = param(ps, "w").data.copy()
     with pytest.raises(OptimizerAbort):
         sam_step(ps, OptState.create(ps), 0.1, cfg, closure)
-    assert (ps["w"].tensor.data == before).all()
+    assert (param(ps, "w").data == before).all()
 
 
 # ---------------------------------------------------------------------------
