@@ -1021,15 +1021,14 @@ def test_conv_channel_major_matches_nchw_bit_for_bit(case, data):
     _same_bits(cm, nchw, ["out", "dX", "dW"])
 
 
-@given(layout_cases(maps=_even_maps), st.data())
-def test_pooling_channel_major_matches_nchw_bit_for_bit(case, data):
-    dtype, x = case
-    n, c, h, w = x.shape
-    g = data.draw(hnp.arrays(dtype, (n, c, h // 2, w // 2), elements=_signed_values(dtype)), label="g")
-    g2 = data.draw(hnp.arrays(dtype, (n, c), elements=_signed_values(dtype)), label="g global")
-    for op, upstream in ((maxpool2d, g), (global_maxpool, g2)):
-        nchw = _run_rule(op, upstream, Tensor(x, requires_grad=True, dtype=dtype))
-        cm = _run_rule(op, upstream, _leaf(_channel_major(x), dtype))
+@given(layout_cases(), layout_cases(maps=_even_maps), st.data())
+def test_pooling_channel_major_matches_nchw_bit_for_bit(case, even_case, data):
+    # the 2x2 pool takes maps of even sides, the global pool any map
+    for op, (dtype, x), pooled in ((maxpool2d, even_case, lambda n, c, h, w: (n, c, h // 2, w // 2)),
+                                   (global_maxpool, case, lambda n, c, h, w: (n, c))):
+        g = data.draw(hnp.arrays(dtype, pooled(*x.shape), elements=_signed_values(dtype)), label="g")
+        nchw = _run_rule(op, g, Tensor(x, requires_grad=True, dtype=dtype))
+        cm = _run_rule(op, g, _leaf(_channel_major(x), dtype))
         assert _is_channel_major(cm[1]) and (cm[0].ndim == 2 or _is_channel_major(cm[0]))
         _same_bits(cm, nchw, ["out", "dX"])
 
