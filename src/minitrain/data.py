@@ -1,5 +1,5 @@
 """CIFAR-10 binary ingestion, class-balanced subsetting, normalization,
-augmentation, batching, and PCA patch-whitening filter fitting.
+augmentation, and PCA patch-whitening filter fitting.
 
 The input format is the public CIFAR-10 binary layout: 3073-byte records,
 1 label byte followed by 3072 pixel bytes in planar R,G,B row-major order.
@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,9 +65,9 @@ def load_cifar_binary(paths: Sequence, split: str = "train") -> Dataset:
         with open(p, "rb") as fh:
             if fh.readinto(rec) != size:
                 raise DataFormatError(f"{p}: file shrank while it was read")
-        bad = np.nonzero(rec[:, 0] > 9)[0]
+        bad = np.nonzero(rec[:, 0] >= NUM_CLASSES)[0]
         if bad.size:
-            raise DataFormatError(f"{p}: record {bad[0]} has label byte {rec[bad[0], 0]} > 9")
+            raise DataFormatError(f"{p}: record {bad[0]} has label byte {rec[bad[0], 0]} > {NUM_CLASSES - 1}")
         digest.update(rec)
     return Dataset(records[:, 1:].reshape(-1, 3, 32, 32), records[:, 0].astype(np.int64), split, digest.hexdigest())
 
@@ -192,15 +192,3 @@ def fit_whitening(
     digest = hashlib.sha256(patches.tobytes()).hexdigest()
     return WhiteningFilters(filters=filters, eigvals=eigvals, eps=eps, fit_digest=digest)
 
-
-def batch_iterator(
-    m: int, batch_size: int, shuffle: bool, seed: int, epoch: int = 0
-) -> Iterator[np.ndarray]:
-    """Yield index batches covering 0..m-1 exactly once; order seeded per epoch."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    idx = np.arange(m)
-    if shuffle:
-        np.random.default_rng([seed, epoch]).shuffle(idx)
-    for start in range(0, m, batch_size):
-        yield idx[start : start + batch_size]

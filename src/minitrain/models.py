@@ -225,8 +225,6 @@ class Model:
             logits = linear(h, self.head_w, self.head_b)
             return mul(logits, self.spec.head_scale)
 
-    __call__ = forward
-
 
 def build_resnet9(spec: ModelSpec, seed: Optional[int],
                   whitening_filters: Optional[np.ndarray] = None, dtype=None):

@@ -693,11 +693,6 @@ def _celu(x: np.ndarray, alpha: float, out: Optional[np.ndarray] = None) -> np.n
     return out
 
 
-def _relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """ReLU's forward arithmetic into ``out``, which may be ``x``; shared as ``_celu`` is."""
-    return np.maximum(x, 0, out=out)
-
-
 def celu(x: Tensor, alpha: float, inplace: bool = False) -> Tensor:
     """x for x >= 0, alpha * (exp(x/alpha) - 1) otherwise. Approaches ReLU as alpha -> 0.
 
@@ -723,7 +718,7 @@ def celu(x: Tensor, alpha: float, inplace: bool = False) -> Tensor:
 
 def relu(x: Tensor, inplace: bool = False) -> Tensor:
     """max(x, 0); with ``inplace=True`` written into ``x.data``."""
-    out = _relu(x.data, out=x.data if inplace else None)
+    out = np.maximum(x.data, 0, out=x.data if inplace else None)
     res = Tensor._wrap(out)
 
     def bwd(g):
@@ -743,7 +738,8 @@ def conv_block_epilogue(gamma: Tensor, beta: Tensor, state: BatchNormState, acti
     place. It rounds exactly as ``gamma * ((x - running_mean) * inv_std) + beta``
     with ``inv_std = 1 / sqrt(running_var + eps)``, followed by ``relu`` or
     ``celu``, does: batchnorm finishes through the same helpers as
-    ``batchnorm2d``, and the activation through those of ``relu`` and ``celu``.
+    ``batchnorm2d``, and the activation as ``relu`` (``np.maximum(x, 0)``) and
+    ``celu`` (``_celu``) compute it.
     """
     rows = (-1, 1)  # one row per output channel
     mean = state.running_mean.reshape(rows)
@@ -756,7 +752,7 @@ def conv_block_epilogue(gamma: Tensor, beta: Tensor, state: BatchNormState, acti
         if activation == "celu":
             _celu(a, celu_alpha, out=a)
         else:
-            _relu(a, out=a)
+            np.maximum(a, 0, out=a)
 
     return epilogue
 

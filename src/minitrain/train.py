@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import augment, batch_iterator
+from .data import augment
 from .models import Model
 from .optim import OptConfig, OptState, schedule_lr, train_step
 from .tensor import Tensor, backward, smoothed_cross_entropy, tape
@@ -46,9 +46,14 @@ def run_epoch(
     epoch: int,
     augment_rng: Optional[np.random.Generator] = None,
 ) -> float:
-    """One pass over (images, labels) that updates ``model.params``; returns the mean batch loss."""
+    """One pass over (images, labels) that updates ``model.params``; returns the mean batch loss.
+
+    Batches are consecutive ``batch_size`` runs of a permutation seeded by ``[shuffle_seed, epoch]``.
+    """
+    order = np.random.default_rng([shuffle_seed, epoch]).permutation(len(labels))
     losses = []
-    for idx in batch_iterator(len(labels), batch_size, shuffle=True, seed=shuffle_seed, epoch=epoch):
+    for start in range(0, len(order), batch_size):
+        idx = order[start : start + batch_size]
         xb = images[idx]
         if augment_rng is not None:
             xb = augment(xb, augment_rng)
@@ -58,25 +63,29 @@ def run_epoch(
     return float(np.mean(losses)) if losses else float("nan")
 
 
-def evaluate(model: Model, images: np.ndarray, labels: np.ndarray, batch_size: int = 256) -> float:
-    """Top-1 accuracy in percent; logit ties break to the lowest class index."""
+def evaluate(model: Model, images: np.ndarray, labels: np.ndarray, batch_size: int) -> float:
+    """Top-1 accuracy in percent over consecutive ``batch_size`` slices of the
+    arrays; logit ties break to the lowest class index."""
     if len(labels) == 0:
         raise ValueError("evaluate: empty dataset")
     correct = 0
-    for idx in batch_iterator(len(labels), batch_size, shuffle=False, seed=0):
-        logits = model.forward(Tensor(images[idx], dtype=images.dtype), mode="eval")
+    for start in range(0, len(labels), batch_size):
+        end = start + batch_size
+        logits = model.forward(Tensor(images[start:end], dtype=images.dtype), mode="eval")
         pred = np.argmax(logits.data, axis=1)  # first max = lowest index on ties
-        correct += int((pred == labels[idx]).sum())
+        correct += int((pred == labels[start:end]).sum())
     return 100.0 * correct / len(labels)
 
 
-def calibrate_batchnorm(model: Model, images: np.ndarray, batch_size: int = 256) -> None:
-    """Reset running stats and set them to the mean of per-batch statistics.
+def calibrate_batchnorm(model: Model, images: np.ndarray, batch_size: int) -> None:
+    """Reset running stats and set them to the mean of per-batch statistics,
+    over consecutive ``batch_size`` slices of ``images``.
 
     Momentum 1/(i+1) on batch i turns the running update into an arithmetic
     mean over the calibration pass.
     """
     for st in model.bn_states():
         st.reset()
-    for i, idx in enumerate(batch_iterator(len(images), batch_size, shuffle=False, seed=0)):
-        model.forward(Tensor(images[idx], dtype=images.dtype), mode="train", bn_momentum=1.0 / (i + 1))
+    for i, start in enumerate(range(0, len(images), batch_size)):
+        batch = images[start : start + batch_size]
+        model.forward(Tensor(batch, dtype=images.dtype), mode="train", bn_momentum=1.0 / (i + 1))

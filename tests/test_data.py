@@ -9,7 +9,6 @@ from minitrain.data import (
     Dataset,
     NormStats,
     augment,
-    batch_iterator,
     extract_patches,
     fit_whitening,
     load_cifar_binary,
@@ -77,6 +76,19 @@ def test_bad_label_names_record_index(tmp_path):
     p.write_bytes(bytes(recs))
     with pytest.raises(DataFormatError, match="record 2"):
         load_cifar_binary([p])
+
+
+def test_label_bytes_stop_at_the_last_class(tmp_path):
+    recs = bytearray(3073 * 2)
+    recs[0] = 9  # the last class loads
+    p = tmp_path / "labels.bin"
+    p.write_bytes(bytes(recs))
+    assert load_cifar_binary([p]).labels.tolist() == [9, 0]
+    recs[3073] = 10  # one past it does not
+    p.write_bytes(bytes(recs))
+    with pytest.raises(DataFormatError) as info:
+        load_cifar_binary([p])
+    assert str(info.value) == f"{p}: record 1 has label byte 10 > 9"
 
 
 def test_round_trip_bit_identical(tmp_path):
@@ -359,35 +371,3 @@ def test_whitening_eigvals_sorted_descending():
 def test_whitening_rejects_too_few_patches():
     with pytest.raises(ConfigError):
         fit_whitening(np.zeros((2, 3, 32, 32)), sample_patches=10)
-
-
-# ---------------------------------------------------------------------------
-# batching
-
-
-def test_batch_sizes():
-    sizes = [len(b) for b in batch_iterator(10, 4, shuffle=False, seed=0)]
-    assert sizes == [4, 4, 2]
-
-
-def test_unshuffled_order():
-    idx = np.concatenate(list(batch_iterator(7, 3, shuffle=False, seed=0)))
-    np.testing.assert_array_equal(idx, np.arange(7))
-
-
-def test_epoch_covers_every_index_exactly_once():
-    idx = np.concatenate(list(batch_iterator(23, 5, shuffle=True, seed=1, epoch=4)))
-    assert sorted(idx.tolist()) == list(range(23))
-
-
-def test_shuffle_is_seeded_per_epoch():
-    a = np.concatenate(list(batch_iterator(20, 6, shuffle=True, seed=1, epoch=0)))
-    b = np.concatenate(list(batch_iterator(20, 6, shuffle=True, seed=1, epoch=0)))
-    c = np.concatenate(list(batch_iterator(20, 6, shuffle=True, seed=1, epoch=1)))
-    np.testing.assert_array_equal(a, b)
-    assert (a != c).any()
-
-
-def test_batch_size_validated():
-    with pytest.raises(ConfigError):
-        list(batch_iterator(10, 0, shuffle=False, seed=0))

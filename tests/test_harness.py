@@ -5,6 +5,7 @@ import math
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from minitrain.harness import (
 from minitrain.models import ModelSpec, build_resnet9, load_checkpoint
 from minitrain.optim import OptConfig, OptimizerAbort, schedule_lr
 from minitrain.tensor import ConfigError, Tensor
-from minitrain.train import evaluate
+from minitrain.train import calibrate_batchnorm, evaluate, run_epoch
 
 TINY = dict(widths=(8, 16, 16, 16), per_class=4, max_epochs=2,
             batch_size=20, budget_seconds=120.0, augment=False)
@@ -298,6 +299,47 @@ def test_evaluate_fresh_model_near_chance():
     model, _ = build_resnet9(ModelSpec(widths=(4, 8, 8, 8)), seed=0)
     acc = evaluate(model, x, ds.labels, batch_size=25)
     assert 0.0 <= acc <= 60.0  # untrained: nowhere near perfect
+
+
+def test_evaluate_and_calibration_leave_their_arrays_unchanged():
+    ds = make_synthetic_dataset(per_class=3, seed=4)
+    x = normalize(ds.images, NormStats.fit(ds))
+    before = x.copy()
+    model, _ = build_resnet9(ModelSpec(widths=(4, 8, 8, 8)), seed=0)
+    calibrate_batchnorm(model, x, batch_size=8)
+    evaluate(model, x, ds.labels, batch_size=8)
+    np.testing.assert_array_equal(x, before)
+
+
+# ---------------------------------------------------------------------------
+# epoch order
+
+
+def test_run_epoch_visits_each_example_once_in_a_seeded_order(monkeypatch):
+    import minitrain.train as TR
+
+    def epoch_batches(shuffle_seed, epoch):
+        batches = []
+
+        def closure(model, xb, yb, ls_alpha):
+            np.testing.assert_array_equal(xb, yb)  # images and labels gathered alike
+            batches.append(yb)
+            return lambda: 0.0
+
+        monkeypatch.setattr(TR, "make_closure", closure)
+        monkeypatch.setattr(TR, "train_step", lambda params, state, lr, cfg, closure: closure())
+        n = np.arange(23)
+        run_epoch(SimpleNamespace(params=None), SimpleNamespace(step_index=0), OptConfig(),
+                  n, n, batch_size=5, ls_alpha=0.0, shuffle_seed=shuffle_seed, epoch=epoch)
+        return batches
+
+    batches = epoch_batches(7, 3)
+    assert [len(b) for b in batches] == [5, 5, 5, 5, 3]
+    order = np.concatenate(batches)
+    assert sorted(order.tolist()) == list(range(23))
+    np.testing.assert_array_equal(order, np.random.default_rng([7, 3]).permutation(23))
+    np.testing.assert_array_equal(np.concatenate(epoch_batches(7, 3)), order)
+    assert (np.concatenate(epoch_batches(7, 4)) != order).any()
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +702,12 @@ def test_cli_main_budget_seconds_inf_means_no_budget(synth_data_dir, tmp_path, c
     assert json.loads(manifest_path(out).read_text())["config"]["budget_seconds"] == math.inf
 
 
-def test_cli_main_no_data_dir_is_error(capsys):
-    rc = main([])
+def test_cli_main_no_data_dir_is_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CIFAR_DIR", raising=False)
+    rc = main(["--metrics-out", str(tmp_path / "m.csv")])
     assert rc == 2
-    assert "data directory" in capsys.readouterr().err
+    assert "no data directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_main_config_error_exit_code(tmp_path, capsys):

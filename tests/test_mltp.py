@@ -8,7 +8,6 @@ import oracles
 from synthetic import make_synthetic_dataset
 
 import minitrain.mltp as M
-from minitrain.data import batch_iterator
 from minitrain.harness import RunConfig
 from minitrain.mltp import inner_loop, meta_update, mltp_train, split_tasks
 from minitrain.models import ModelSpec, ParamSet, build_resnet9
@@ -229,7 +228,9 @@ def test_degenerate_single_task_equals_sgd_trajectory():
     ref = LinearStub(w0.copy())
     state = OptState.create(ref.params)
     for rnd in range(5):
-        for idx in batch_iterator(len(ys), 30, shuffle=True, seed=1000, epoch=rnd * 1000):
+        order = np.random.default_rng([1000, rnd * 1000]).permutation(len(ys))
+        for start in range(0, len(ys), 30):
+            idx = order[start : start + 30]
             ref.params.zero_grads()
             with tape():
                 loss, _ = smoothed_cross_entropy(ref.forward(Tensor(xs[idx], dtype=F64)), ys[idx], 0.0, k)

@@ -198,7 +198,7 @@ def test_conv_block_activation_overwrites_batchnorm_output(monkeypatch, activati
     model, params = build_resnet9(ModelSpec(widths=(4, 4, 4, 4), activation=activation), seed=0)
     x = Tensor(np.random.default_rng(7).normal(size=(2, 3, 32, 32)))
     with tape() as t:
-        logits = model(x, mode=mode)
+        logits = model.forward(x, mode=mode)
         if mode == "eval":
             assert len(t) == 0 and logits.tape is None
         else:

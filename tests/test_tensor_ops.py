@@ -470,7 +470,7 @@ def _tiny_model_backward(dtype):
     model, params = build_resnet9(ModelSpec(widths=(4, 4, 4, 4), activation="celu"), seed=0, dtype=dtype)
     x = Tensor(np.random.default_rng(34).normal(size=(2, 3, 32, 32)), dtype=dtype)
     with tape() as tp:
-        loss, _ = smoothed_cross_entropy(model(x), np.array([1, 7]), 0.1, 10)
+        loss, _ = smoothed_cross_entropy(model.forward(x), np.array([1, 7]), 0.1, 10)
         outs = [out for out, _ in tp._nodes]
         backward(loss)
     return outs, params
