@@ -4,7 +4,9 @@ Everything in the trainer runs through this module: a ``Tensor`` wrapping a
 numpy buffer, a ``Tape`` that records backward rules in execution order, the
 operator set needed by ResNet-9 (convolution, pooling, batchnorm,
 activations, linear, smoothed cross-entropy), and a central-finite-difference
-gradient checker used as the independent oracle for the whole engine.
+gradient checker used as the independent oracle for the whole engine: it
+checks the float64 taped gradient against differences taken in
+``np.longdouble``.
 
 The ops take only what ResNet-9 passes: convolution is a bias-free "same"
 conv (stride 1, an odd square k x k kernel, zero padding (k - 1) / 2, so the
@@ -824,9 +826,14 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare taped gradients of a scalar function against central differences.
 
-    Runs in float64 regardless of the input dtype. Relative error uses a 1e-6
-    magnitude floor in the denominator so near-zero coordinates are compared
-    absolutely. ``max_coords`` samples a coordinate subset for large inputs.
+    The taped gradient is float64, whatever the input dtype; the central
+    differences evaluate ``f`` at ``np.longdouble`` points, so ``f`` must
+    accept a long-double input tensor. Where ``np.longdouble`` is float64 the
+    check is the float64 one. Wider differences keep their rounding noise,
+    about eps·|f| / step, below what a tolerance resolves on a large |f|.
+    Relative error uses a 1e-6 magnitude floor in the denominator so near-zero
+    coordinates are compared absolutely. ``max_coords`` samples a coordinate
+    subset for large inputs.
     """
     base = np.array(x.data, dtype=np.float64)
     xt = Tensor(base.copy(), requires_grad=True, dtype=np.float64)
@@ -846,11 +853,11 @@ def grad_check(
         gen = rng or np.random.default_rng(0)
         coords = gen.choice(flat.size, size=max_coords, replace=False)
 
-    def value_at(arr: np.ndarray) -> float:
-        return float(f(Tensor(arr, dtype=np.float64)).data)
+    def value_at(arr: np.ndarray) -> np.longdouble:
+        return f(Tensor(arr, dtype=np.longdouble)).data.item()
 
     max_err = 0.0
-    work = base.copy()
+    work = base.astype(np.longdouble)
     wf = work.reshape(-1)
     for idx in coords:
         orig = wf[idx]
@@ -859,7 +866,7 @@ def grad_check(
         wf[idx] = orig - step
         fm = value_at(work)
         wf[idx] = orig
-        numeric = (fp - fm) / (2.0 * step)
+        numeric = float((fp - fm) / (2.0 * step))
         a = analytic[idx]
         err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
         max_err = max(max_err, err)

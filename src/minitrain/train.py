@@ -11,7 +11,7 @@ import numpy as np
 from .data import augment
 from .models import Model
 from .optim import OptConfig, OptState, schedule_lr, train_step
-from .tensor import Tensor, backward, smoothed_cross_entropy, tape
+from .tensor import ConfigError, Tensor, backward, smoothed_cross_entropy, tape
 
 
 def make_closure(model: Model, xb: np.ndarray, yb: np.ndarray, ls_alpha: float):
@@ -50,6 +50,8 @@ def run_epoch(
 
     Batches are consecutive ``batch_size`` runs of a permutation seeded by ``[shuffle_seed, epoch]``.
     """
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     order = np.random.default_rng([shuffle_seed, epoch]).permutation(len(labels))
     losses = []
     for start in range(0, len(order), batch_size):
@@ -66,6 +68,8 @@ def run_epoch(
 def evaluate(model: Model, images: np.ndarray, labels: np.ndarray, batch_size: int) -> float:
     """Top-1 accuracy in percent over consecutive ``batch_size`` slices of the
     arrays; logit ties break to the lowest class index."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if len(labels) == 0:
         raise ValueError("evaluate: empty dataset")
     correct = 0
@@ -84,6 +88,8 @@ def calibrate_batchnorm(model: Model, images: np.ndarray, batch_size: int) -> No
     Momentum 1/(i+1) on batch i turns the running update into an arithmetic
     mean over the calibration pass.
     """
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     for st in model.bn_states():
         st.reset()
     for i, start in enumerate(range(0, len(images), batch_size)):

@@ -9,14 +9,14 @@ import math
 import numpy as np
 
 
-def conv2d_loops(x, w, b=None, stride=1, pad=0):
-    """Six-nested-loop cross-correlation."""
+def conv2d_loops(x, w, pad=0):
+    """Six-nested-loop stride-1 cross-correlation, without bias."""
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     xp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=np.float64)
     xp[:, :, pad : pad + h, pad : pad + wd] = x
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (wd + 2 * pad - kw) // stride + 1
+    ho = h + 2 * pad - kh + 1
+    wo = wd + 2 * pad - kw + 1
     out = np.zeros((n, cout, ho, wo), dtype=np.float64)
     for ni in range(n):
         for co in range(cout):
@@ -26,15 +26,13 @@ def conv2d_loops(x, w, b=None, stride=1, pad=0):
                     for ci in range(cin):
                         for ky in range(kh):
                             for kx in range(kw):
-                                acc += xp[ni, ci, oy * stride + ky, ox * stride + kx] * w[co, ci, ky, kx]
+                                acc += xp[ni, ci, oy + ky, ox + kx] * w[co, ci, ky, kx]
                     out[ni, co, oy, ox] = acc
-            if b is not None:
-                out[ni, co] += b[co]
     return out
 
 
 def conv2d_input_grad_loops(g, w, x_shape, pad=0):
-    """Input gradient of the stride-1 ``conv2d_loops``: each output gradient
+    """Input gradient of ``conv2d_loops``: each output gradient
     flows back to every input its window read, weighted by the kernel tap."""
     n, cin, h, wd = x_shape
     cout, _, kh, kw = w.shape
@@ -50,61 +48,59 @@ def conv2d_input_grad_loops(g, w, x_shape, pad=0):
     return gxp[:, :, pad : pad + h, pad : pad + wd]
 
 
-def im2col_padded(x, kh, kw, pad):
-    """[N,C,H,W] -> columns [C·kh·kw, N·Ho·Wo] through a zero-padded [C,N,H+2p,W+2p]
-    copy, one short row of Wo values per tap, channel, image and output row: the
-    lowering the library's flat shifted copies must reproduce bit for bit."""
+def im2col_padded(x, k, pad):
+    """[N,C,H,W] -> columns [C·k·k, N·Ho·Wo] for a k x k kernel, through a
+    zero-padded [C,N,H+2p,W+2p] copy, one short row of Wo values per tap,
+    channel, image and output row: the lowering the library's flat shifted
+    copies must reproduce bit for bit."""
     n, c, h, w = x.shape
-    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     xp[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
-    cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
+    cols = np.empty((c, k, k, n, ho, wo), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
             cols[:, i, j] = xp[:, :, i : i + ho, j : j + wo]
-    return cols.reshape(c * kh * kw, n * ho * wo)
+    return cols.reshape(c * k * k, n * ho * wo)
 
 
-def col2im_padded(cols, x_shape, kh, kw, pad):
+def col2im_padded(cols, x_shape, k, pad):
     """Adjoint of ``im2col_padded``: sum the columns tap by tap, row-major, into a
     zeroed padded [N,C,H+2p,W+2p] buffer and crop it to ``x_shape``."""
     n, c, h, w = x_shape
-    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
-    cols6 = cols.reshape(c, kh, kw, n, ho, wo)
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    cols6 = cols.reshape(c, k, k, n, ho, wo)
     gxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
+    for i in range(k):
+        for j in range(k):
             gxp[:, :, i : i + ho, j : j + wo] += cols6[:, i, j]
     return gxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
 
 
-def maxpool2d_loops(x, k, stride):
+def maxpool2d_loops(x):
+    """2 x 2 windows, stride 2."""
     n, c, h, w = x.shape
-    ho = (h - k) // stride + 1
-    wo = (w - k) // stride + 1
-    out = np.zeros((n, c, ho, wo), dtype=np.float64)
+    out = np.zeros((n, c, h // 2, w // 2), dtype=np.float64)
     for ni in range(n):
         for ci in range(c):
-            for oy in range(ho):
-                for ox in range(wo):
-                    win = x[ni, ci, oy * stride : oy * stride + k, ox * stride : ox * stride + k]
-                    out[ni, ci, oy, ox] = win.max()
+            for oy in range(h // 2):
+                for ox in range(w // 2):
+                    out[ni, ci, oy, ox] = x[ni, ci, 2 * oy : 2 * oy + 2, 2 * ox : 2 * ox + 2].max()
     return out
 
 
-def maxpool2d_grad_loops(x, g, k, stride):
-    """Route each window's upstream gradient to its first row-major argmax."""
+def maxpool2d_grad_loops(x, g):
+    """Route each 2 x 2 window's upstream gradient to its first row-major argmax."""
     n, c, h, w = x.shape
-    ho, wo = g.shape[2], g.shape[3]
     gx = np.zeros((n, c, h, w), dtype=np.float64)
     for ni in range(n):
         for ci in range(c):
-            for oy in range(ho):
-                for ox in range(wo):
+            for oy in range(h // 2):
+                for ox in range(w // 2):
                     best = None
-                    for ky in range(k):
-                        for kx in range(k):
-                            y, xx = oy * stride + ky, ox * stride + kx
+                    for ky in range(2):
+                        for kx in range(2):
+                            y, xx = 2 * oy + ky, 2 * ox + kx
                             if best is None or x[ni, ci, y, xx] > x[ni, ci, best[0], best[1]]:
                                 best = (y, xx)
                     gx[ni, ci, best[0], best[1]] += g[ni, ci, oy, ox]
@@ -120,7 +116,7 @@ def global_maxpool_loops(x):
     return out
 
 
-def linear_loops(x, w, b=None):
+def linear_loops(x, w, b):
     n, d = x.shape
     k = w.shape[0]
     out = np.zeros((n, k), dtype=np.float64)
@@ -129,7 +125,7 @@ def linear_loops(x, w, b=None):
             acc = 0.0
             for di in range(d):
                 acc += x[ni, di] * w[ki, di]
-            out[ni, ki] = acc + (b[ki] if b is not None else 0.0)
+            out[ni, ki] = acc + b[ki]
     return out
 
 

@@ -15,10 +15,12 @@ Runs, under the stdlib ``trace`` module (no coverage package needed):
   on the test images.
 
 Tracing starts before ``minitrain`` is imported, so module-level lines count
-as reached. Then it prints one ``path:line: text`` line for every executable
-line under ``<checkout>/src`` that none of these runs executed, and a count.
-Run it on two checkouts and diff the output to see what a change leaves
-unreached. Not a test module, so pytest does not collect it.
+as reached. It prints the lines that ``same_numbers.py`` prints (the output
+of the other runs is dropped), then one ``path:line: text`` line for every
+executable line under ``<checkout>/src`` that none of these runs executed,
+and a count. Run it on two checkouts and diff the output to see whether a
+change keeps the numbers and what it leaves unreached; ``gate.py`` does
+both. Not a test module, so pytest does not collect it.
 """
 
 import contextlib
@@ -32,8 +34,10 @@ import same_numbers
 
 def work(checkout: Path, out: Path) -> None:
     sys.path.insert(0, str(checkout / "src"))
+    digests = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        codes = {"same_numbers": same_numbers.main(str(checkout), str(out))}
+        with contextlib.redirect_stdout(digests):
+            codes = {"same_numbers": same_numbers.main(str(checkout), str(out))}
         from minitrain.cli import main as cli_main
 
         data = out / "data"
@@ -41,6 +45,7 @@ def work(checkout: Path, out: Path) -> None:
                             "setup_failure": ["--per-class", "1000"]}.items():
             codes[name] = cli_main(["--data-dir", str(data), *same_numbers.COMMON, *flags,
                                     "--metrics-out", str(out / f"{name}.csv")])
+    sys.stdout.write(digests.getvalue())
     # a run that ends otherwise than planned would reach other lines
     if codes != {"same_numbers": 0, "matrix": 0, "no_block": 0, "setup_failure": 2}:
         raise SystemExit(f"unexpected exit codes: {codes}")

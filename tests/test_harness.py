@@ -25,7 +25,7 @@ from minitrain.harness import (
     write_metrics,
 )
 from minitrain.models import ModelSpec, build_resnet9, load_checkpoint
-from minitrain.optim import OptConfig, OptimizerAbort, schedule_lr
+from minitrain.optim import OptConfig, OptimizerAbort, OptState, schedule_lr
 from minitrain.tensor import ConfigError, Tensor
 from minitrain.train import calibrate_batchnorm, evaluate, run_epoch
 
@@ -309,6 +309,29 @@ def test_evaluate_and_calibration_leave_their_arrays_unchanged():
     calibrate_batchnorm(model, x, batch_size=8)
     evaluate(model, x, ds.labels, batch_size=8)
     np.testing.assert_array_equal(x, before)
+
+
+@pytest.mark.parametrize("batch_size", [0, -5])
+@pytest.mark.parametrize("call", [
+    lambda model, x, y, batch_size: evaluate(model, x, y, batch_size),
+    lambda model, x, y, batch_size: calibrate_batchnorm(model, x, batch_size),
+    lambda model, x, y, batch_size: run_epoch(model, OptState.create(model.params), OptConfig(), x, y,
+                                              batch_size, ls_alpha=0.0, shuffle_seed=0, epoch=0),
+], ids=["evaluate", "calibrate_batchnorm", "run_epoch"])
+def test_batch_size_below_one_raises_before_any_forward(call, batch_size):
+    ds = make_synthetic_dataset(per_class=2, seed=4)
+    x = normalize(ds.images, NormStats.fit(ds))
+    model, params = build_resnet9(ModelSpec(widths=(4, 8, 8, 8)), seed=0)
+    calibrate_batchnorm(model, x, batch_size=8)  # running stats away from their reset values
+    weights = params.snapshot()
+    stats = [(st.running_mean.copy(), st.running_var.copy()) for st in model.bn_states()]
+    with pytest.raises(ConfigError, match=f"^batch_size must be >= 1, got {batch_size}$"):
+        call(model, x, ds.labels, batch_size)
+    for name, value in params.snapshot().items():
+        np.testing.assert_array_equal(value, weights[name])
+    for st, (mean, var) in zip(model.bn_states(), stats):
+        np.testing.assert_array_equal(st.running_mean, mean)
+        np.testing.assert_array_equal(st.running_var, var)
 
 
 # ---------------------------------------------------------------------------
