@@ -6,9 +6,11 @@ and a key of the ``key = value`` config file (``#`` comments allowed), and
 both are parsed by the same code, keyed on the field's type. A boolean setting
 also has a ``--no-`` flag, so a flag can switch off a value the file switched
 on. Precedence: flag > config file > default (``CIFAR_DIR`` fills a missing
-``data_dir``). File and flag values are both echoed into the run manifest. A
-malformed or invalid value, or an output path that cannot be written, exits
-with code 2 before any data is read. So does a switch setting (a field in
+``data_dir``). A repeated flag keeps its last value, but a config file sets
+each setting at most once, under either spelling. File and flag values are
+both echoed into the run manifest. A malformed or invalid value, a setting
+repeated in the file, or an output path that cannot be written, exits with
+code 2 before any data is read. So does a switch setting (a field in
 ``SWITCH_FIELDS``, by flag or by file) given with ``--recipe-matrix``, whose
 recipe names set those fields themselves.
 """
@@ -76,7 +78,7 @@ def read_config_file(path) -> dict:
     keys = {}
     for f in fields(RunConfig):
         keys[f.name] = keys[_SPELLING.get(f.name, f.name)] = f.name
-    values = {}
+    values, first_line = {}, {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -87,7 +89,11 @@ def read_config_file(path) -> dict:
         key = key.replace("-", "_")
         if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[keys[key]] = _coerce(keys[key], raw, f"{path}:{lineno}")
+        name = keys[key]
+        if name in first_line:
+            raise ConfigError(f"{path}:{lineno}: {name} is already set on line {first_line[name]}")
+        first_line[name] = lineno
+        values[name] = _coerce(name, raw, f"{path}:{lineno}")
     return values
 
 

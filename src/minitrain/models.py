@@ -24,9 +24,9 @@ from .tensor import (
     Tensor,
     add,
     batchnorm2d,
+    batchnorm2d_eval,
     celu,
     conv2d,
-    conv_block_epilogue,
     global_maxpool,
     linear,
     maxpool2d,
@@ -123,9 +123,9 @@ class _ConvBlock:
     """same conv -> batchnorm -> activation. Convs carry no bias (batchnorm
     follows) and keep the map's H x W: a k x k kernel pads by (k - 1) / 2.
 
-    In eval mode the batchnorm and the activation are the conv's epilogue:
-    they run on each chunk of the conv output while it is in cache, with the
-    same rounding as the separate ops, and nothing is recorded for backward.
+    Train and eval run the same conv and activation; batchnorm normalizes by
+    the batch statistics in train mode (``batchnorm2d``) and in place by the
+    running ones in eval mode (``batchnorm2d_eval``).
     """
 
     def __init__(self, params: ParamSet, name: str, cin: int, cout: int, k: int,
@@ -138,12 +138,11 @@ class _ConvBlock:
         self.spec = spec
 
     def __call__(self, x: Tensor, mode: str, bn_momentum: float = 0.1) -> Tensor:
-        if mode == "eval":
-            epilogue = conv_block_epilogue(self.gamma, self.beta, self.bn_state,
-                                           self.spec.activation, self.spec.celu_alpha)
-            return conv2d(x, self.w, epilogue=epilogue)
         h = conv2d(x, self.w)
-        h = batchnorm2d(h, self.gamma, self.beta, self.bn_state, momentum=bn_momentum)
+        if mode == "eval":
+            h = batchnorm2d_eval(h, self.gamma, self.beta, self.bn_state)
+        else:
+            h = batchnorm2d(h, self.gamma, self.beta, self.bn_state, momentum=bn_momentum)
         # the batchnorm output feeds only the activation, so it is overwritten
         if self.spec.activation == "celu":
             return celu(h, self.spec.celu_alpha, inplace=True)
@@ -211,7 +210,7 @@ class Model:
             raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
         if x.ndim != 4 or x.shape[1] != self.spec.in_channels or x.shape[2:] != (32, 32):
             raise ShapeError(f"expected input [N,{self.spec.in_channels},32,32], got {x.shape}")
-        # eval convs record no backward rule, so nothing after them may record either
+        # eval batchnorm has no backward rule, so no eval op may record one
         with no_tape() if mode == "eval" else contextlib.nullcontext():
             if self.stem_filters is not None:
                 x = conv2d(x, self.stem_filters)

@@ -11,10 +11,10 @@ checks the float64 taped gradient against differences taken in
 The ops take only what ResNet-9 passes: convolution is a bias-free "same"
 conv (stride 1, an odd square k x k kernel, zero padding (k - 1) / 2, so the
 output keeps the input's H x W), max pooling is 2 x 2 with stride 2 on maps
-of even H and W, and linear always has a bias. Batchnorm as an op is train
-mode only; eval mode is the conv epilogue below. ``tsum`` and
-tensor-by-tensor ``mul`` serve ``grad_check``, which projects an op's output
-to a scalar as ``tsum(mul(op(x), c))``; the model calls neither.
+of even H and W, and linear always has a bias. ``batchnorm2d`` is train mode
+and ``batchnorm2d_eval`` eval mode; only the latter has no backward rule.
+``tsum`` and tensor-by-tensor ``mul`` serve ``grad_check``, which projects an
+op's output to a scalar as ``tsum(mul(op(x), c))``; the model calls neither.
 
 Activations are shaped [N, C, H, W] but laid out channel-major: every 4-D
 array an op returns, and every gradient of one, is a transposed view of a
@@ -51,12 +51,12 @@ conv block applies its activation in place on the batchnorm output and keeps
 two full-size buffers alive, not three. A graph that fans an activation's
 input out, such as ``add(relu(t), t)``, must use the default.
 
-``conv2d`` takes an optional ``epilogue`` that transforms each chunk of its
-output in place while the chunk is in cache; such a conv records nothing.
-The model's eval forward runs each conv block as one conv whose epilogue,
-``conv_block_epilogue``, applies eval batchnorm and the activation through the
-same arithmetic helpers as ``batchnorm2d`` and ``celu``/``relu``, so the
-logits round exactly as separate eval-mode ops would. Eval records no tape.
+An eval-mode conv block runs the same conv and activation as a training one;
+only its batchnorm differs. ``batchnorm2d_eval`` normalizes the conv output in
+place by the running statistics, through the same helpers as ``batchnorm2d``,
+and the activation then overwrites it, so an eval block fills one full-size
+buffer. Eval batchnorm has no backward rule, so the model's eval forward runs
+under ``no_tape()`` and records nothing.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class ConfigError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Tape misuse: backward on a consumed tape, or no tape at all."""
+    """Tape misuse: backward on a consumed tape or with no tape, or an op without a rule on a tape."""
 
 
 class Tensor:
@@ -385,7 +385,7 @@ def _conv_chunk(c: int, k2: int, l: int, itemsize: int) -> int:
     return max(1, _COL_BUDGET_BYTES // max(1, per_image))
 
 
-def conv2d(x: Tensor, w: Tensor, epilogue: Optional[Callable[[np.ndarray], None]] = None) -> Tensor:
+def conv2d(x: Tensor, w: Tensor) -> Tensor:
     """Same 2D cross-correlation of an [N,C,H,W] input: stride 1, no bias, and
     zero padding (k - 1) / 2 for an odd k x k kernel, so the output keeps the
     input's H x W. An even or non-square kernel raises ``ShapeError``.
@@ -401,12 +401,8 @@ def conv2d(x: Tensor, w: Tensor, epilogue: Optional[Callable[[np.ndarray], None]
     alive on the tape. Since output and input share H·W, tap (i, j) of output
     pixel q reads input pixel q + (i - p)·W + (j - p): the lowering copies,
     and the input gradient adds back, each tap as one flat shifted run per
-    channel, with no padded buffer (see ``_im2col`` and ``_col2im``).
-
-    ``epilogue``, if given, transforms each chunk's product [Cout, chunk·H·W]
-    in place, elementwise, in the output, while the product is still in
-    cache. A conv with an epilogue records nothing on the tape: it has no
-    backward rule.
+    channel, with no padded buffer (see ``_im2col`` and ``_col2im``). Train
+    and eval run this one conv; under ``no_tape()`` it records nothing.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4D x and w, got {x.shape} and {w.shape}")
@@ -425,13 +421,8 @@ def conv2d(x: Tensor, w: Tensor, epilogue: Optional[Callable[[np.ndarray], None]
 
     out = np.empty((cout, n * hw), dtype=x.dtype)
     for n0 in range(0, n, chunk):
-        r = out[:, n0 * hw : (n0 + chunk) * hw]
-        np.matmul(w2d, _im2col(xs[n0 : n0 + chunk], k), out=r)
-        if epilogue is not None:
-            epilogue(r)
+        np.matmul(w2d, _im2col(xs[n0 : n0 + chunk], k), out=out[:, n0 * hw : (n0 + chunk) * hw])
     res = Tensor._wrap(_as_nchw(out, (n, cout, h, wd)))
-    if epilogue is not None:
-        return res
 
     def bwd(g):
         need_x, need_w = x.requires_grad, w.requires_grad
@@ -598,12 +589,22 @@ def _scale_shift(xc: np.ndarray, inv_std: np.ndarray, gamma: np.ndarray, beta: n
     """Finish batchnorm in place on the centred ``xc``: ``xc * inv_std * gamma + beta``.
 
     The per-channel operands broadcast against ``xc``, and each is applied in
-    its own rounding step, in that order. ``batchnorm2d`` and the eval conv
-    epilogue both finish through here, so they round alike.
+    its own rounding step, in that order. ``batchnorm2d`` and
+    ``batchnorm2d_eval`` both finish through here, so they round alike.
     """
     xc *= inv_std
     xc *= gamma
     xc += beta
+
+
+def _bn_channels(op: str, x: Tensor, gamma: Tensor, beta: Tensor) -> int:
+    """The channel count of a batchnorm's [N, C, H, W] input, whose gamma and beta have shape (C,)."""
+    if x.ndim != 4:
+        raise ShapeError(f"{op} expects 4D input, got {x.shape}")
+    c = x.shape[1]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(f"{op}: gamma/beta must have shape ({c},)")
+    return c
 
 
 def batchnorm2d(
@@ -617,7 +618,7 @@ def batchnorm2d(
 
     Normalizes by the batch statistics (biased variance) and folds them into
     the running stats with the given momentum. Eval mode, which normalizes by
-    the running stats, is ``conv_block_epilogue``; both add the one
+    the running stats, is ``batchnorm2d_eval``; both add the one
     ``eps = _BN_EPS`` to the variance, so train and eval normalize alike.
 
     The input is centred once into the buffer that becomes the output, and
@@ -634,12 +635,7 @@ def batchnorm2d(
     both gradient sums equal ``x.mean``, ``np.square(xc).mean``, ``g.sum`` and
     ``np.einsum("nchw,nchw->c", g, xc)`` bit for bit.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"batchnorm2d expects 4D input, got {x.shape}")
-    c = x.shape[1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(f"batchnorm2d: gamma/beta must have shape ({c},)")
-
+    c = _bn_channels("batchnorm2d", x, gamma, beta)
     n, col = x.shape[0], (c, 1)  # per-channel operands broadcast over each row
     rows = _channel_rows(x.data)
     m = rows.shape[1]
@@ -676,34 +672,51 @@ def batchnorm2d(
     return res
 
 
+def batchnorm2d_eval(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> Tensor:
+    """Eval-mode batch normalization of ``x`` in place, by the running statistics; returns ``x``.
+
+    ``x.data`` is centred by the running mean, and 1/std, gamma and beta are
+    applied to it through ``_scale_shift``, so it rounds exactly as
+    ``gamma * ((x - running_mean) * inv_std) + beta`` with ``inv_std = 1 /
+    sqrt(running_var + eps)`` does, and as ``batchnorm2d`` would with those
+    statistics. Every step is elementwise, with the per-channel operands
+    broadcast over (N, H, W), so any memory order gives the same bits.
+
+    It has no backward rule and records nothing, so it refuses an ``x`` that
+    needs a gradient while a tape is active: its values would no longer be
+    those the tape recorded. Running the eval forward under ``no_tape()``
+    keeps it off the tape.
+    """
+    c = _bn_channels("batchnorm2d_eval", x, gamma, beta)
+    if x.requires_grad and _active_tape.get() is not None:
+        raise TapeError("batchnorm2d_eval has no backward rule; run it under no_tape()")
+    col = (c, 1, 1)  # per-channel operands broadcast over (N, H, W)
+    x.data -= state.running_mean.reshape(col)
+    _scale_shift(x.data, _inv_std(state.running_var).reshape(col), gamma.data.reshape(col),
+                 beta.data.reshape(col))
+    return x
+
+
 # ---------------------------------------------------------------------------
 # activations
-
-
-def _celu(x: np.ndarray, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """CELU's forward arithmetic into ``out``, which may be ``x``.
-
-    ``celu`` and the eval conv epilogue both compute through here.
-    """
-    # alpha * expm1(min(x, 0) / alpha) + max(x, 0); the max goes to the destination
-    neg = np.minimum(x, 0.0)
-    neg /= alpha
-    np.expm1(neg, out=neg)
-    neg *= alpha
-    out = np.maximum(x, 0.0, out=out)
-    out += neg
-    return out
 
 
 def celu(x: Tensor, alpha: float, inplace: bool = False) -> Tensor:
     """x for x >= 0, alpha * (exp(x/alpha) - 1) otherwise. Approaches ReLU as alpha -> 0.
 
     With ``inplace=True`` the output is written into ``x.data`` (see the module
-    docstring for when a caller may ask for that).
+    docstring for when a caller may ask for that). Either way the negative
+    part is computed in a full-size temporary first.
     """
     if alpha <= 0:
         raise ConfigError(f"celu: alpha must be positive, got {alpha}")
-    out = _celu(x.data, alpha, out=x.data if inplace else None)
+    # alpha * expm1(min(x, 0) / alpha) + max(x, 0); the max goes to the destination
+    neg = np.minimum(x.data, 0.0)
+    neg /= alpha
+    np.expm1(neg, out=neg)
+    neg *= alpha
+    out = np.maximum(x.data, 0.0, out=x.data if inplace else None)
+    out += neg
     res = Tensor._wrap(out)
 
     def bwd(g):
@@ -729,34 +742,6 @@ def relu(x: Tensor, inplace: bool = False) -> Tensor:
 
     _record(res, (x,), bwd)
     return res
-
-
-def conv_block_epilogue(gamma: Tensor, beta: Tensor, state: BatchNormState, activation: str,
-                        celu_alpha: float) -> Callable[[np.ndarray], None]:
-    """A ``conv2d`` epilogue that applies an eval-mode conv block's batchnorm and activation.
-
-    On each conv product [Cout, chunk·H·W] it centres by the running mean,
-    finishes batchnorm and applies ``activation`` ("relu" or "celu"), all in
-    place. It rounds exactly as ``gamma * ((x - running_mean) * inv_std) + beta``
-    with ``inv_std = 1 / sqrt(running_var + eps)``, followed by ``relu`` or
-    ``celu``, does: batchnorm finishes through the same helpers as
-    ``batchnorm2d``, and the activation as ``relu`` (``np.maximum(x, 0)``) and
-    ``celu`` (``_celu``) compute it.
-    """
-    rows = (-1, 1)  # one row per output channel
-    mean = state.running_mean.reshape(rows)
-    inv_std = _inv_std(state.running_var).reshape(rows)
-    g, b = gamma.data.reshape(rows), beta.data.reshape(rows)
-
-    def epilogue(a: np.ndarray) -> None:
-        a -= mean
-        _scale_shift(a, inv_std, g, b)
-        if activation == "celu":
-            _celu(a, celu_alpha, out=a)
-        else:
-            np.maximum(a, 0, out=a)
-
-    return epilogue
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +807,6 @@ def grad_check(
     step: float = 1e-5,
     tol: float = 1e-6,
     max_coords: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
 ) -> GradCheckReport:
     """Compare taped gradients of a scalar function against central differences.
 
@@ -833,7 +817,7 @@ def grad_check(
     about eps·|f| / step, below what a tolerance resolves on a large |f|.
     Relative error uses a 1e-6 magnitude floor in the denominator so near-zero
     coordinates are compared absolutely. ``max_coords`` samples a coordinate
-    subset for large inputs.
+    subset for large inputs, the same one on every call for a given size.
     """
     base = np.array(x.data, dtype=np.float64)
     xt = Tensor(base.copy(), requires_grad=True, dtype=np.float64)
@@ -850,8 +834,7 @@ def grad_check(
     flat = base.reshape(-1)
     coords = np.arange(flat.size)
     if max_coords is not None and max_coords < flat.size:
-        gen = rng or np.random.default_rng(0)
-        coords = gen.choice(flat.size, size=max_coords, replace=False)
+        coords = np.random.default_rng(0).choice(flat.size, size=max_coords, replace=False)
 
     def value_at(arr: np.ndarray) -> np.longdouble:
         return f(Tensor(arr, dtype=np.longdouble)).data.item()

@@ -11,7 +11,7 @@ import numpy as np
 from .data import augment
 from .models import Model
 from .optim import OptConfig, OptState, schedule_lr, train_step
-from .tensor import ConfigError, Tensor, backward, smoothed_cross_entropy, tape
+from .tensor import ConfigError, ShapeError, Tensor, backward, smoothed_cross_entropy, tape
 
 
 def make_closure(model: Model, xb: np.ndarray, yb: np.ndarray, ls_alpha: float):
@@ -52,6 +52,8 @@ def run_epoch(
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    if len(images) != len(labels):
+        raise ShapeError(f"{len(images)} images but {len(labels)} labels")
     order = np.random.default_rng([shuffle_seed, epoch]).permutation(len(labels))
     losses = []
     for start in range(0, len(order), batch_size):
@@ -70,6 +72,8 @@ def evaluate(model: Model, images: np.ndarray, labels: np.ndarray, batch_size: i
     arrays; logit ties break to the lowest class index."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    if len(images) != len(labels):
+        raise ShapeError(f"{len(images)} images but {len(labels)} labels")
     if len(labels) == 0:
         raise ValueError("evaluate: empty dataset")
     correct = 0

@@ -26,7 +26,7 @@ from minitrain.harness import (
 )
 from minitrain.models import ModelSpec, build_resnet9, load_checkpoint
 from minitrain.optim import OptConfig, OptimizerAbort, OptState, schedule_lr
-from minitrain.tensor import ConfigError, Tensor
+from minitrain.tensor import ConfigError, ShapeError, Tensor
 from minitrain.train import calibrate_batchnorm, evaluate, run_epoch
 
 TINY = dict(widths=(8, 16, 16, 16), per_class=4, max_epochs=2,
@@ -90,6 +90,23 @@ def test_config_file_errors(tmp_path):
     f.write_text("widths = 8,x,16,16\n")
     with pytest.raises(ConfigError, match="bad.cfg:1: widths"):
         read_config_file(f)
+
+
+@pytest.mark.parametrize("text, name, first, second", [
+    ("lr_peak = 0.1\nlr-peak = 0.2\n", "lr_peak", 1, 2),
+    ("decay = 0.001\n# decay's flag spelling\nlambda = 0.002\n", "decay", 1, 3),
+], ids=["lr_peak", "decay"])
+def test_config_file_repeated_setting_raises(tmp_path, capsys, text, name, first, second):
+    f = tmp_path / "dup.cfg"
+    f.write_text(text)
+    message = f"dup.cfg:{second}: {name} is already set on line {first}"
+    with pytest.raises(ConfigError, match=f"{message}$"):
+        read_config_file(f)
+    assert main(["--config", str(f), "--data-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    # a repeated flag keeps argparse's last value
+    cfg, _, _ = parse_config(["--lr-peak", "0.1", "--lr-peak", "0.2"], env={})
+    assert cfg.lr_peak == 0.2
 
 
 # the hand-written recipe table that recipe_switches replaced
@@ -327,6 +344,30 @@ def test_batch_size_below_one_raises_before_any_forward(call, batch_size):
     stats = [(st.running_mean.copy(), st.running_var.copy()) for st in model.bn_states()]
     with pytest.raises(ConfigError, match=f"^batch_size must be >= 1, got {batch_size}$"):
         call(model, x, ds.labels, batch_size)
+    for name, value in params.snapshot().items():
+        np.testing.assert_array_equal(value, weights[name])
+    for st, (mean, var) in zip(model.bn_states(), stats):
+        np.testing.assert_array_equal(st.running_mean, mean)
+        np.testing.assert_array_equal(st.running_var, var)
+
+
+@pytest.mark.parametrize("n_images", [1, 7])
+@pytest.mark.parametrize("call", [
+    lambda model, state, x, y: evaluate(model, x, y, batch_size=4),
+    lambda model, state, x, y: run_epoch(model, state, OptConfig(), x, y, 4, ls_alpha=0.0, shuffle_seed=0,
+                                         epoch=0),
+], ids=["evaluate", "run_epoch"])
+def test_images_and_labels_of_different_lengths_raise_before_any_forward(call, n_images):
+    ds = make_synthetic_dataset(per_class=1, seed=4)
+    x = normalize(ds.images, NormStats.fit(ds))
+    model, params = build_resnet9(ModelSpec(widths=(4, 8, 8, 8)), seed=0)
+    calibrate_batchnorm(model, x, batch_size=8)  # running stats away from their reset values
+    state = OptState.create(params)
+    weights = params.snapshot()
+    stats = [(st.running_mean.copy(), st.running_var.copy()) for st in model.bn_states()]
+    with pytest.raises(ShapeError, match=f"^{n_images} images but 5 labels$"):
+        call(model, state, x[:n_images], ds.labels[:5])
+    assert state.step_index == 0
     for name, value in params.snapshot().items():
         np.testing.assert_array_equal(value, weights[name])
     for st, (mean, var) in zip(model.bn_states(), stats):

@@ -179,8 +179,9 @@ def test_residual_block_grad_check():
 @pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("activation", ["relu", "celu"])
 def test_conv_block_activation_overwrites_batchnorm_output(monkeypatch, activation, mode):
-    """Train mode runs conv, batchnorm, then the activation in place on batchnorm's
-    output. Eval mode runs only the conv, whose epilogue does both, and records no tape."""
+    """Both modes run conv, batchnorm, then the activation in place on batchnorm's
+    output. Train mode's batchnorm is ``batchnorm2d``. Eval mode's works in place
+    on the conv output, so the activation overwrites that, and nothing is recorded."""
     import minitrain.models as M
 
     conv_outs, bn_outs, act_outs = [], [], []
@@ -204,11 +205,13 @@ def test_conv_block_activation_overwrites_batchnorm_output(monkeypatch, activati
         else:
             loss, _ = smoothed_cross_entropy(logits, np.array([1, 2]), 0.0, 10)
             backward(loss)
-    assert len(conv_outs) == len(model.bn_states())
+    assert len(conv_outs) == len(act_outs) == len(model.bn_states())
     if mode == "eval":
-        assert bn_outs == act_outs == []
+        assert bn_outs == []
+        for conv_out, act_out in zip(conv_outs, act_outs):
+            assert np.shares_memory(conv_out, act_out)
         return
-    assert len(bn_outs) == len(act_outs) == len(model.bn_states())
+    assert len(bn_outs) == len(model.bn_states())
     for bn_out, act_out in zip(bn_outs, act_outs):
         assert np.shares_memory(bn_out, act_out)
     assert all(np.isfinite(e.tensor.grad).all() for e in params)
@@ -266,10 +269,10 @@ def test_eval_logits_match_separate_passes_bit_for_bit(monkeypatch, activation, 
     for _ in range(2):  # running statistics off their initial values
         model.forward(Tensor(rng.normal(size=(4, 3, 32, 32)), dtype=dtype), mode="train", bn_momentum=0.6)
     x = rng.normal(size=(5, 3, 32, 32)).astype(dtype)
-    fused = model.forward(Tensor(x, dtype=dtype), mode="eval").data
+    logits = model.forward(Tensor(x, dtype=dtype), mode="eval").data
     ref = _separate_passes_eval_logits(model, x)
-    assert fused.dtype == ref.dtype == dtype
-    assert fused.tobytes() == ref.tobytes()
+    assert logits.dtype == ref.dtype == dtype
+    assert logits.tobytes() == ref.tobytes()
 
 
 def test_forward_shape_total_over_batch_sizes():

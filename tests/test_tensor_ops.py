@@ -17,6 +17,7 @@ from minitrain.tensor import (
     Tensor,
     backward,
     batchnorm2d,
+    batchnorm2d_eval,
     celu,
     conv2d,
     global_maxpool,
@@ -190,13 +191,11 @@ def test_batchnorm_constant_channel_is_finite_zero():
     assert (x1.grad == 0).all() and (gamma.grad == 0).all()
 
 
-def _eval_block(x, gamma, beta, state, activation="celu", alpha=0.3):
-    """Eval batchnorm and then the activation, as ``conv2d``'s epilogue applies
-    them to a conv product: in place on the [C, N·H·W] layout of ``x`` [N,C,H,W]."""
-    n, c, h, w = x.shape
-    rows = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).reshape(c, -1)
-    T.conv_block_epilogue(gamma, beta, state, activation, alpha)(rows)
-    return rows.reshape(c, n, h, w).transpose(1, 0, 2, 3)
+def _eval_block(x, gamma, beta, state, alpha=0.3):
+    """Eval batchnorm and then CELU on a copy of ``x``, as an eval conv block
+    applies them to its conv output: both in place."""
+    h = batchnorm2d_eval(Tensor(x.copy(), dtype=x.dtype), gamma, beta, state)
+    return celu(h, alpha, inplace=True).data
 
 
 def _celu_textbook(h, alpha):
@@ -207,7 +206,7 @@ def _celu_textbook(h, alpha):
 def test_batchnorm_forward_rounds_like_the_textbook_formula(mode):
     # fp32 training amplifies last-bit differences in the forward pass, so the
     # in-place kernel keeps the rounding of gamma * ((x - mean) * inv_std) + beta;
-    # eval mode is the conv epilogue, here with CELU, which keeps every value's sign
+    # eval mode is checked through CELU, as a block runs it, which keeps every value's sign
     rng = np.random.default_rng(9)
     x = (rng.normal(size=(6, 5, 7, 7)) * 3 + 1).astype(np.float32)
     g, b = rng.normal(size=5).astype(np.float32), rng.normal(size=5).astype(np.float32)
@@ -230,6 +229,29 @@ def test_batchnorm_momentum_one_makes_eval_match_train():
     train_out = celu(batchnorm2d(x, g, b, st, momentum=1.0), 0.3)
     eval_out = _eval_block(x.data, g, b, st)
     np.testing.assert_allclose(eval_out, train_out.data, rtol=1e-5, atol=1e-7)
+
+
+def test_batchnorm_eval_works_in_place_in_any_memory_order_and_records_nothing():
+    rng = np.random.default_rng(10)
+    x = (rng.normal(size=(3, 4, 5, 6)) * 3 + 1).astype(np.float32)
+    g, b = (Tensor(rng.normal(size=4), requires_grad=True) for _ in range(2))
+    st = BatchNormState(rng.normal(size=4).astype(np.float32), rng.uniform(0.5, 2, size=4).astype(np.float32))
+    c_order = Tensor(x.copy())
+    # the [N, C, H, W] view of a [C, N, H, W] copy, as conv2d returns
+    channel_major = Tensor._wrap(np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3))
+    inputs = [c_order, channel_major]
+    buffers = [a.data for a in inputs]
+    with tape() as t:
+        outs = [batchnorm2d_eval(a, g, b, st) for a in inputs]
+    assert len(t) == 0
+    for a, buf, out in zip(inputs, buffers, outs):
+        assert out is a and out.data is buf and out.tape is None and not out.requires_grad
+    assert not np.array_equal(c_order.data, x)
+    assert c_order.data.tobytes() == channel_major.data.tobytes()  # logical order, bit for bit
+    assert channel_major.data.transpose(1, 0, 2, 3).flags.c_contiguous
+    # no backward rule: an input that needs a gradient is refused while a tape is active
+    with tape(), pytest.raises(TapeError, match="no backward rule"):
+        batchnorm2d_eval(Tensor(x, requires_grad=True), g, b, st)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +760,7 @@ def _bn_state(running):
 
 @given(bn_cases(), st.sampled_from(["train", "eval"]))
 def test_batchnorm_property_forward_matches_oracle(case, mode):
-    # eval mode is the conv epilogue, here with CELU, which keeps every value's sign
+    # eval mode is checked through CELU, as a block runs it, which keeps every value's sign
     x, gamma, beta, running = case
     state = _bn_state(running)
     ref, ref_mean, ref_var = oracles.batchnorm2d_loops(x, gamma, beta, *running, mode, momentum=0.3)
