@@ -27,7 +27,7 @@ from .data import (
 from .mltp import NUM_TASKS, mltp_train, split_tasks
 from .models import ModelSpec, build_resnet9, save_checkpoint
 from .optim import OptConfig, OptState, schedule_lr
-from .tensor import ConfigError
+from .tensor import ConfigError, engine_threads
 from .train import calibrate_batchnorm, evaluate, run_epoch
 
 IP_LS_ALPHA = 0.1
@@ -284,26 +284,29 @@ def run_training(cfg: RunConfig, clock=time.monotonic, extra_manifest: Optional[
             records.append(MetricsRecord(epoch=epoch, wall_seconds=elapsed(), train_loss=loss, test_accuracy=acc,
                                          lr=schedule_lr(opt_cfg, state.step_index), recipe=cfg.recipe))
 
-        longest_block = 0.0
-        for b in range(1, blocks + 1):
-            if not cfg.budget_seconds - elapsed() > longest_block:
-                break
-            t0 = elapsed()
-            if cfg.mltp:
-                loss = float(np.mean(mltp_train(model, state, opt_cfg, train_x, subset.labels, tasks,
-                                                cfg.batch_size, cfg.ls_alpha, cfg.beta, b - 1)))
-                calibrate_batchnorm(model, train_x, cfg.batch_size)
-            else:
-                loss = run_epoch(
-                    model, state, opt_cfg,
-                    train_x, subset.labels, cfg.batch_size, cfg.ls_alpha,
-                    shuffle_seed=cfg.seed, epoch=b,
-                    augment_rng=augment_rng,
-                )
-            record(b, loss)
-            longest_block = max(longest_block, records[-1].wall_seconds - t0)
-        if not records:
-            record(0, float("nan"))  # nothing fit in the budget; still report where the model stands
+        # the engine takes both cores for the blocks only: setup and the checkpoint save run as called
+        with engine_threads() as (blas_threads, threads):
+            manifest.update({"blas_threads": blas_threads, "engine_threads": threads})
+            longest_block = 0.0
+            for b in range(1, blocks + 1):
+                if not cfg.budget_seconds - elapsed() > longest_block:
+                    break
+                t0 = elapsed()
+                if cfg.mltp:
+                    loss = float(np.mean(mltp_train(model, state, opt_cfg, train_x, subset.labels, tasks,
+                                                    cfg.batch_size, cfg.ls_alpha, cfg.beta, b - 1)))
+                    calibrate_batchnorm(model, train_x, cfg.batch_size)
+                else:
+                    loss = run_epoch(
+                        model, state, opt_cfg,
+                        train_x, subset.labels, cfg.batch_size, cfg.ls_alpha,
+                        shuffle_seed=cfg.seed, epoch=b,
+                        augment_rng=augment_rng,
+                    )
+                record(b, loss)
+                longest_block = max(longest_block, records[-1].wall_seconds - t0)
+            if not records:
+                record(0, float("nan"))  # nothing fit in the budget; still report where the model stands
         manifest["final_accuracy"] = records[-1].test_accuracy
         if cfg.checkpoint_out:
             save_checkpoint(model, cfg.checkpoint_out, seed=seeds["init"])

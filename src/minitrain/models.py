@@ -212,9 +212,9 @@ class Model:
             raise ShapeError(f"expected input [N,{self.spec.in_channels},32,32], got {x.shape}")
         # eval batchnorm has no backward rule, so no eval op may record one
         with no_tape() if mode == "eval" else contextlib.nullcontext():
-            if self.stem_filters is not None:
-                x = conv2d(x, self.stem_filters)
-            h = self.prep(x, mode, bn_momentum)
+            # the stem's output is dropped once prep has read it (a training tape keeps it for prep's rule)
+            h = x if self.stem_filters is None else conv2d(x, self.stem_filters)
+            h = self.prep(h, mode, bn_momentum)
             h = maxpool2d(self.stage1(h, mode, bn_momentum))
             h = self.res1(h, mode, bn_momentum)
             h = maxpool2d(self.stage2(h, mode, bn_momentum))

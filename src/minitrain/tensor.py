@@ -32,6 +32,22 @@ The active tape is a context variable, so each thread records on its own:
 one active tape per training thread. Tensors built without an explicit dtype
 are float32. Kernels are plain numpy and deterministic for a fixed input.
 
+The engine may use a second thread, held in a context variable as the tape
+is. ``engine_threads()`` owns the BLAS thread count while it is open: if
+numpy's OpenBLAS runs exactly two threads, it sets the count to one, starts
+one worker and, on exit by any path, joins it and restores the count.
+``harness.run_training`` opens it around its block loop only, so setup,
+the checkpoint save and every call outside ``run_training`` run serially,
+with BLAS as the process set it. With a worker, conv splits its forward by
+images and its backward by task, and batchnorm, the activations and max
+pooling split by channel halves (contiguous rows of channel-major memory);
+one half runs on the calling thread, the other on the worker, which runs
+numpy kernels only, records nothing and writes only buffers the calling
+thread allocated. A split divides whole dot products and whole channels, so
+the numbers are those of the serial path bit for bit, given a BLAS that
+computes each element of a product alike whatever its width (see
+``conv2d``).
+
 Gradients are owned, not shared. ``backward`` takes each op output's ``.grad``
 away before running its rule, so after ``backward`` only leaf tensors (those
 no op produced, such as parameters) keep a ``.grad``; intermediate gradients
@@ -63,7 +79,11 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
+import functools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -212,17 +232,114 @@ def backward(loss: Tensor) -> None:
     loss.tape.backward(loss)
 
 
+def _recording(inputs: tuple) -> Optional[Tape]:
+    """The active tape if some input needs a gradient, else None: where an op with these inputs records."""
+    t = _active_tape.get()
+    if t is None or not any(i is not None and i.requires_grad for i in inputs):
+        return None
+    return t
+
+
 def _record(out: Tensor, inputs: tuple, backward_fn: Callable[[np.ndarray], None]) -> None:
     """Record ``backward_fn`` for ``out`` only if some input needs a gradient, so the
     rule of a single-input op need not check its input."""
-    t = _active_tape.get()
+    t = _recording(inputs)
     if t is None:
-        return
-    if not any(i is not None and i.requires_grad for i in inputs):
         return
     out.requires_grad = True
     out.tape = t
     t.record(out, backward_fn)
+
+
+# ---------------------------------------------------------------------------
+# the engine's second thread
+
+_worker: contextvars.ContextVar[Optional[ThreadPoolExecutor]] = contextvars.ContextVar("engine_worker", default=None)
+
+
+def _openblas():
+    """The thread-count getter and setter of the OpenBLAS that numpy loaded, or None without one."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))  # already loaded, so this is the library numpy calls
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _worker_thread():
+    """Context in which the split ops run their second half on one worker thread, joined on exit."""
+    with ThreadPoolExecutor(1, thread_name_prefix="minitrain-engine") as pool:
+        token = _worker.set(pool)
+        try:
+            yield
+        finally:
+            _worker.reset(token)
+
+
+@contextlib.contextmanager
+def engine_threads():
+    """Give the ops this thread runs both cores of a two-thread BLAS; yields the thread counts of BLAS and of the engine.
+
+    If OpenBLAS runs exactly two threads, its count is set to one and a
+    worker thread is started in this context; on exit, whatever ends it, the
+    worker is joined and the count restored. Otherwise nothing changes and
+    the engine runs on the calling thread alone. The BLAS count is None when
+    numpy's OpenBLAS or its thread-count symbols are not found.
+    """
+    blas = _openblas()
+    count = blas[0]() if blas else None
+    if count != 2:
+        yield count, 1
+        return
+    blas[1](1)
+    try:
+        with _worker_thread():
+            yield 1, 2
+    finally:
+        blas[1](count)
+
+
+def _halves(n: int) -> list[slice]:
+    """range(n) as the parts ``_together`` runs at once: two halves with a worker and n > 1, else one."""
+    if _worker.get() is None or n < 2:
+        return [slice(0, n)]
+    h = (n + 1) // 2
+    return [slice(0, h), slice(h, n)]
+
+
+def _channel_halves(*arrays: np.ndarray) -> list:
+    """Indices of the channel halves of [N, C, H, W] arrays that are all channel-major, each half
+    one contiguous block of every array; one index, the whole array, for any other layout."""
+    if all(a.ndim == 4 and a.transpose(1, 0, 2, 3).flags.c_contiguous for a in arrays):
+        return [(slice(None), s) for s in _halves(arrays[0].shape[1])]
+    return [...]
+
+
+def _together(*tasks: Callable[[], None]) -> None:
+    """Run the tasks, one or two: the second on the worker while this thread runs the first, or
+    both here, in order, without a worker. Returns when both are done; either's error is raised."""
+    worker = _worker.get()
+    if worker is None or len(tasks) == 1:
+        for task in tasks:
+            task()
+        return
+    first, second = tasks
+    pending = worker.submit(second)
+    try:
+        first()
+    finally:
+        pending.result()
+
+
+def _split(fn: Callable, parts: list) -> None:
+    """``fn(part)`` for every part, at once when there are two."""
+    _together(*(functools.partial(fn, p) for p in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +408,10 @@ def tsum(x: Tensor) -> Tensor:
 # two sweeps: 4 MiB 263/563 and 281/584, 8 MiB 250/529 and 281/578, 16 MiB
 # 259/493 and 305/571. No cap wins both sweeps beyond the host's drift; with
 # the padded lowering, 64 MiB measured 339/736 against 301/677 at 8 MiB, and
-# 2 MiB and 1 MiB were slower. At fp32 the forward output and dX come out
-# bit-identical for any cap (each element is one dot product over the same
-# K); the weight gradient sums over chunks, so its last bits move.
+# 2 MiB and 1 MiB were slower. At ResNet-9's layer shapes the forward output
+# and dX come out bit-identical for any cap (each element is one dot product
+# over the same K, which OpenBLAS computes alike whatever the product's width
+# there; see conv2d); the weight gradient sums over chunks, so its last bits move.
 _COL_BUDGET_BYTES = 8 << 20
 
 
@@ -342,20 +460,22 @@ def _zero_outside(tap: np.ndarray, i: int, j: int, k: int) -> None:
         tap[:, :, :, max(0, w - t) :] = 0.0
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, buf: Optional[np.ndarray] = None) -> np.ndarray:
     """[N,C,H,W] -> columns [C·k·k, N·H·W] of a same conv; row (c, i, j) holds tap (i, j) of channel c.
 
     ``x`` is read as its channel rows (a view when it is channel-major), and
     those rows are a 1 x 1 conv's columns. For a larger kernel each tap is
     one flat shifted copy per channel, across all N images at once, after
     which ``_zero_outside`` zeroes the tap's entries whose source lies outside
-    the image while they are still in cache.
+    the image while they are still in cache. The columns are written to the
+    front of the flat ``buf`` when one is given, else to a new array.
     """
     n, c, h, w = x.shape
     src = _channel_rows(x)
     if k == 1:
         return src
-    cols = np.empty((c, k, k, src.shape[1]), dtype=x.dtype)
+    size = c * k * k * src.shape[1]
+    cols = (np.empty(size, dtype=x.dtype) if buf is None else buf[:size]).reshape(c, k, k, -1)
     for i, j, t, st in _taps(k, w, src.shape[1]):
         cols[:, i, j, t] = src[:, st]
         _zero_outside(cols[:, i, j].reshape(c, n, h, w), i, j, k)
@@ -380,9 +500,10 @@ def _col2im(cols: np.ndarray, gx: np.ndarray, k: int) -> None:
         dst[:, st] += cols[:, i, j, t]
 
 
-def _conv_chunk(c: int, k2: int, l: int, itemsize: int) -> int:
+def _conv_chunk(c: int, k2: int, l: int, itemsize: int, parts: int = 1) -> int:
+    """Images per chunk whose columns fit in a ``parts``-th of the cap."""
     per_image = c * k2 * l * itemsize
-    return max(1, _COL_BUDGET_BYTES // max(1, per_image))
+    return max(1, _COL_BUDGET_BYTES // parts // max(1, per_image))
 
 
 def conv2d(x: Tensor, w: Tensor) -> Tensor:
@@ -403,6 +524,17 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     and the input gradient adds back, each tap as one flat shifted run per
     channel, with no padded buffer (see ``_im2col`` and ``_col2im``). Train
     and eval run this one conv; under ``no_tape()`` it records nothing.
+
+    With a worker (see ``engine_threads``) the forward splits the images in
+    two halves, one per thread, each chunked at half the cap; backward takes
+    the weight gradient on the worker, over the chunks of the whole cap in
+    order, and the input gradient here, in chunks of half the cap. Each
+    element of the output and of the input gradient is one dot product
+    whatever the chunk, so the splits keep every bit wherever the BLAS
+    computes an element alike whatever the product's width. OpenBLAS does
+    at every layer shape of ResNet-9, for 1 to 28 images per product;
+    products only a few columns wide (tiny maps and batches) were seen to
+    differ in the last bit.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4D x and w, got {x.shape} and {w.shape}")
@@ -416,28 +548,53 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"conv2d: a same conv needs an odd square kernel, got {k}x{kw}")
     w2d = w.data.reshape(cout, cw * k * k)
     hw = h * wd
-    chunk = _conv_chunk(cin, k * k, hw, x.data.dtype.itemsize)
     xs = _as_nchw(_channel_rows(x.data), x.shape)
 
+    def chunking(images: int, parts: int):
+        """Images per chunk at a ``parts``-th of the cap, and a columns buffer for a chunk of ``images`` at most."""
+        chunk = _conv_chunk(cin, k * k, hw, x.data.dtype.itemsize, parts)
+        return chunk, np.empty(cin * k * k * min(chunk, images) * hw, dtype=x.dtype) if k > 1 else None
+
     out = np.empty((cout, n * hw), dtype=x.dtype)
-    for n0 in range(0, n, chunk):
-        np.matmul(w2d, _im2col(xs[n0 : n0 + chunk], k), out=out[:, n0 * hw : (n0 + chunk) * hw])
+
+    def forward(images: slice, chunk: int, cols: Optional[np.ndarray]) -> None:
+        for n0 in range(images.start, images.stop, chunk):
+            n1 = min(n0 + chunk, images.stop)
+            np.matmul(w2d, _im2col(xs[n0:n1], k, cols), out=out[:, n0 * hw : n1 * hw])
+
+    halves = _halves(n)
+    _together(*(functools.partial(forward, p, *chunking(p.stop - p.start, len(halves))) for p in halves))
     res = Tensor._wrap(_as_nchw(out, (n, cout, h, wd)))
 
     def bwd(g):
-        need_x, need_w = x.requires_grad, w.requires_grad
         g = _channel_rows(g)
-        gw = np.zeros((cout, cw * k * k), dtype=w.dtype) if need_w else None
-        gx = _as_nchw(np.zeros((cin, n * hw), dtype=x.dtype), x.shape) if need_x else None
-        for n0 in range(0, n, chunk):
-            gb = g[:, n0 * hw : (n0 + chunk) * hw]
-            if need_w:
-                gw += gb @ _im2col(xs[n0 : n0 + chunk], k).T
-            if need_x:
-                _col2im(w2d.T @ gb, gx[n0 : n0 + chunk], k)
-        if need_w:
+        tasks = []
+        if x.requires_grad:
+            gx = _as_nchw(np.zeros((cin, n * hw), dtype=x.dtype), x.shape)
+            x_chunk = _conv_chunk(cin, k * k, hw, x.data.dtype.itemsize,
+                                  2 if w.requires_grad and _worker.get() is not None else 1)
+
+            def input_grad() -> None:
+                for n0 in range(0, n, x_chunk):
+                    _col2im(w2d.T @ g[:, n0 * hw : (n0 + x_chunk) * hw], gx[n0 : n0 + x_chunk], k)
+
+            tasks.append(input_grad)
+        if w.requires_grad:
+            gw = np.zeros((cout, cw * k * k), dtype=w.dtype)
+            prod = np.empty_like(gw)
+            w_chunk, cols = chunking(n, 1)
+
+            def weight_grad() -> None:
+                for n0 in range(0, n, w_chunk):
+                    np.matmul(g[:, n0 * hw : (n0 + w_chunk) * hw], _im2col(xs[n0 : n0 + w_chunk], k, cols).T,
+                              out=prod)
+                    np.add(gw, prod, out=gw)
+
+            tasks.append(weight_grad)
+        _together(*tasks)
+        if w.requires_grad:
             w._accumulate(gw.reshape(w.shape))
-        if need_x:
+        if x.requires_grad:
             x._accumulate(gx)
 
     _record(res, (x, w), bwd)
@@ -452,39 +609,55 @@ def maxpool2d(x: Tensor) -> Tensor:
     """2 x 2 max pooling with stride 2, the only pool ResNet-9 runs; gradient flows to each
     window's first (row-major) argmax. An odd H or W raises ``ShapeError``.
 
-    The output and the input gradient keep the input's memory order.
+    The pool is taken in two passes: the max of each horizontal pair of
+    pixels, then of each vertical pair of those maxima. The left pixel wins a
+    tie, and so does the top row, which keeps the first row-major argmax; a
+    tie between -0.0 and +0.0 may give either zero as the output. Only a
+    forward that records on a tape keeps the two passes' masks, and backward
+    routes the gradient back through them, vertical pass first. The output
+    and the input gradient keep the input's memory order; with a worker, each
+    pass runs on channel halves of channel-major memory.
     """
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d expects 4D input, got {x.shape}")
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d: a 2x2 pool needs an even H and W, got {h}x{w}")
+    a = x.data
+    pair_max = np.empty_like(a[..., ::2])  # [N, C, H, W/2], in a's memory order
+    out = np.empty_like(a[:, :, ::2, ::2])
+    taped = _recording((x,)) is not None
+    left = np.empty_like(pair_max, dtype=bool) if taped else None  # the left pixel is its pair's max
+    top = np.empty_like(out, dtype=bool) if taped else None  # the top pair is its window's max
 
-    def taps(a: np.ndarray) -> list:  # a's four window-tap views, row-major; copy=False: never a copy
-        windows = np.reshape(a, (n, c, h // 2, 2, w // 2, 2), copy=False)
-        return [windows[:, :, :, i, :, j] for i in (0, 1) for j in (0, 1)]
+    def forward(i) -> None:
+        ai, mi = a[i], pair_max[i]
+        np.maximum(ai[..., 0::2], ai[..., 1::2], out=mi)
+        np.maximum(mi[:, :, 0::2], mi[:, :, 1::2], out=out[i])
+        if taped:
+            np.greater_equal(ai[..., 0::2], ai[..., 1::2], out=left[i])
+            np.greater_equal(mi[:, :, 0::2], mi[:, :, 1::2], out=top[i])
 
-    x_taps = taps(x.data)
-    out = x_taps[0].copy(order="K")
-    for v in x_taps[1:]:
-        np.maximum(out, v, out=out)
+    _split(forward, _channel_halves(a, pair_max, out))
     res = Tensor._wrap(out)
 
     def bwd(g):
-        # windows tile the map, so each tap's view of gx is written once and covers a quarter;
-        # routed entries get 0.0 + g, as summing into zeros would (-0.0 becomes +0.0);
-        # the rest get +0.0, which g * False would not for negative g, so the mask
-        # multiplies g's bit patterns
-        gx = np.empty_like(x.data)
-        g += 0.0
+        # routed entries get 0.0 + g, as summing into zeros would (-0.0 becomes +0.0); the
+        # rest get +0.0, which g * False would not for negative g, so the masks multiply g's
+        # bit patterns, and the other entry of a pair gets the difference
         bits = f"u{g.itemsize}"
-        free = np.ones_like(out, dtype=bool)  # windows whose argmax is not yet found
-        hit = np.empty_like(out, dtype=bool)
-        for v, gv in zip(x_taps, taps(gx)):
-            np.equal(v, out, out=hit)
-            hit &= free
-            free ^= hit
-            np.multiply(g.view(bits), hit, out=gv.view(bits))
+        g_pair = np.empty_like(left, dtype=g.dtype)
+        gx = np.empty_like(a)
+
+        def backward(i) -> None:
+            g[i] += 0.0
+            gi, gp, gxi = g[i].view(bits), g_pair[i].view(bits), gx[i].view(bits)
+            np.multiply(gi, top[i], out=gp[:, :, 0::2])
+            np.subtract(gi, gp[:, :, 0::2], out=gp[:, :, 1::2])
+            np.multiply(gp, left[i], out=gxi[..., 0::2])
+            np.subtract(gp, gxi[..., 0::2], out=gxi[..., 1::2])
+
+        _split(backward, _channel_halves(g, g_pair, gx))
         x._accumulate(gx)
 
     _record(res, (x,), bwd)
@@ -565,24 +738,28 @@ def _inv_std(var: np.ndarray) -> np.ndarray:
 
 
 def _channel_sum(a: np.ndarray, n: int, b: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-channel sum of channel rows ``a`` [C, N·H·W], or of ``a * b``.
+    """Per-channel sum of channel rows ``a`` [C, n·H·W], or of ``a * b``, where ``n`` is the
+    batch's image count, or 1 for the rows of a tensor of one channel.
 
     Bit for bit what ``x.sum(axis=(0, 2, 3))``, or ``np.einsum("nchw,nchw->c",
     x, y)``, gives for the same values as C-contiguous [N, C, H, W] arrays:
     numpy reduces those one (image, channel) block of H·W at a time and adds
     each block's sum into the channel's total, image after image. Here each
-    block of a row is reduced by the same numpy loop into an [N, C] array,
+    block of a row is reduced by the same numpy loop into an [n, C] array,
     whose rows are then added in image order. A single channel's N·H·W
-    values are contiguous in both layouts, and numpy reduces them as one block.
+    values are contiguous in both layouts, and numpy reduces them as one
+    block, hence ``n`` = 1 there. Any subset of a tensor's rows, such as the
+    half of its channels one thread takes, sums as in the whole.
     """
     c = a.shape[0]
-    n = n if c > 1 else 1
-    blocks = np.empty((n, c), dtype=a.dtype)
+    # numpy sums the rows of a one-column array pairwise, and of a wider one in order, so a
+    # lone row gets a zero column beside it
+    blocks = np.zeros((n, max(c, 2)), dtype=a.dtype)
     if b is None:
-        np.add.reduce(a.reshape(c, n, -1), axis=2, out=blocks.T)
+        np.add.reduce(a.reshape(c, n, -1), axis=2, out=blocks[:, :c].T)
     else:
-        np.einsum("cnk,cnk->cn", a.reshape(c, n, -1), b.reshape(c, n, -1), out=blocks.T)
-    return np.add.reduce(blocks, axis=0)
+        np.einsum("cnk,cnk->cn", a.reshape(c, n, -1), b.reshape(c, n, -1), out=blocks[:, :c].T)
+    return np.add.reduce(blocks, axis=0)[:c]
 
 
 def _scale_shift(xc: np.ndarray, inv_std: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> None:
@@ -633,40 +810,60 @@ def batchnorm2d(
     same numbers in the same order as numpy's reduction of an [N, C, H, W]
     array over (0, 2, 3) (see ``_channel_sum``), so the mean, the variance and
     both gradient sums equal ``x.mean``, ``np.square(xc).mean``, ``g.sum`` and
-    ``np.einsum("nchw,nchw->c", g, xc)`` bit for bit.
+    ``np.einsum("nchw,nchw->c", g, xc)`` bit for bit. The squares are taken a
+    few channels at a time, in a buffer of about 1 MiB, so the output is the
+    forward's only full-size allocation. With a worker, each half of the
+    channels runs on its own thread.
     """
     c = _bn_channels("batchnorm2d", x, gamma, beta)
-    n, col = x.shape[0], (c, 1)  # per-channel operands broadcast over each row
     rows = _channel_rows(x.data)
     m = rows.shape[1]
-    mean = _channel_sum(rows, n) / m
-    out = rows - mean.reshape(col)
-    var = _channel_sum(np.square(out), n) / m  # what x.var computes, from the one centring
-    state.running_mean += momentum * (mean - state.running_mean)
-    state.running_var += momentum * (var - state.running_var)
+    blocks = x.shape[0] if c > 1 else 1  # see _channel_sum
+    mean, var, inv_std = (np.empty(c, dtype=rows.dtype) for _ in range(3))
+    out = np.empty_like(rows)
+    step = max(1, (1 << 20) // (m * rows.itemsize))  # channels whose squares fit in 1 MiB
 
-    inv_std = _inv_std(var)
-    _scale_shift(out, inv_std.reshape(col), gamma.data.reshape(col), beta.data.reshape(col))
+    def forward(s: slice, squares: np.ndarray) -> None:
+        mean[s] = _channel_sum(rows[s], blocks) / m
+        np.subtract(rows[s], mean[s, None], out=out[s])
+        for c0 in range(s.start, s.stop, step):  # x.var, from the one centring, a few rows at a time
+            b = slice(c0, min(c0 + step, s.stop))
+            var[b] = _channel_sum(np.square(out[b], out=squares[: b.stop - b.start]), blocks) / m
+        state.running_mean[s] += momentum * (mean[s] - state.running_mean[s])
+        state.running_var[s] += momentum * (var[s] - state.running_var[s])
+        inv_std[s] = _inv_std(var[s])
+        _scale_shift(out[s], inv_std[s, None], gamma.data[s, None], beta.data[s, None])
+
+    _together(*(functools.partial(forward, p, np.empty((min(step, p.stop - p.start), m), dtype=rows.dtype))
+                for p in _halves(c)))
     res = Tensor._wrap(_as_nchw(out, x.shape))
 
     def bwd(g):
         g = _channel_rows(g)
-        xc = _channel_rows(x.data) - mean.reshape(col)
-        sum_g = _channel_sum(g, n)
-        sum_g_xhat = _channel_sum(g, n, xc) * inv_std
+        rows = _channel_rows(x.data)
+        xc = np.empty_like(rows)
+        sum_g, sum_g_xhat = np.empty(c, dtype=g.dtype), np.empty(c, dtype=g.dtype)
+
+        def backward(s: slice) -> None:
+            np.subtract(rows[s], mean[s, None], out=xc[s])
+            sum_g[s] = _channel_sum(g[s], blocks)
+            sum_g_xhat[s] = _channel_sum(g[s], blocks, xc[s]) * inv_std[s]
+            if not x.requires_grad:
+                return
+            scale = gamma.data[s] * inv_std[s]
+            g[s] *= scale[:, None]
+            # gx = scale * (g - sum_g / m - xhat * sum_g_xhat / m), built in xc
+            xc[s] *= (-scale * inv_std[s] * sum_g_xhat[s] / m)[:, None]
+            xc[s] -= (scale * sum_g[s] / m)[:, None]
+            xc[s] += g[s]
+
+        _split(backward, _halves(c))
         if gamma.requires_grad:
             gamma._accumulate(sum_g_xhat)
         if beta.requires_grad:
             beta._accumulate(sum_g)
-        if not x.requires_grad:
-            return
-        scale = gamma.data * inv_std
-        g *= scale.reshape(col)
-        # gx = scale * (g - sum_g / m - xhat * sum_g_xhat / m), built in xc
-        xc *= (-scale * inv_std * sum_g_xhat / m).reshape(col)
-        xc -= (scale * sum_g / m).reshape(col)
-        xc += g
-        x._accumulate(_as_nchw(xc, x.shape))
+        if x.requires_grad:
+            x._accumulate(_as_nchw(xc, x.shape))
 
     _record(res, (x, gamma, beta), bwd)
     return res
@@ -706,25 +903,38 @@ def celu(x: Tensor, alpha: float, inplace: bool = False) -> Tensor:
 
     With ``inplace=True`` the output is written into ``x.data`` (see the module
     docstring for when a caller may ask for that). Either way the negative
-    part is computed in a full-size temporary first.
+    part is computed in a full-size temporary first. With a worker, channel
+    halves of channel-major memory run one per thread.
     """
     if alpha <= 0:
         raise ConfigError(f"celu: alpha must be positive, got {alpha}")
-    # alpha * expm1(min(x, 0) / alpha) + max(x, 0); the max goes to the destination
-    neg = np.minimum(x.data, 0.0)
-    neg /= alpha
-    np.expm1(neg, out=neg)
-    neg *= alpha
-    out = np.maximum(x.data, 0.0, out=x.data if inplace else None)
-    out += neg
+    a = x.data
+    out = a if inplace else np.empty_like(a)
+    neg = np.empty_like(a)
+
+    def forward(i) -> None:
+        # alpha * expm1(min(x, 0) / alpha) + max(x, 0); the max goes to the destination
+        np.minimum(a[i], 0.0, out=neg[i])
+        neg[i] /= alpha
+        np.expm1(neg[i], out=neg[i])
+        neg[i] *= alpha
+        np.maximum(a[i], 0.0, out=out[i])
+        out[i] += neg[i]
+
+    _split(forward, _channel_halves(a, out, neg))
     res = Tensor._wrap(out)
 
     def bwd(g):
-        # the slope from the output: exp(x / alpha) = out / alpha + 1 below 0
-        slope = np.minimum(out, 0.0)
-        slope /= alpha
-        slope += 1.0
-        g *= slope
+        slope = np.empty_like(out)
+
+        def backward(i) -> None:
+            # the slope from the output: exp(x / alpha) = out / alpha + 1 below 0
+            np.minimum(out[i], 0.0, out=slope[i])
+            slope[i] /= alpha
+            slope[i] += 1.0
+            g[i] *= slope[i]
+
+        _split(backward, _channel_halves(out, slope, g))
         x._accumulate(g)
 
     _record(res, (x,), bwd)
@@ -732,12 +942,21 @@ def celu(x: Tensor, alpha: float, inplace: bool = False) -> Tensor:
 
 
 def relu(x: Tensor, inplace: bool = False) -> Tensor:
-    """max(x, 0); with ``inplace=True`` written into ``x.data``."""
-    out = np.maximum(x.data, 0, out=x.data if inplace else None)
+    """max(x, 0); with ``inplace=True`` written into ``x.data``. With a worker, channel halves
+    of channel-major memory run one per thread."""
+    a = x.data
+    out = a if inplace else np.empty_like(a)
+    _split(lambda i: np.maximum(a[i], 0, out=out[i]), _channel_halves(a, out))
     res = Tensor._wrap(out)
 
     def bwd(g):
-        g *= out > 0
+        positive = np.empty_like(out, dtype=bool)
+
+        def backward(i) -> None:
+            np.greater(out[i], 0, out=positive[i])
+            g[i] *= positive[i]
+
+        _split(backward, _channel_halves(out, positive, g))
         x._accumulate(g)
 
     _record(res, (x,), bwd)

@@ -15,17 +15,20 @@ Runs, under the stdlib ``trace`` module (no coverage package needed):
   on the test images.
 
 Tracing starts before ``minitrain`` is imported, so module-level lines count
-as reached. It prints the lines that ``same_numbers.py`` prints (the output
-of the other runs is dropped), then one ``path:line: text`` line for every
-executable line under ``<checkout>/src`` that none of these runs executed,
-and a count. Run it on two checkouts and diff the output to see whether a
-change keeps the numbers and what it leaves unreached; ``gate.py`` does
-both. Not a test module, so pytest does not collect it.
+as reached, and it follows every thread the runs start, so a line that only
+the engine's worker runs counts too. It prints the lines that
+``same_numbers.py`` prints (the output of the other runs is dropped), then
+one ``path:line: text`` line for every executable line under
+``<checkout>/src`` that none of these runs executed, and a count. Run it on
+two checkouts and diff the output to see whether a change keeps the numbers
+and what it leaves unreached; ``gate.py`` does both. Not a test module, so
+pytest does not collect it.
 """
 
 import contextlib
 import io
 import sys
+import threading
 import trace
 from pathlib import Path
 
@@ -65,7 +68,11 @@ def work(checkout: Path, out: Path) -> None:
 def main(checkout: str, out_dir: str) -> int:
     root, out = Path(checkout).resolve(), Path(out_dir).resolve()
     tracer = trace.Trace(count=1, trace=0)
-    tracer.runfunc(work, root, out)
+    threading.settrace(tracer.globaltrace)  # runfunc traces the calling thread alone
+    try:
+        tracer.runfunc(work, root, out)
+    finally:
+        threading.settrace(None)
     coverdir = out / "cover"
     tracer.results().write_results(show_missing=True, coverdir=str(coverdir))
 

@@ -2,7 +2,9 @@ import argparse
 import itertools
 import json
 import math
+import threading
 import weakref
+from contextlib import nullcontext
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,8 +12,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from same_numbers import csv_digest
 from synthetic import make_synthetic_dataset
 
+from minitrain import tensor as T
 from minitrain.cli import _print_matrix, build_parser, main, parse_config, read_config_file
 from minitrain.data import NormStats, normalize, write_cifar_binary
 from minitrain.harness import (
@@ -652,6 +656,91 @@ def test_interrupted_run_names_the_interrupt(synth_data_dir, tmp_path, monkeypat
     manifest = json.loads(manifest_path(out).read_text())
     assert manifest["error"] == {"type": "KeyboardInterrupt", "message": ""}
     assert manifest["epochs_completed"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the engine's threads belong to the block loop
+
+
+def _blas_threads():
+    blas = T._openblas()
+    return blas[0]() if blas else None
+
+
+def _spy_thread_starts(monkeypatch) -> list:
+    """The list of threads started from here on."""
+    started, start = [], threading.Thread.start
+
+    def spy(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+@pytest.mark.parametrize("ending", ["clean", "setup_failure", "error_mid_block", "interrupt_mid_block"])
+def test_run_training_restores_blas_threads_and_joins_its_worker(synth_data_dir, tmp_path, monkeypatch, ending):
+    if _blas_threads() != 2:
+        pytest.skip("the engine starts a worker only under a two-thread OpenBLAS")
+    caller, before = threading.current_thread(), (2, threading.active_count())
+    cfg = tiny_cfg(synth_data_dir, tmp_path / "m.csv", max_epochs=1,
+                   per_class=1000 if ending == "setup_failure" else 4)
+    raised = {"clean": None, "setup_failure": ConfigError, "error_mid_block": RuntimeError,
+              "interrupt_mid_block": KeyboardInterrupt}[ending]
+    channel_sum, im2col = T._channel_sum, T._im2col
+
+    def fail_on_the_worker(*args):  # a batchnorm half
+        if threading.current_thread() is not caller:
+            raise RuntimeError("worker failed")
+        return channel_sum(*args)
+
+    def interrupt_the_caller(*args):  # a conv half, while the worker lowers the other
+        if threading.current_thread() is caller:
+            raise KeyboardInterrupt
+        return im2col(*args)
+
+    if ending == "error_mid_block":
+        monkeypatch.setattr(T, "_channel_sum", fail_on_the_worker)
+    if ending == "interrupt_mid_block":
+        monkeypatch.setattr(T, "_im2col", interrupt_the_caller)
+    started = _spy_thread_starts(monkeypatch)
+    with pytest.raises(raised) if raised else nullcontext():
+        run_training(cfg)
+    assert (_blas_threads(), threading.active_count()) == before
+    assert not any(t.is_alive() for t in started)
+    manifest = json.loads(manifest_path(cfg.metrics_out).read_text())
+    if ending == "setup_failure":  # setup runs as called: no worker, and BLAS untouched
+        assert started == [] and "engine_threads" not in manifest
+    else:
+        assert len(started) == 1
+        assert (manifest["blas_threads"], manifest["engine_threads"]) == (1, 2)
+
+
+@pytest.mark.parametrize("blas", ["one_thread", "no_symbols"])
+def test_without_a_two_thread_blas_no_thread_starts_and_the_metrics_hold(synth_data_dir, tmp_path, monkeypatch,
+                                                                           blas):
+    def cfg(name):
+        return tiny_cfg(synth_data_dir, tmp_path / name, optimizer="sam", ip=True, gc=True, max_epochs=1)
+
+    two = run_training(cfg("two.csv")).manifest
+    count = _blas_threads()
+    if blas == "no_symbols":
+        monkeypatch.setattr(T, "_openblas", lambda: None)
+    elif count is None:
+        pytest.skip("numpy's OpenBLAS thread-count symbols are not found")
+    else:
+        T._openblas()[1](1)
+    started = _spy_thread_starts(monkeypatch)
+    try:
+        one = run_training(cfg("one.csv")).manifest
+    finally:
+        if blas == "one_thread":
+            T._openblas()[1](count)
+    assert started == []
+    assert (one["blas_threads"], one["engine_threads"]) == (1 if blas == "one_thread" else None, 1)
+    assert two["engine_threads"] == (2 if count == 2 else 1)
+    assert csv_digest(tmp_path / "one.csv") == csv_digest(tmp_path / "two.csv")
 
 
 def test_missing_data_dir_fails_before_training(tmp_path):

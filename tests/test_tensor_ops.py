@@ -712,26 +712,32 @@ _even_maps = st.integers(1, 3).map(lambda v: 2 * v)  # the 2x2 pool takes even s
 
 @st.composite
 def pool_cases(draw):
+    dtype = draw(st.sampled_from([np.float32, F64]))
     h, w = draw(_even_maps), draw(_even_maps)
     shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)), h, w)
-    # a handful of integer levels, so windows often hold tied maxima
-    x = draw(hnp.arrays(F64, shape, elements=st.sampled_from([-1.0, 0.0, 1.0, 2.0])))
+    # continuous values, or a handful of integer levels with both zeros, so windows often hold
+    # tied maxima and the pool must pick between -0.0 and +0.0
+    levels = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+    x = draw(hnp.arrays(dtype, shape, elements=draw(st.sampled_from([levels, st.floats(-3, 3, width=32)]))))
     # upstream gradients of both signs, signed zeros among them
-    g = draw(hnp.arrays(F64, shape[:2] + (h // 2, w // 2),
+    g = draw(hnp.arrays(dtype, shape[:2] + (h // 2, w // 2),
                         elements=st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0])))
     return x, g
 
 
 @given(pool_cases())
 def test_maxpool_property_matches_oracles(case):
+    # the pool takes horizontal pairs, then vertical ones; both loop oracles see whole windows
     x, g = case
-    xt = t64(x, rg=True)
+    xt = Tensor(x, requires_grad=True, dtype=x.dtype)
     with tape():
         out = maxpool2d(xt)
-        backward(tsum(T.mul(out, t64(g))))
-    np.testing.assert_array_equal(out.data, oracles.maxpool2d_loops(x))
-    # bit patterns, so that -0.0 and +0.0 differ
-    np.testing.assert_array_equal(_bits(xt.grad), _bits(oracles.maxpool2d_grad_loops(x, g)))
+        backward(tsum(T.mul(out, Tensor(g, dtype=g.dtype))))
+    assert out.dtype == xt.grad.dtype == x.dtype
+    # bit patterns, so that -0.0 and +0.0 differ; the oracles compute in float64, which holds
+    # every value of either dtype
+    np.testing.assert_array_equal(_bits(out.data.astype(F64)), _bits(oracles.maxpool2d_loops(x)))
+    np.testing.assert_array_equal(_bits(xt.grad.astype(F64)), _bits(oracles.maxpool2d_grad_loops(x, g)))
 
 
 def _bn_case(shape, seed, channel, scale):
