@@ -67,19 +67,22 @@ def inner_loop(
     Takes the arguments of ``train.run_epoch`` and never augments. The
     velocity is zeroed first, so momentum starts fresh for every adaptation;
     ``state.step_index`` advances by the epoch's steps. ``model.params`` are
-    restored bit-exactly before returning; only the adapted values and the
-    mean batch loss leave this function. The batchnorm running stats keep
-    what the train-mode forwards wrote: no train-mode forward reads them, and
-    ``harness.run_training`` recalibrates them after every round.
+    restored bit-exactly on every exit, an ``OptimizerAbort`` mid-task
+    included; only the adapted values and the mean batch loss leave this
+    function. The batchnorm running stats keep what the train-mode forwards
+    wrote: no train-mode forward reads them, and ``harness.run_training``
+    recalibrates them after every round.
     """
     params = model.params
     shared = params.snapshot()
     for v in state.velocity.values():
         v.fill(0)
-    loss = run_epoch(model, state, cfg, images, labels, batch_size, ls_alpha,
-                     shuffle_seed=shuffle_seed, epoch=epoch)
-    adapted = params.snapshot()
-    params.load(shared)
+    try:
+        loss = run_epoch(model, state, cfg, images, labels, batch_size, ls_alpha,
+                         shuffle_seed=shuffle_seed, epoch=epoch)
+        adapted = params.snapshot()
+    finally:
+        params.load(shared)
     return adapted, loss
 
 

@@ -120,9 +120,10 @@ def sam_step(
     ``closure`` zeroes gradients, recomputes the loss at the current
     parameters, runs backward, and returns the loss value. The step ascends by
     rho * g / ||g||2 (one global norm over all trainable gradients), re-runs
-    the closure at the perturbed point, restores the saved parameters exactly,
-    and descends with the perturbed-point gradients. With rho == 0 (plain
-    SGD: the norm is not computed) or a zero gradient it is one sgd_step.
+    the closure at the perturbed point, restores the saved parameters exactly
+    (also when an error or interrupt leaves the perturbed point), and descends
+    with the perturbed-point gradients. With rho == 0 (plain SGD: the norm is
+    not computed) or a zero gradient it is one sgd_step.
 
     Returns (loss at the original point, loss at the perturbed point).
     """
@@ -137,17 +138,17 @@ def sam_step(
 
     scale = cfg.rho / gnorm
     backup = params.snapshot()
-    for e in params:
-        e.tensor.data += scale * e.tensor.grad
+    try:
+        for e in params:
+            e.tensor.data += scale * e.tensor.grad
+        loss1 = closure()
+        if not np.isfinite(loss1):
+            raise OptimizerAbort(f"sam_step: non-finite loss {loss1} at perturbed point")
+        if cfg.gc_enabled:
+            centralize_gradients(params)
+    finally:
+        params.load(backup)  # bit-exact restore, before the descent update or whatever ends the step
 
-    loss1 = closure()
-    if not np.isfinite(loss1):
-        params.load(backup)
-        raise OptimizerAbort(f"sam_step: non-finite loss {loss1} at perturbed point")
-    if cfg.gc_enabled:
-        centralize_gradients(params)
-
-    params.load(backup)  # bit-exact restore before the descent update
     sgd_step(params, state, lr, cfg)
     return loss0, loss1
 

@@ -39,14 +39,14 @@ one worker and, on exit by any path, joins it and restores the count.
 ``harness.run_training`` opens it around its block loop only, so setup,
 the checkpoint save and every call outside ``run_training`` run serially,
 with BLAS as the process set it. With a worker, conv splits its forward by
-images and its backward by task, and batchnorm, the activations and max
-pooling split by channel halves (contiguous rows of channel-major memory);
-one half runs on the calling thread, the other on the worker, which runs
-numpy kernels only, records nothing and writes only buffers the calling
-thread allocated. A split divides whole dot products and whole channels, so
-the numbers are those of the serial path bit for bit, given a BLAS that
-computes each element of a product alike whatever its width (see
-``conv2d``).
+images and its backward by task, in chunks of one size either way, and
+batchnorm, the activations and max pooling split by channel halves
+(contiguous rows of channel-major memory). ``_split`` runs one part on the
+calling thread and the other on the worker, which runs numpy kernels only,
+records nothing and writes only buffers the calling thread allocated. A
+split divides whole dot products and whole channels, so the numbers are
+those of the serial path bit for bit, given a BLAS that computes each
+element of a product alike whatever its width (see ``conv2d``).
 
 Gradients are owned, not shared. ``backward`` takes each op output's ``.grad``
 away before running its rule, so after ``backward`` only leaf tensors (those
@@ -80,7 +80,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import ctypes
-import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -306,7 +305,7 @@ def engine_threads():
 
 
 def _halves(n: int) -> list[slice]:
-    """range(n) as the parts ``_together`` runs at once: two halves with a worker and n > 1, else one."""
+    """range(n) as the parts ``_split`` runs at once: two halves with a worker and n > 1, else one."""
     if _worker.get() is None or n < 2:
         return [slice(0, n)]
     h = (n + 1) // 2
@@ -321,25 +320,20 @@ def _channel_halves(*arrays: np.ndarray) -> list:
     return [...]
 
 
-def _together(*tasks: Callable[[], None]) -> None:
-    """Run the tasks, one or two: the second on the worker while this thread runs the first, or
-    both here, in order, without a worker. Returns when both are done; either's error is raised."""
+def _split(fn: Callable, parts: list) -> None:
+    """``fn(part)`` for one or two parts: the second on the worker while this thread runs the first,
+    or both here, in order, without a worker. Returns when both are done; either's error is raised."""
     worker = _worker.get()
-    if worker is None or len(tasks) == 1:
-        for task in tasks:
-            task()
+    if worker is None or len(parts) < 2:
+        for part in parts:
+            fn(part)
         return
-    first, second = tasks
-    pending = worker.submit(second)
+    first, second = parts
+    pending = worker.submit(fn, second)
     try:
-        first()
+        fn(first)
     finally:
         pending.result()
-
-
-def _split(fn: Callable, parts: list) -> None:
-    """``fn(part)`` for every part, at once when there are two."""
-    _together(*(functools.partial(fn, p) for p in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +389,11 @@ def tsum(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-# Cap on the im2col buffer of one chunk. Conv lowers a chunk of the batch to
-# one column matrix of shape (C·k·k, chunk·H·W), channel-major, and splits
-# the batch into as many chunks as keep that matrix under the cap. A 1 x 1
-# conv reads its columns straight from the input's rows, but chunks alike.
+# Cap on one thread's im2col buffer. Conv lowers a chunk of the batch to one
+# column matrix of shape (C·k·k, chunk·H·W), channel-major, and every product
+# of a call walks chunks of one size, the most images whose matrix fits under
+# the cap. A 1 x 1 conv reads its columns straight from the input's rows, but
+# chunks alike.
 #
 # 8 MiB keeps the columns and the dX product of a chunk below glibc's largest
 # mmap threshold (32 MiB), so the allocator reuses their pages instead of
@@ -460,7 +455,7 @@ def _zero_outside(tap: np.ndarray, i: int, j: int, k: int) -> None:
         tap[:, :, :, max(0, w - t) :] = 0.0
 
 
-def _im2col(x: np.ndarray, k: int, buf: Optional[np.ndarray] = None) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:
     """[N,C,H,W] -> columns [C·k·k, N·H·W] of a same conv; row (c, i, j) holds tap (i, j) of channel c.
 
     ``x`` is read as its channel rows (a view when it is channel-major), and
@@ -468,14 +463,14 @@ def _im2col(x: np.ndarray, k: int, buf: Optional[np.ndarray] = None) -> np.ndarr
     one flat shifted copy per channel, across all N images at once, after
     which ``_zero_outside`` zeroes the tap's entries whose source lies outside
     the image while they are still in cache. The columns are written to the
-    front of the flat ``buf`` when one is given, else to a new array.
+    front of the flat ``buf``, which a 1 x 1 conv does not touch.
     """
     n, c, h, w = x.shape
     src = _channel_rows(x)
     if k == 1:
         return src
     size = c * k * k * src.shape[1]
-    cols = (np.empty(size, dtype=x.dtype) if buf is None else buf[:size]).reshape(c, k, k, -1)
+    cols = buf[:size].reshape(c, k, k, -1)
     for i, j, t, st in _taps(k, w, src.shape[1]):
         cols[:, i, j, t] = src[:, st]
         _zero_outside(cols[:, i, j].reshape(c, n, h, w), i, j, k)
@@ -500,10 +495,10 @@ def _col2im(cols: np.ndarray, gx: np.ndarray, k: int) -> None:
         dst[:, st] += cols[:, i, j, t]
 
 
-def _conv_chunk(c: int, k2: int, l: int, itemsize: int, parts: int = 1) -> int:
-    """Images per chunk whose columns fit in a ``parts``-th of the cap."""
+def _conv_chunk(c: int, k2: int, l: int, itemsize: int) -> int:
+    """Images per chunk whose columns fit in the cap."""
     per_image = c * k2 * l * itemsize
-    return max(1, _COL_BUDGET_BYTES // parts // max(1, per_image))
+    return max(1, _COL_BUDGET_BYTES // max(1, per_image))
 
 
 def conv2d(x: Tensor, w: Tensor) -> Tensor:
@@ -525,16 +520,16 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     channel, with no padded buffer (see ``_im2col`` and ``_col2im``). Train
     and eval run this one conv; under ``no_tape()`` it records nothing.
 
-    With a worker (see ``engine_threads``) the forward splits the images in
-    two halves, one per thread, each chunked at half the cap; backward takes
-    the weight gradient on the worker, over the chunks of the whole cap in
-    order, and the input gradient here, in chunks of half the cap. Each
-    element of the output and of the input gradient is one dot product
-    whatever the chunk, so the splits keep every bit wherever the BLAS
-    computes an element alike whatever the product's width. OpenBLAS does
-    at every layer shape of ResNet-9, for 1 to 28 images per product;
-    products only a few columns wide (tiny maps and batches) were seen to
-    differ in the last bit.
+    Every product walks chunks of ``_conv_chunk`` images, with a worker or
+    without one; the column cap is per thread. With a worker (see
+    ``engine_threads``) the forward splits the images in two halves, one per
+    thread, and backward takes the weight gradient on the worker, summing its
+    chunks in the serial order, and the input gradient here. Each element of
+    the output and of the input gradient is one dot product whatever the
+    chunk, so the splits keep every bit wherever the BLAS computes an element
+    alike whatever the product's width. OpenBLAS does at every layer shape of
+    ResNet-9, for 1 to 40 images per product; products of other shapes, such
+    as 6 x 6 maps (36 columns an image), were seen to differ in the last bit.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4D x and w, got {x.shape} and {w.shape}")
@@ -549,21 +544,18 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     w2d = w.data.reshape(cout, cw * k * k)
     hw = h * wd
     xs = _as_nchw(_channel_rows(x.data), x.shape)
-
-    def chunking(images: int, parts: int):
-        """Images per chunk at a ``parts``-th of the cap, and a columns buffer for a chunk of ``images`` at most."""
-        chunk = _conv_chunk(cin, k * k, hw, x.data.dtype.itemsize, parts)
-        return chunk, np.empty(cin * k * k * min(chunk, images) * hw, dtype=x.dtype) if k > 1 else None
-
+    chunk = _conv_chunk(cin, k * k, hw, x.data.dtype.itemsize)
+    image_cols = cin * k * k * hw if k > 1 else 0  # per image; a 1 x 1 conv's columns are its input's rows
     out = np.empty((cout, n * hw), dtype=x.dtype)
 
-    def forward(images: slice, chunk: int, cols: Optional[np.ndarray]) -> None:
+    def forward(part: tuple) -> None:
+        images, cols = part
         for n0 in range(images.start, images.stop, chunk):
             n1 = min(n0 + chunk, images.stop)
             np.matmul(w2d, _im2col(xs[n0:n1], k, cols), out=out[:, n0 * hw : n1 * hw])
 
-    halves = _halves(n)
-    _together(*(functools.partial(forward, p, *chunking(p.stop - p.start, len(halves))) for p in halves))
+    _split(forward, [(p, np.empty(image_cols * min(chunk, p.stop - p.start), dtype=x.dtype))
+                     for p in _halves(n)])
     res = Tensor._wrap(_as_nchw(out, (n, cout, h, wd)))
 
     def bwd(g):
@@ -571,27 +563,25 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
         tasks = []
         if x.requires_grad:
             gx = _as_nchw(np.zeros((cin, n * hw), dtype=x.dtype), x.shape)
-            x_chunk = _conv_chunk(cin, k * k, hw, x.data.dtype.itemsize,
-                                  2 if w.requires_grad and _worker.get() is not None else 1)
 
             def input_grad() -> None:
-                for n0 in range(0, n, x_chunk):
-                    _col2im(w2d.T @ g[:, n0 * hw : (n0 + x_chunk) * hw], gx[n0 : n0 + x_chunk], k)
+                for n0 in range(0, n, chunk):
+                    _col2im(w2d.T @ g[:, n0 * hw : (n0 + chunk) * hw], gx[n0 : n0 + chunk], k)
 
             tasks.append(input_grad)
         if w.requires_grad:
             gw = np.zeros((cout, cw * k * k), dtype=w.dtype)
             prod = np.empty_like(gw)
-            w_chunk, cols = chunking(n, 1)
+            cols = np.empty(image_cols * min(chunk, n), dtype=x.dtype)
 
             def weight_grad() -> None:
-                for n0 in range(0, n, w_chunk):
-                    np.matmul(g[:, n0 * hw : (n0 + w_chunk) * hw], _im2col(xs[n0 : n0 + w_chunk], k, cols).T,
+                for n0 in range(0, n, chunk):
+                    np.matmul(g[:, n0 * hw : (n0 + chunk) * hw], _im2col(xs[n0 : n0 + chunk], k, cols).T,
                               out=prod)
                     np.add(gw, prod, out=gw)
 
             tasks.append(weight_grad)
-        _together(*tasks)
+        _split(lambda task: task(), tasks)
         if w.requires_grad:
             w._accumulate(gw.reshape(w.shape))
         if x.requires_grad:
@@ -823,7 +813,8 @@ def batchnorm2d(
     out = np.empty_like(rows)
     step = max(1, (1 << 20) // (m * rows.itemsize))  # channels whose squares fit in 1 MiB
 
-    def forward(s: slice, squares: np.ndarray) -> None:
+    def forward(part: tuple) -> None:
+        s, squares = part
         mean[s] = _channel_sum(rows[s], blocks) / m
         np.subtract(rows[s], mean[s, None], out=out[s])
         for c0 in range(s.start, s.stop, step):  # x.var, from the one centring, a few rows at a time
@@ -834,8 +825,7 @@ def batchnorm2d(
         inv_std[s] = _inv_std(var[s])
         _scale_shift(out[s], inv_std[s, None], gamma.data[s, None], beta.data[s, None])
 
-    _together(*(functools.partial(forward, p, np.empty((min(step, p.stop - p.start), m), dtype=rows.dtype))
-                for p in _halves(c)))
+    _split(forward, [(p, np.empty((min(step, p.stop - p.start), m), dtype=rows.dtype)) for p in _halves(c)])
     res = Tensor._wrap(_as_nchw(out, x.shape))
 
     def bwd(g):

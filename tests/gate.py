@@ -9,13 +9,21 @@ the lines ``same_numbers.py`` prints, then the list of unreached ``src/``
 lines. Prints the unified diff of the two checkouts' ``same_numbers.py``
 lines, then of their lists. The lists are diffed without their line numbers,
 since a line that a change deletes or adds moves the numbers of the lines
-after it; the files keep them. Then prints the line totals of both
-checkouts' ``src/`` Python files, counted as ``wc -l`` counts them. Exits 1
-if the ``same_numbers.py`` lines differ or a run fails, else 0; the list
-diff is for reading. Not a test module, so pytest does not collect it.
+after it; the files keep them. Then runs ``same_numbers.py``, the copy
+beside this script, on the change once more, serially: in a process of its
+own with ``OPENBLAS_NUM_THREADS=1``, so the engine starts no worker, with its
+files under ``<out-dir>/change/serial/`` and its output in
+``<out-dir>/change/serial.txt``. Prints the diff of those lines against the
+change's lines from ``reach.py``, which ran with the process's BLAS threads.
+Then prints the line totals of both checkouts' ``src/`` Python files,
+counted as ``wc -l`` counts them. Exits 1 if the parent's and the change's
+``same_numbers.py`` lines differ, if the change's serial lines differ from
+its others, or if a run fails, else 0; the list diff is for reading. Not a
+test module, so pytest does not collect it.
 """
 
 import difflib
+import os
 import re
 import subprocess
 import sys
@@ -43,6 +51,26 @@ def run(checkout: Path, out: Path) -> tuple[list[str], list[str], bool]:
     return digests, unreached, proc.returncode == 0
 
 
+def serial_lines(checkout: Path, out: Path) -> tuple[list[str], bool]:
+    """The ``same_numbers.py`` lines of ``checkout`` under a one-thread BLAS, and whether it exited 0."""
+    work = out / "serial"
+    work.mkdir(parents=True, exist_ok=True)
+    proc = subprocess.run([sys.executable, str(HERE / "same_numbers.py"), str(checkout), str(work)],
+                          capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    (out / "serial.txt").write_text(proc.stdout, encoding="utf-8")
+    if proc.returncode != 0:
+        print(f"same_numbers.py {checkout} with OPENBLAS_NUM_THREADS=1 exited {proc.returncode}\n{proc.stderr}")
+    return proc.stdout.splitlines(keepends=True), proc.returncode == 0
+
+
+def show_diff(name: str, before: list[str], after: list[str], labels: tuple[str, str]) -> bool:
+    """Print the unified diff of two outputs under a ``== name`` header; whether they differ."""
+    diff = list(difflib.unified_diff(before, after, *labels))
+    print(f"== {name}: {'differs' if diff else 'same output'}")
+    sys.stdout.writelines(diff)
+    return bool(diff)
+
+
 def src_lines(checkout: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (checkout / "src").rglob("*.py"))
 
@@ -53,11 +81,12 @@ def main(parent: str, change: str, out_dir: str) -> int:
     runs = {side: run(checkout, out / side) for side, checkout in sides.items()}
     ok = all(ran for _, _, ran in runs.values())
     for i, name in enumerate(("same_numbers.py", "reach.py")):
-        diff = list(difflib.unified_diff(runs["parent"][i], runs["change"][i],
-                                         f"parent {name}", f"change {name}"))
-        print(f"== {name}: {'differs' if diff else 'same output'}")
-        sys.stdout.writelines(diff)
-        ok &= not (name == "same_numbers.py" and diff)
+        differs = show_diff(name, runs["parent"][i], runs["change"][i], (f"parent {name}", f"change {name}"))
+        ok &= not (name == "same_numbers.py" and differs)
+    serial, ran = serial_lines(sides["change"], out / "change")
+    differs = show_diff("same_numbers.py serial", runs["change"][0], serial,
+                        ("change same_numbers.py", "change same_numbers.py, OPENBLAS_NUM_THREADS=1"))
+    ok &= ran and not differs
     totals = {side: src_lines(checkout) for side, checkout in sides.items()}
     print(f"== src/ lines: parent {totals['parent']}, change {totals['change']} "
           f"({totals['change'] - totals['parent']:+d})")

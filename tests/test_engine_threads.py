@@ -3,6 +3,7 @@ training closure and a SAM+GC step, bit for bit."""
 
 import contextlib
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -123,6 +124,52 @@ def test_activation_and_pool_halves_keep_every_bit(case, name, inplace):
     serial, threaded, handed = _both(run)
     _same_bits(threaded, serial, ["out", "dX"])
     assert len(handed) == (2 if x.shape[1] > 1 else 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64], ids=["fp32", "fp64"])
+def test_conv_walks_one_chunk_size_on_both_threads(monkeypatch, dtype):
+    # 13 images at 4 per chunk: the forward halves (7 and 6 images) walk 4+3 and 4+2,
+    # and the input and weight gradients 4+4+4+1, with a worker as without one
+    rng = np.random.default_rng(5)
+    n, cin, cout, k, side = 13, 4, 6, 3, 8  # 64 columns an image: products of any width agree
+    x = _channel_major(rng.normal(size=(n, cin, side, side)).astype(dtype))
+    wk = rng.normal(size=(cout, cin, k, k)).astype(dtype)
+    g = _channel_major(rng.normal(size=(n, cout, side, side)).astype(dtype))
+    per_image = cin * k * k * side * side * np.dtype(dtype).itemsize
+    monkeypatch.setattr(T, "_COL_BUDGET_BYTES", 4 * per_image + per_image // 2)
+    assert T._conv_chunk(cin, k * k, side * side, np.dtype(dtype).itemsize) == 4
+    caller, walked, phase = threading.current_thread(), [], {"now": "forward"}
+
+    def spy(kernel, product, images):
+        """``kernel``, logging the product it serves, the thread and the images of each call."""
+        def run(*args):
+            thread = "caller" if threading.current_thread() is caller else "worker"
+            walked.append((product(), thread, images(*args)))
+            return kernel(*args)
+        return run
+
+    monkeypatch.setattr(T, "_im2col", spy(T._im2col, lambda: phase["now"], lambda a, k, buf: a.shape[0]))
+    monkeypatch.setattr(T, "_col2im", spy(T._col2im, lambda: "dX", lambda cols, gx, k: gx.shape[0]))
+
+    def run():
+        walked.clear()
+        phase["now"] = "forward"
+        leaf, wt = _leaf(x), Tensor(wk, requires_grad=True, dtype=dtype)
+        with tape():
+            out = T.conv2d(leaf, wt)
+            phase["now"] = "dW"
+            backward(tsum(T.mul(out, Tensor(g, dtype=dtype))))
+        plan = {}
+        for product, thread, images in walked:
+            plan.setdefault((product, thread), []).append(images)
+        return [out.data, leaf.grad, wt.grad], plan
+
+    (serial, serial_plan), (threaded, threaded_plan), _ = _both(run)
+    assert serial_plan == {("forward", "caller"): [4, 4, 4, 1], ("dX", "caller"): [4, 4, 4, 1],
+                           ("dW", "caller"): [4, 4, 4, 1]}
+    assert threaded_plan == {("forward", "caller"): [4, 3], ("forward", "worker"): [4, 2],
+                             ("dX", "caller"): [4, 4, 4, 1], ("dW", "worker"): [4, 4, 4, 1]}
+    _same_bits(threaded, serial, ["out", "dX", "dW"])
 
 
 SHAPES = {

@@ -11,7 +11,7 @@ import minitrain.mltp as M
 from minitrain.harness import RunConfig
 from minitrain.mltp import inner_loop, meta_update, mltp_train, split_tasks
 from minitrain.models import ModelSpec, ParamSet, build_resnet9
-from minitrain.optim import OptConfig, OptState, schedule_lr, sgd_step
+from minitrain.optim import OptConfig, OptimizerAbort, OptState, schedule_lr, sgd_step
 from minitrain.tensor import ConfigError, Tensor, backward, linear, smoothed_cross_entropy, tape
 
 F64 = np.float64
@@ -161,6 +161,30 @@ def test_inner_loop_leaves_shared_model_untouched():
     for e in params:
         assert (e.tensor.data == before[e.name]).all(), e.name
         assert (adapted[e.name] != before[e.name]).any(), e.name
+
+
+def test_inner_loop_abort_mid_task_restores_the_shared_weights():
+    # two batches of four: the first steps, the second is all NaN, so its gradient aborts the step
+    k, d = 10, 5
+    xs, ys = make_linear_task(8, d, k, seed=4)
+    order = np.random.default_rng([77, 0]).permutation(8)  # run_epoch's order for shuffle_seed 77, epoch 0
+    xs[order[4:]] = np.nan
+    w0 = np.random.default_rng(5).normal(size=(k, d))
+    stub = LinearStub(w0.copy())
+    state = OptState.create(stub.params)
+    state.step_index = 7  # a step where the one-cycle LR is not 0
+    steps = []
+    stub_forward = stub.forward
+
+    def forward(x, mode="train", bn_momentum=0.1):
+        steps.append(stub.w.data.copy())
+        return stub_forward(x, mode, bn_momentum)
+
+    stub.forward = forward
+    with pytest.raises(OptimizerAbort, match="non-finite gradient"):
+        inner_loop(stub, state, sgd_only(lr=0.05), xs, ys, 4, 0.0, shuffle_seed=77, epoch=0)
+    assert len(steps) == 2 and (steps[1] != w0).any()  # the first batch moved the weights
+    assert (stub.params.snapshot()["w"] == w0).all()
 
 
 # ---------------------------------------------------------------------------

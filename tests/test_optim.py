@@ -251,6 +251,26 @@ def test_sam_nonfinite_perturbed_loss_aborts():
     assert (param(ps, "w").data == before).all()
 
 
+@pytest.mark.parametrize("raised", [KeyboardInterrupt, RuntimeError])
+def test_sam_perturbed_closure_that_raises_restores_the_weights(raised):
+    # L(w) = 0.5*2*w^2 at w = 1: g = 2, so rho = 0.25 perturbs w to 1.25 before the second closure
+    ps = param_set(w=[1.0])
+    cfg = OptConfig(lr_peak=1.0, momentum=0.9, rho=0.25, total_steps=1)
+    state, closure, calls = OptState.create(ps), quadratic_closure(ps, {"w": 2.0}), []
+
+    def raising_at_the_perturbed_point():
+        calls.append(param(ps, "w").data.copy())
+        if len(calls) == 2:
+            raise raised
+        return closure()
+
+    with pytest.raises(raised):
+        sam_step(ps, state, 0.1, cfg, raising_at_the_perturbed_point)
+    assert calls[1][0] == 1.25
+    assert param(ps, "w").data[0] == 1.0
+    assert state.velocity["w"][0] == 0.0 and state.step_index == 0
+
+
 # ---------------------------------------------------------------------------
 # schedule
 
